@@ -9,8 +9,9 @@ recorded in per-iteration telemetry rows.
 
 from __future__ import annotations
 
+import itertools
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 import numpy as np
@@ -19,12 +20,12 @@ from .errors import ConstantLossError, DiscontinuityCollisionError
 from .leverage import (
     LeveragingResult,
     alpha_from_smoothness,
-    edge,
     epsilon_from,
     find_alpha,
     second_order_mean,
     w2_from_alpha,
 )
+from .losses import finite_values
 from .offsets import OffsetRequest, find_offset, sanitize_offset
 from .trees import WeakHypothesis, nonzero_shift, train_tree
 from .vderiv import secant_slopes, v_derivative
@@ -54,6 +55,10 @@ V0_GRID = (-1.0, -0.1, 0.1, 1.0)
 # decrease contract tolerates).
 GUARD_CAP = 200
 GUARD_SLACK = 1e-10
+
+# Smoothness-route telemetry interval factor: the recorded pi when the route
+# alpha is accepted unhalved.
+PI = 0.5
 
 TELEMETRY_COLUMNS = (
     "t",
@@ -97,15 +102,8 @@ class BoostConfig:
     max_nodes: int = 1
     delta_init: float = 1.0
     epsilon: float = 0.1  # smoothness-route slack
-    pi: float = 0.5  # smoothness-route telemetry interval factor
     precision_Z: int = 64
-    max_retries: int = 5
-    nudge_rel: float = 1e-6
-    nonzero_gamma: float = 0.1
-    nonzero_eps: float = 0.5
     seed: int = 0
-    h0_hint: float | None = None
-    v0_hint: float | None = None
     record_vectors: bool = False
 
 
@@ -153,33 +151,18 @@ def _derived_seed(seed: int, t: int, i: int) -> int:
     return (int(seed) * 1_000_003 + int(t) * 9_176 + int(i)) & 0x7FFFFFFF
 
 
-def initialize(F, S, h0_hint: float | None = None, v0_hint: float | None = None):
+def initialize(F, S):
     """Pick (h0, v0) with a nonzero chord slope and broadcast the first weights.
 
-    Hints are probed before the fixed grid; if every probed chord is flat the
-    loss is constant on the probe set and there is nothing to fit.
+    If every probed chord is flat the loss is constant on the probe set and
+    there is nothing to fit.
     """
-    h0_list = list(H0_GRID)
-    v0_list = list(V0_GRID)
-    if h0_hint is not None:
-        h0_list = [float(h0_hint)] + [h for h in h0_list if h != float(h0_hint)]
-    if v0_hint is not None:
-        v0_list = [float(v0_hint)] + [v for v in v0_list if v != float(v0_hint)]
-    chosen = None
-    for v0 in v0_list:
-        if v0 == 0.0:
-            continue
-        for h0 in h0_list:
-            d = v_derivative(F, h0, v0)
-            if d != 0.0:
-                chosen = (h0, v0, d)
-                break
-        if chosen:
+    for v0, h0 in itertools.product(V0_GRID, H0_GRID):
+        d = v_derivative(F, h0, v0)
+        if d != 0.0:
             break
-    if chosen is None:
+    else:
         raise ConstantLossError("loss is constant on every probed chord")
-    h0, v0, d = chosen
-    ens = Ensemble(h0=h0)
     y = np.asarray(S.labels, dtype=np.float64)
     margins0 = y * h0
     state = BoostIterState(
@@ -190,21 +173,10 @@ def initialize(F, S, h0_hint: float | None = None, v0_hint: float | None = None)
         train_loss=float(np.mean(F(margins0))),
         train_err=float(np.mean(margins0 <= 0.0)),
     )
-    return ens, state
+    return Ensemble(h0=h0), state
 
 
-def nudge_alpha(
-    F,
-    alpha: float,
-    S,
-    H_prev,
-    h,
-    rel: float = 1e-6,
-    seed: int = 0,
-    *,
-    margins_prev=None,
-    h_values=None,
-) -> float:
+def nudge_alpha(F, alpha, y, margins_prev, h_values, rel=1e-6, seed=0) -> float:
     """Keep prospective edges off declared jump points by jittering alpha.
 
     Each attempt re-draws a factor in [1-rel, 1+rel] around the original
@@ -213,16 +185,11 @@ def nudge_alpha(
     """
     if not F.discontinuities:
         return alpha
-    y = np.asarray(S.labels, dtype=np.float64)
-    hv = np.asarray(h.predict_dataset(S), dtype=np.float64) if h_values is None else h_values
-    base = (
-        y * H_prev.predict_dataset(S) if margins_prev is None else np.asarray(margins_prev)
-    )
     jumps = np.asarray([z for z, _ in F.discontinuities], dtype=np.float64)
     rng = np.random.default_rng(seed)
     candidate = alpha
     for _ in range(50):
-        edges = base + candidate * y * hv
+        edges = margins_prev + candidate * y * h_values
         gap = np.min(np.abs(edges[:, None] - jumps[None, :]))
         if gap > 1e-12:
             return candidate
@@ -232,19 +199,66 @@ def nudge_alpha(
     )
 
 
+def _leverage(F, y, hv, margins, loss_prev, eta, M, route, alpha, certify):
+    """Step-acceptance guard: halve alpha until the realized decrease meets its bound.
+
+    The offset budget certifies the *next* round's secant remainder, so on
+    rough losses a route alpha can overshoot.  certify(alpha) gives (w2_bar,
+    epsilon), or None when alpha lies outside their admissible interval; a
+    tiny alpha leaves the margins bitwise unchanged, so the loop ends.
+    Returns (LeveragingResult, new margins, their mean loss, decrease bound).
+    """
+    for halvings in range(GUARD_CAP):
+        cert = certify(alpha)
+        if cert is not None:
+            w2_bar, eps = cert
+            margins_new = margins + alpha * y * hv
+            loss = float(np.mean(finite_values(F, margins_new)))
+            bound = _decrease_bound(eta, alpha, eps, M, w2_bar)
+            if loss_prev - loss >= bound - GUARD_SLACK:
+                pi = max(PI, 1.0 - 0.5**halvings) if route == "smoothness" else None
+                lev = LeveragingResult(alpha, w2_bar, eps, route=route, pi=pi)
+                return lev, margins_new, loss, bound
+        alpha /= 2.0
+    raise DiscontinuityCollisionError(
+        f"no {route} step met its decrease bound after {GUARD_CAP} halvings"
+    )
+
+
+def _refresh_offsets(F, margins, margins_new, v_prev, z_limit: float, cfg: BoostConfig, t: int):
+    """(offsets, reused mask) for the move margins -> margins_new, or None if infeasible.
+
+    An example whose edge did not move at the scan's resolution reuses (a
+    sanitized copy of) its previous offset.
+    """
+    v_new = np.empty(margins.size, dtype=np.float64)
+    reused = np.zeros(margins.size, dtype=bool)
+    for i, (e_t, e_p) in enumerate(zip(margins_new.tolist(), margins.tolist())):
+        if e_t == e_p or e_t + (e_p - e_t) / cfg.precision_Z == e_t:
+            v_new[i] = sanitize_offset(v_prev[i], 1e-9, seed=_derived_seed(cfg.seed, t, i))
+            reused[i] = True
+            continue
+        v = find_offset(F, OffsetRequest(e_t, e_p, z_limit, cfg.precision_Z))
+        if v is None:
+            return None
+        v_new[i] = v
+    return v_new, reused
+
+
 def run(F, S, T: int, config: BoostConfig | None = None):
     """Boost for up to T iterations; returns (ensemble, telemetry rows).
 
     Telemetry gets one row per started iteration; the final row's stop_reason
     says how the run ended (completed / zero_weights / offsets_infeasible, or
     none after a zero-edge warning).  A constant loss yields a single t=1 row
-    with all-zero weights.
+    with all-zero weights.  A loss value that is not finite at a candidate
+    margin raises ConfigError.
     """
     if T < 1:
         raise ValueError(f"T must be >= 1, got {T}")
     cfg = config or BoostConfig()
     try:
-        ens, st0 = initialize(F, S, cfg.h0_hint, cfg.v0_hint)
+        ens, st0 = initialize(F, S)
     except ConstantLossError:
         row = BoostIterState(
             t=1,
@@ -261,21 +275,14 @@ def run(F, S, T: int, config: BoostConfig | None = None):
         return Ensemble(h0=0.0), [row]
 
     y = np.asarray(S.labels, dtype=np.float64)
-    m = S.m
-    w = st0.weights
-    v_prev = st0.offsets
-    margins = st0.edges_tilde
-    loss_prev = st0.train_loss
+    w, v_prev, margins, loss_prev = st0.weights, st0.offsets, st0.edges_tilde, st0.train_loss
     rows: list[BoostIterState] = []
-    min_abs_eta_tilde = float("inf")
-    min_rho = float("inf")
-    stopped = False
+    min_abs_eta_tilde = min_rho = float("inf")
 
     for t in range(1, T + 1):
         active = np.nonzero(w != 0.0)[0]
         S_t = S.subset(active).with_labels(y[active] * np.sign(w[active]))
-        h = train_tree(S_t, np.abs(w[active]), cfg.max_nodes, seed=_derived_seed(cfg.seed, t, 0))
-        h = nonzero_shift(h, S, cfg.nonzero_gamma, cfg.nonzero_eps)
+        h = nonzero_shift(train_tree(S_t, np.abs(w[active]), cfg.max_nodes), S)
         hv = h.predict_dataset(S)
         M = float(np.max(np.abs(hv)))
         eta = float(np.mean(w * y * hv))
@@ -293,7 +300,7 @@ def run(F, S, T: int, config: BoostConfig | None = None):
                     weight_mass=weight_mass,
                     w1_bar=w1_bar,
                     M=M,
-                    train_loss=float(np.mean(F(margins))),
+                    train_loss=loss_prev,
                     train_err=float(np.mean(margins <= 0.0)),
                     stop_reason="none",
                     weights=w.copy() if cfg.record_vectors else None,
@@ -301,71 +308,35 @@ def run(F, S, T: int, config: BoostConfig | None = None):
                     min_rho=min_rho,
                 )
             )
-            stopped = True
-            break
+            return ens, rows
 
-        # The step-acceptance guard below enforces the per-iteration decrease
-        # contract: the offset budget certifies the *next* round's secant
-        # remainder, not the one already in flight, so on rough losses a route
-        # alpha can overshoot.  Halving alpha (re-deriving the certificate pair
-        # each time) restores the bound using loss values only; the loop always
-        # exits because a tiny alpha leaves the margins bitwise unchanged.
         if F.smoothness_beta is not None:
-            lev0 = alpha_from_smoothness(eta, F.smoothness_beta, M, cfg.epsilon, cfg.pi)
+            route = "smoothness"
+            lev0 = alpha_from_smoothness(eta, F.smoothness_beta, M, cfg.epsilon, PI)
             alpha = lev0.alpha
-            if F.discontinuities:
-                alpha = nudge_alpha(
-                    F, alpha, S, ens, h, cfg.nudge_rel,
-                    seed=_derived_seed(cfg.seed, t, 1),
-                    margins_prev=margins, h_values=hv,
-                )
-            lev = None
-            for halvings in range(GUARD_CAP):
-                margins_new = margins + alpha * y * hv
-                realized = loss_prev - float(np.mean(F(margins_new)))
-                bound = _decrease_bound(eta, alpha, lev0.epsilon, M, lev0.w2_bar)
-                if realized >= bound - GUARD_SLACK:
-                    pi = max(cfg.pi, 1.0 - 0.5**halvings)
-                    lev = replace(lev0, alpha=alpha, pi=pi)
-                    break
-                alpha /= 2.0
+
+            def certify(a):
+                return lev0.w2_bar, lev0.epsilon
         else:
+            route = "findalpha"
             alpha = find_alpha(
-                F, S, ens, w, h, v_prev, cfg.delta_init,
-                margins_prev=margins, h_values=hv,
-            )
-            if F.discontinuities:
-                alpha = nudge_alpha(
-                    F, alpha, S, ens, h, cfg.nudge_rel,
-                    seed=_derived_seed(cfg.seed, t, 1),
-                    margins_prev=margins, h_values=hv,
-                )
-            lev = None
-            for _ in range(GUARD_CAP):
-                w2_bar = w2_from_alpha(
-                    F, S, ens, h, v_prev, alpha, M,
-                    eta=eta, margins_prev=margins, h_values=hv,
-                )
-                if not abs(alpha) < abs(eta) / (w2_bar * M * M):
-                    alpha /= 2.0
-                    continue
-                eps = epsilon_from(alpha, w2_bar, eta, M)
-                margins_new = margins + alpha * y * hv
-                realized = loss_prev - float(np.mean(F(margins_new)))
-                bound = _decrease_bound(eta, alpha, eps, M, w2_bar)
-                if realized >= bound - GUARD_SLACK:
-                    lev = LeveragingResult(alpha, w2_bar, eps, route="findalpha")
-                    break
-                alpha /= 2.0
-        if lev is None:
-            raise DiscontinuityCollisionError(
-                f"no leveraging step met its decrease bound after {GUARD_CAP} halvings "
-                f"at iteration {t}"
+                F, S, ens, w, h, v_prev, cfg.delta_init, margins_prev=margins, h_values=hv
             )
 
-        e_new = lev.alpha * y * hv
+            def certify(a):
+                w2_bar = w2_from_alpha(
+                    F, S, ens, h, v_prev, a, M, eta=eta, margins_prev=margins, h_values=hv
+                )
+                if not abs(a) < abs(eta) / (w2_bar * M * M):
+                    return None
+                return w2_bar, epsilon_from(a, w2_bar, eta, M)
+        alpha = nudge_alpha(F, alpha, y, margins, hv, seed=_derived_seed(cfg.seed, t, 1))
+        lev, margins_new, loss, bound = _leverage(
+            F, y, hv, margins, loss_prev, eta, M, route, alpha, certify
+        )
+
         ens.terms.append((lev.alpha, h))
-        w2_measured = second_order_mean(F, margins, e_new, v_prev, hv, M)
+        w2_measured = second_order_mean(F, margins, lev.alpha * y * hv, v_prev, hv, M)
         z_limit = lev.epsilon * lev.alpha**2 * M * M * lev.w2_bar
 
         rho = w1_bar * w1_bar / lev.w2_bar
@@ -382,67 +353,39 @@ def run(F, S, T: int, config: BoostConfig | None = None):
             rho=rho,
             M=M,
             alpha=lev.alpha,
-            train_loss=float(np.mean(F(margins_new))),
+            train_loss=loss,
             train_err=float(np.mean(margins_new <= 0.0)),
             pi=lev.pi,
             route=lev.route,
             z_limit=z_limit,
             w2_measured=w2_measured,
+            decrease_bound=bound,
             min_abs_eta_tilde=min_abs_eta_tilde,
             min_rho=min_rho,
         )
-        row.decrease_bound = guaranteed_decrease_bound(row, lev.alpha)
         if cfg.record_vectors:
             row.weights = w.copy()
             row.offsets = v_prev.copy()
             row.edges_tilde = margins.copy()
             row.edges_new = margins_new.copy()
 
-        v_new = np.empty(m, dtype=np.float64)
-        reused = np.zeros(m, dtype=bool)
-        infeasible = False
-        for i in range(m):
-            e_t = float(margins_new[i])
-            e_p = float(margins[i])
-            degenerate = e_t == e_p or e_t + (e_p - e_t) / cfg.precision_Z == e_t
-            if degenerate:
-                v_new[i] = sanitize_offset(v_prev[i], 1e-9, seed=_derived_seed(cfg.seed, t, i))
-                reused[i] = True
-                continue
-            v = find_offset(
-                F,
-                OffsetRequest(
-                    e_t=e_t,
-                    e_prev=e_p,
-                    z_limit=z_limit,
-                    precision_Z=cfg.precision_Z,
-                    max_retries=cfg.max_retries,
-                ),
-            )
-            if v is None:
-                infeasible = True
-                break
-            v_new[i] = v
-        if infeasible:
+        refreshed = _refresh_offsets(F, margins, margins_new, v_prev, z_limit, cfg, t)
+        rows.append(row)
+        if refreshed is None:
             row.stop_reason = "offsets_infeasible"
-            rows.append(row)
-            stopped = True
-            break
+            return ens, rows
+        v_new, reused = refreshed
         if cfg.record_vectors:
             row.offsets_new = v_new.copy()
             row.offsets_reused = reused
 
         w_next = -secant_slopes(F, margins_new, v_new)
-        rows.append(row)
         if not np.any(w_next != 0.0):
             row.stop_reason = "zero_weights"
-            stopped = True
-            break
-        w, v_prev, margins = w_next, v_new, margins_new
-        loss_prev = row.train_loss
+            return ens, rows
+        w, v_prev, margins, loss_prev = w_next, v_new, margins_new, loss
 
-    if rows and not stopped:
-        rows[-1].stop_reason = "completed"
+    rows[-1].stop_reason = "completed"
     return ens, rows
 
 

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DiscontinuityCollisionError
+from .losses import finite_values
 from .offsets import sanitize_offset
 from .vderiv import secant_slopes
 
@@ -106,7 +107,8 @@ def find_alpha(
     returns sign(eta)*a.  For losses continuous at every current edge, small
     steps make the partial weights converge back to w, so termination is
     guaranteed; a loss with a jump exactly on an edge can refuse every step,
-    which surfaces as DiscontinuityCollisionError after the cap.
+    which surfaces as DiscontinuityCollisionError after the cap.  A loss that
+    is not finite at a trial abscissa raises ConfigError.
     """
     if not delta_init > 0.0:
         raise ValueError(f"delta_init must be positive, got {delta_init}")
@@ -123,6 +125,9 @@ def find_alpha(
             F, S, H_prev, h, v_prev, alpha, margins_prev=margins_prev, h_values=hv
         )
         eta_trial = edge(trial, S, h, h_values=hv)
+        if not np.isfinite(eta_trial):
+            z = alpha * np.asarray(S.labels, dtype=np.float64) * hv + margins_prev
+            finite_values(F, np.concatenate([z, z + np.asarray(v_prev, dtype=np.float64)]))
         if abs(eta - eta_trial) < abs(eta):
             return alpha
         delta /= 2.0

@@ -26,6 +26,7 @@ __all__ = [
     "load_table_loss",
     "empirical_loss",
     "inject_label_noise",
+    "finite_values",
     "LOGISTIC_BETA",
     "SQUARE_BETA",
 ]
@@ -254,6 +255,22 @@ def _is_number(token: str) -> bool:
     except ValueError:
         return False
     return True
+
+
+def finite_values(F: LossSpec, z: np.ndarray) -> np.ndarray:
+    """F(z) for an array z; ConfigError at the first z where F is not finite.
+
+    Unchecked, step halving would absorb a NaN or inf or blame a discontinuity.
+    """
+    values = F(z)
+    bad = ~np.isfinite(values)
+    if np.any(bad):
+        i = int(np.argmax(bad))
+        raise ConfigError(
+            f"loss {F.name!r} returned {float(values[i])!r} at z={float(z[i])!r}; "
+            "a loss must be finite on all of R"
+        )
+    return values
 
 
 def empirical_loss(F: LossSpec, S, H) -> float:

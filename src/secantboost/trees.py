@@ -19,7 +19,6 @@ __all__ = [
     "TreeNode",
     "WeakHypothesis",
     "train_tree",
-    "predict",
     "max_confidence",
     "nonzero_shift",
 ]
@@ -254,11 +253,6 @@ def train_tree(S_signed, weights, max_nodes: int, seed: int = 0) -> WeakHypothes
         created += 2
         n_internal += 1
     return WeakHypothesis(root, n_internal, len(S_signed.columns))
-
-
-def predict(h: WeakHypothesis, x) -> float:
-    """Route one feature vector to its leaf confidence."""
-    return h.predict(x)
 
 
 def max_confidence(h: WeakHypothesis, S) -> float:

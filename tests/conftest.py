@@ -69,6 +69,22 @@ def board_dataset(m: int = 460, seed: int = 23) -> sb.Dataset:
     )
 
 
+def logistic_then(bad: float, smoothness_beta: float | None = None) -> sb.LossSpec:
+    """Logistic loss up to z = 0.3 and the constant `bad` (NaN or inf) above.
+
+    It breaks LossSpec's finite-on-R contract; with a smoothness_beta the
+    booster takes the smoothness route, without one the FindAlpha route.
+    """
+
+    def evaluate(z):
+        z = np.asarray(z, dtype=np.float64)
+        out = np.where(z > 0.3, bad, np.logaddexp(0.0, -z))
+        return float(out) if out.ndim == 0 else out
+
+    name = f"logistic_then_{bad}"
+    return sb.LossSpec(name, evaluate, is_convex=False, smoothness_beta=smoothness_beta)
+
+
 @pytest.fixture(scope="session")
 def separable200() -> sb.Dataset:
     return separable_dataset(200)

@@ -8,9 +8,11 @@ import math
 import numpy as np
 import pytest
 
+from conftest import logistic_then
 from secantboost import (
     BoostConfig,
     BoostIterState,
+    ConfigError,
     ConstantLossError,
     Ensemble,
     TELEMETRY_COLUMNS,
@@ -71,13 +73,6 @@ class TestInitialize:
         np.testing.assert_array_equal(st0.weights, np.ones(8))
         np.testing.assert_array_equal(st0.offsets, np.full(8, -1.0))
 
-    def test_hints_probed_first(self):
-        F = make_builtin("logistic")
-        S = _blobs(8)
-        ens, st0 = initialize(F, S, h0_hint=0.7, v0_hint=0.3)
-        assert ens.h0 == 0.7
-        assert st0.offsets[0] == 0.3
-
     def test_constant_loss_raises(self):
         with pytest.raises(ConstantLossError):
             initialize(_flat_loss(), _blobs(8))
@@ -95,24 +90,13 @@ class TestInitialize:
 class TestNudgeAlpha:
     def test_continuous_loss_passes_through(self):
         F = make_builtin("logistic")
-        S = _blobs(4)
-        assert (
-            nudge_alpha(
-                F, 0.5, S, None, None,
-                margins_prev=np.zeros(4), h_values=np.ones(4),
-            )
-            == 0.5
-        )
+        assert nudge_alpha(F, 0.5, np.ones(4), np.zeros(4), np.ones(4)) == 0.5
 
     def test_edge_on_jump_gets_moved(self):
         F = make_builtin("zero_one")
-        S = dataset_from_numeric(np.zeros((1, 1)), np.array([1.0]))
         margins = np.array([-0.5])
         hv = np.array([1.0])
-        nudged = nudge_alpha(
-            F, 0.5, S, None, None, rel=1e-6, seed=3,
-            margins_prev=margins, h_values=hv,
-        )
+        nudged = nudge_alpha(F, 0.5, np.array([1.0]), margins, hv, rel=1e-6, seed=3)
         assert nudged != 0.5
         assert abs(nudged - 0.5) <= 0.5 * 1e-6 * (1.0 + 1e-12)
         assert abs(margins[0] + nudged * hv[0]) > 1e-12
@@ -260,6 +244,21 @@ class TestStops:
     def test_t_validation(self):
         with pytest.raises(ValueError, match="T must be"):
             run(make_builtin("logistic"), _blobs(8), T=0)
+
+
+class TestNonFiniteLoss:
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf - inf in a slope
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("beta", [0.25, None], ids=["smoothness", "findalpha"])
+    def test_run_raises_config_error(self, bad, beta):
+        """A NaN or inf loss value at a candidate margin is a broken loss,
+        not a step to halve away or a discontinuity: the run stops with
+        ConfigError naming the loss and the offending abscissa."""
+        F = logistic_then(bad, smoothness_beta=beta)
+        with pytest.raises(ConfigError, match=f"loss '{F.name}' returned {bad} at z=") as exc:
+            run(F, _blobs(24, seed=1), T=30)
+        z = float(str(exc.value).split("z=")[1].split(";")[0])
+        assert z > 0.3
 
 
 class TestDecreaseBound:

@@ -8,6 +8,8 @@ import math
 import numpy as np
 import pytest
 
+import secantboost.losses as losses_module
+from conftest import logistic_then
 from secantboost.cli import (
     EXIT_CONFIG,
     EXIT_CONSTANT_LOSS,
@@ -85,6 +87,13 @@ class TestTrain:
             main(["train", "--loss", "unknown_loss", train_csv, str(tmp_path / "o")])
             == EXIT_CONFIG
         )
+
+    def test_non_finite_loss_exits_2(self, tmp_path, train_csv, capsys, monkeypatch):
+        monkeypatch.setattr(losses_module, "_REGISTRY", {})
+        losses_module.register_loss("broken", lambda: logistic_then(math.nan))
+        code = main(["train", "--loss", "broken", "-T", "30", train_csv, str(tmp_path / "o")])
+        assert code == EXIT_CONFIG
+        assert "returned nan at z=" in capsys.readouterr().err
 
 
 class TestEval:

@@ -1,0 +1,141 @@
+"""Golden digests: boosting outputs pinned across builds, not just reruns.
+
+Each run of a fixed grid (eight losses x {stumps, 20-node trees} x two seeds
+on numeric data, plus one categorical run) is reduced to three sha256
+digests: the telemetry CSV, the canonical model text, and every row's
+recorded vectors and certificate fields.  The stored digests were written by
+an earlier build, so a refactor that claims to leave outputs unchanged must
+reproduce them bit for bit.  Float results depend on the numpy build and the
+CPU, so the test skips, saying why, when either differs from the ones the
+digests were written with.
+
+Regenerate (only when an output change is intended and argued for):
+
+    PYTHONPATH=src python tests/test_golden.py --write
+"""
+
+from __future__ import annotations
+
+import hashlib
+import io
+import json
+import platform
+import sys
+import warnings
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import secantboost as sb
+from conftest import board_dataset
+from secantboost.cli import _node_to_json
+
+DIGESTS = Path(__file__).parent / "golden" / "digests.json"
+
+T = 12
+M = 120
+SEEDS = (1, 2)
+LOSSES = {
+    "logistic": lambda: sb.make_builtin("logistic"),
+    "square": lambda: sb.make_builtin("square"),
+    "exponential": lambda: sb.make_builtin("exponential"),
+    "hinge": lambda: sb.make_builtin("hinge"),
+    "clipped_logistic": lambda: sb.make_builtin("clipped_logistic", q=-2.0),
+    "spring": lambda: sb.make_builtin("spring", Q=500.0),
+    "zero_one": lambda: sb.make_builtin("zero_one"),
+    "table": lambda: sb.table_loss(
+        "table", [-3.0, -1.0, 0.0, 0.5, 2.0], [3.0, 1.6, 0.9, 0.7, 0.0]
+    ),
+}
+TREES = {"stumps": 1, "trees20": 20}
+ROW_VECTORS = ("weights", "offsets_new", "edges_new", "offsets_reused")
+ROW_SCALARS = ("decrease_bound", "w2_measured", "z_limit", "pi", "route")
+
+
+def _numeric(seed: int) -> sb.Dataset:
+    """Three features, labels from a noisy linear rule (not separable)."""
+    rng = np.random.default_rng(seed)
+    X = np.round(rng.normal(size=(M, 3)), 6)
+    raw = X @ np.array([1.0, 0.5, -0.3]) + 0.4 * rng.normal(size=M)
+    return sb.dataset_from_numeric(X, np.where(raw > 0.0, 1.0, -1.0))
+
+
+def grid() -> dict:
+    """Run name -> (loss factory, dataset factory, max_nodes, seed)."""
+    runs = {}
+    for loss in LOSSES:
+        for tree, max_nodes in TREES.items():
+            for seed in SEEDS:
+                runs[f"{loss}-{tree}-seed{seed}"] = (loss, _numeric, max_nodes, seed)
+    runs["logistic-board-trees20-seed1"] = ("logistic", lambda s: board_dataset(M, s), 20, 1)
+    return runs
+
+
+def _model_text(ens: sb.Ensemble) -> str:
+    terms = [
+        {"alpha": alpha, "node_count": h.node_count, "tree": _node_to_json(h.root)}
+        for alpha, h in ens.terms
+    ]
+    return json.dumps({"h0": ens.h0, "terms": terms}, sort_keys=True)
+
+
+def _rows_digest(rows) -> str:
+    digest = hashlib.sha256()
+    for row in rows:
+        for name in ROW_VECTORS:
+            value = getattr(row, name)
+            digest.update(name.encode())
+            digest.update(b"None" if value is None else np.ascontiguousarray(value).tobytes())
+        for name in ROW_SCALARS:
+            digest.update(f"{name}={getattr(row, name)!r};".encode())
+    return digest.hexdigest()
+
+
+def run_digests(name: str) -> dict:
+    loss, make_data, max_nodes, seed = grid()[name]
+    cfg = sb.BoostConfig(max_nodes=max_nodes, seed=seed, record_vectors=True)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # zero-edge stops are part of the output
+        ens, rows = sb.run(LOSSES[loss](), make_data(seed), T, cfg)
+    csv = io.StringIO()
+    sb.telemetry_to_csv(rows, csv)
+    return {
+        "telemetry": hashlib.sha256(csv.getvalue().encode()).hexdigest(),
+        "model": hashlib.sha256(_model_text(ens).encode()).hexdigest(),
+        "rows": _rows_digest(rows),
+    }
+
+
+def _platform() -> dict:
+    return {"numpy": np.__version__, "machine": platform.machine()}
+
+
+@pytest.fixture(scope="module")
+def stored() -> dict:
+    payload = json.loads(DIGESTS.read_text(encoding="utf-8"))
+    here = _platform()
+    if payload["platform"] != here:
+        pytest.skip(f"digests were written on {payload['platform']}, this is {here}")
+    return payload["runs"]
+
+
+def test_grid_matches_stored_runs(stored):
+    assert sorted(stored) == sorted(grid())
+
+
+@pytest.mark.parametrize("name", sorted(grid()))
+def test_outputs_match_golden_digests(stored, name):
+    assert run_digests(name) == stored[name]
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--write"]:
+        sys.exit("usage: PYTHONPATH=src python tests/test_golden.py --write")
+    DIGESTS.parent.mkdir(exist_ok=True)
+    runs = {name: run_digests(name) for name in sorted(grid())}
+    DIGESTS.write_text(
+        json.dumps({"platform": _platform(), "runs": runs}, indent=1, sort_keys=True) + "\n",
+        encoding="utf-8",
+    )
+    print(f"wrote {len(runs)} runs to {DIGESTS}")
