@@ -16,7 +16,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .errors import ConstantLossError, DiscontinuityCollisionError
+from .errors import ConfigError, ConstantLossError, DiscontinuityCollisionError
 from .leverage import (
     LeveragingResult,
     alpha_from_smoothness,
@@ -142,8 +142,6 @@ class BoostIterState:
     z_limit: float | None = None
     w2_measured: float | None = None
     decrease_bound: float | None = None
-    min_abs_eta_tilde: float = float("nan")
-    min_rho: float = float("nan")
     constant_loss: bool = False
 
 
@@ -155,10 +153,16 @@ def initialize(F, S):
     """Pick (h0, v0) with a nonzero chord slope and broadcast the first weights.
 
     If every probed chord is flat the loss is constant on the probe set and
-    there is nothing to fit.
+    there is nothing to fit.  A chord slope or initial loss that is not finite
+    is a broken loss: ConfigError, naming the loss and the abscissa.
     """
     for v0, h0 in itertools.product(V0_GRID, H0_GRID):
         d = v_derivative(F, h0, v0)
+        if not np.isfinite(d):
+            finite_values(F, np.array([h0, h0 + v0]))
+            raise ConfigError(
+                f"loss {F.name!r} has chord slope {d!r} between z={h0!r} and z={h0 + v0!r}"
+            )
         if d != 0.0:
             break
     else:
@@ -170,7 +174,7 @@ def initialize(F, S):
         weights=np.full(S.m, -d, dtype=np.float64),
         offsets=np.full(S.m, v0, dtype=np.float64),
         edges_tilde=margins0,
-        train_loss=float(np.mean(F(margins0))),
+        train_loss=float(np.mean(finite_values(F, margins0))),
         train_err=float(np.mean(margins0 <= 0.0)),
     )
     return Ensemble(h0=h0), state
@@ -277,7 +281,6 @@ def run(F, S, T: int, config: BoostConfig | None = None):
     y = np.asarray(S.labels, dtype=np.float64)
     w, v_prev, margins, loss_prev = st0.weights, st0.offsets, st0.edges_tilde, st0.train_loss
     rows: list[BoostIterState] = []
-    min_abs_eta_tilde = min_rho = float("inf")
 
     for t in range(1, T + 1):
         active = np.nonzero(w != 0.0)[0]
@@ -304,8 +307,6 @@ def run(F, S, T: int, config: BoostConfig | None = None):
                     train_err=float(np.mean(margins <= 0.0)),
                     stop_reason="none",
                     weights=w.copy() if cfg.record_vectors else None,
-                    min_abs_eta_tilde=min_abs_eta_tilde,
-                    min_rho=min_rho,
                 )
             )
             return ens, rows
@@ -339,9 +340,6 @@ def run(F, S, T: int, config: BoostConfig | None = None):
         w2_measured = second_order_mean(F, margins, lev.alpha * y * hv, v_prev, hv, M)
         z_limit = lev.epsilon * lev.alpha**2 * M * M * lev.w2_bar
 
-        rho = w1_bar * w1_bar / lev.w2_bar
-        min_abs_eta_tilde = min(min_abs_eta_tilde, abs(eta_tilde))
-        min_rho = min(min_rho, rho)
         row = BoostIterState(
             t=t,
             eta=eta,
@@ -350,7 +348,7 @@ def run(F, S, T: int, config: BoostConfig | None = None):
             w1_bar=w1_bar,
             w2_bar=lev.w2_bar,
             epsilon=lev.epsilon,
-            rho=rho,
+            rho=w1_bar * w1_bar / lev.w2_bar,
             M=M,
             alpha=lev.alpha,
             train_loss=loss,
@@ -360,8 +358,6 @@ def run(F, S, T: int, config: BoostConfig | None = None):
             z_limit=z_limit,
             w2_measured=w2_measured,
             decrease_bound=bound,
-            min_abs_eta_tilde=min_abs_eta_tilde,
-            min_rho=min_rho,
         )
         if cfg.record_vectors:
             row.weights = w.copy()

@@ -86,6 +86,8 @@ def _logistic(z):
 
 
 def _exponential(z):
+    # Finite only for z >= -709.78: below that np.exp overflows to inf, so a
+    # run whose margins reach that far stops with ConfigError (CLI exit 2).
     return np.exp(-z)
 
 

@@ -10,7 +10,7 @@ exact zero so the booster can always divide by a prediction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -117,69 +117,127 @@ def _leaf_value(w_pos: float, w_tot: float, n_examples: int) -> float:
 class _Leaf:
     idx: np.ndarray  # positive-weight example indices at this leaf
     node: TreeNode
-    created: int
+    impurity: float  # of the leaf as it stands, unsplit
     best: tuple | None = None  # (impurity, feature, kind, cut) for its best split
 
 
-def _branch_impurity(w_pos: float, w_neg: float) -> float:
+def _branch_impurity(w_pos, w_neg):
     # W * 2*sqrt(p(1-p)) simplifies to 2*sqrt(w_pos*w_neg); cumulative sums
-    # can leave a pure branch's complement a hair below zero.
-    return 2.0 * math.sqrt(max(0.0, w_pos * w_neg))
+    # can leave a pure branch's complement a hair below zero.  Works on
+    # scalars and on arrays of candidate branches alike; fmax, like Python's
+    # max(0.0, x), maps the NaN of an overflowed product (0 * inf) to 0.
+    return 2.0 * np.sqrt(np.fmax(0.0, w_pos * w_neg))
 
 
-def _best_split(S, y, w, idx: np.ndarray):
+class _Columns:
+    """A dataset's features, encoded once per tree for split search.
+
+    Numeric columns are float64 values.  Categorical columns become rows of
+    integer codes, sorted by category label within a column and numbered on
+    across columns in feature order, so each (column, category) pair has its
+    own code and code order is scan order.
+    """
+
+    def __init__(self, S):
+        self.kinds = S.feature_types
+        num = [f for f, kind in enumerate(self.kinds) if kind == "numeric"]
+        cat = [f for f, kind in enumerate(self.kinds) if kind != "numeric"]
+        self.row = {f: r for rows in (num, cat) for r, f in enumerate(rows)}
+        self.num_feature = num
+        self.values = [np.asarray(S.columns[f], dtype=np.float64) for f in num]
+        codes, self.labels, first_code = [], [], [0]
+        for f in cat:
+            labels, inverse = np.unique(S.columns[f].astype(str), return_inverse=True)
+            codes.append(inverse + first_code[-1])
+            self.labels.extend(labels)
+            first_code.append(len(self.labels))
+        self.codes = np.array(codes, dtype=np.intp)
+        self.codes.shape = (len(cat), S.m)
+        self.first_code = np.array(first_code, dtype=np.intp)
+        self.code_feature = [f for f, n in zip(cat, np.diff(first_code)) for _ in range(n)]
+
+    def goes_left(self, f: int, cut, idx: np.ndarray) -> np.ndarray:
+        """Which examples of idx a split on feature f at cut sends left."""
+        r = self.row[f]
+        if self.kinds[f] == "numeric":
+            return self.values[r][idx] <= cut
+        first, end = self.first_code[r], self.first_code[r + 1]
+        return self.codes[r, idx] == first + self.labels[first:end].index(cut)
+
+
+def _code_sums(codes: np.ndarray, wi: np.ndarray, at: np.ndarray, n_codes: int) -> np.ndarray:
+    """For each code in at, the sum of wi over the examples carrying it.
+
+    A stable sort lays each code's examples out contiguously and in their
+    original order, so every slice sums pairwise exactly as np.sum(wi[mask])
+    does; grouped sums (bincount, reduceat) would round differently.
+    """
+    order = np.argsort(codes, axis=1, kind="stable")
+    flat = wi[order].ravel()
+    counts = np.bincount(codes.ravel(), minlength=n_codes)
+    ends = np.cumsum(counts)
+    starts = ends - counts
+    return np.array([np.add.reduce(flat[a:b]) for a, b in zip(starts[at].tolist(), ends[at].tolist())])
+
+
+def _first_min(wl, pl, wr, pr):
+    """(index, impurity) of the best candidate split, or None if none splits.
+
+    The arrays hold each candidate's left/right total and positive weight, in
+    scan order; the first minimum wins, as a strict-< scan would pick it.
+    """
+    ok = np.flatnonzero(~((wl <= 0.0) | (wr <= 0.0)))
+    if ok.size == 0:
+        return None
+    wl, pl, wr, pr = wl[ok], pl[ok], wr[ok], pr[ok]
+    imp = _branch_impurity(pl, wl - pl) + _branch_impurity(pr, wr - pr)
+    j = int(np.argmin(imp))
+    return int(ok[j]), imp[j]
+
+
+def _best_split(cols: _Columns, y, w, idx: np.ndarray):
     """Best (impurity, feature, kind, cut) over all candidate splits at idx.
 
     kind is "num" (threshold midpoint) or "cat" (one-vs-rest category); ties
     resolve to the lowest feature index, then the lowest threshold /
-    lexicographically first category.  Returns None when no split separates
-    the examples.
+    lexicographically first category.  Each numeric column scores all its
+    thresholds at once, and all categorical columns score their categories
+    together, exactly as a scan over the candidates in that order would.
+    Returns None when no split separates the examples.
     """
-    best = None
     wi = w[idx]
     pos = y[idx] > 0
-    for f in range(len(S.columns)):
-        col = S.columns[f][idx]
-        if S.feature_types[f] == "numeric":
-            vals = col.astype(np.float64)
-            order = np.argsort(vals, kind="stable")
-            sv = vals[order]
-            sw = wi[order]
-            sp = np.where(pos[order], sw, 0.0)
-            cum_w = np.cumsum(sw)
-            cum_p = np.cumsum(sp)
-            boundary = np.nonzero(sv[1:] > sv[:-1])[0]  # split after position k
-            for k in boundary:
-                wl = cum_w[k]
-                pl = cum_p[k]
-                wr = cum_w[-1] - wl
-                pr = cum_p[-1] - pl
-                if wl <= 0.0 or wr <= 0.0:
-                    continue
-                imp = _branch_impurity(pl, wl - pl) + _branch_impurity(pr, wr - pr)
-                cut = 0.5 * (sv[k] + sv[k + 1])
-                cand = (imp, f, "num", cut)
-                if best is None or cand[0] < best[0]:
-                    best = cand
-        else:
-            cats = sorted(set(col.astype(str)))
-            if len(cats) < 2:
-                continue
-            total_w = float(np.sum(wi))
-            total_p = float(np.sum(np.where(pos, wi, 0.0)))
-            for cat in cats:
-                mask = col.astype(str) == cat
-                wl = float(np.sum(wi[mask]))
-                pl = float(np.sum(wi[mask & pos]))
-                wr = total_w - wl
-                pr = total_p - pl
-                if wl <= 0.0 or wr <= 0.0:
-                    continue
-                imp = _branch_impurity(pl, wl - pl) + _branch_impurity(pr, wr - pr)
-                cand = (imp, f, "cat", cat)
-                if best is None or cand[0] < best[0]:
-                    best = cand
-    return best
+    cands = []  # each numeric column's best, then the best categorical split
+    for f, col in zip(cols.num_feature, cols.values):
+        vals = col[idx]
+        order = np.argsort(vals, kind="stable")
+        sv = vals[order]
+        sw = wi[order]
+        cum_w = np.cumsum(sw)
+        cum_p = np.cumsum(np.where(pos[order], sw, 0.0))
+        k = np.nonzero(sv[1:] > sv[:-1])[0]  # split after sorted position k
+        wl = cum_w[k]
+        pl = cum_p[k]
+        hit = _first_min(wl, pl, cum_w[-1] - wl, cum_p[-1] - pl)
+        if hit is not None:
+            i, imp = hit
+            cands.append((imp, f, "num", 0.5 * (sv[k[i]] + sv[k[i] + 1])))
+    if cols.codes.size:
+        codes = cols.codes[:, idx]
+        n_codes = len(cols.labels)
+        present = np.bincount(codes.ravel(), minlength=n_codes) > 0
+        # Candidates: the categories present, in columns where two or more are.
+        n_present = np.add.reduceat(present, cols.first_code[:-1], dtype=np.intp)
+        at = np.flatnonzero(present & np.repeat(n_present >= 2, np.diff(cols.first_code)))
+        wl = _code_sums(codes, wi, at, n_codes)
+        pl = _code_sums(codes[:, pos], wi[pos], at, n_codes)
+        total_w = float(np.sum(wi))
+        total_p = float(np.sum(np.where(pos, wi, 0.0)))
+        hit = _first_min(wl, pl, total_w - wl, total_p - pl)
+        if hit is not None:
+            i, imp = hit
+            cands.append((imp, cols.code_feature[at[i]], "cat", cols.labels[at[i]]))
+    return min(cands, key=lambda c: (c[0], c[1]), default=None)
 
 
 def train_tree(S_signed, weights, max_nodes: int, seed: int = 0) -> WeakHypothesis:
@@ -202,55 +260,48 @@ def train_tree(S_signed, weights, max_nodes: int, seed: int = 0) -> WeakHypothes
     if active.size == 0:
         raise ValueError("all-zero weight vector: nothing to train on")
     y = np.asarray(S_signed.labels, dtype=np.float64)
+    cols = _Columns(S_signed)
 
-    def settle(idx: np.ndarray) -> float:
+    def make_leaf(idx: np.ndarray) -> _Leaf:
         wi = w[idx]
         w_tot = float(np.sum(wi))
         w_pos = float(np.sum(np.where(y[idx] > 0, wi, 0.0)))
-        return _leaf_value(w_pos, w_tot, int(idx.size))
+        node = TreeNode(value=_leaf_value(w_pos, w_tot, int(idx.size)))
+        return _Leaf(idx, node, _branch_impurity(w_pos, w_tot - w_pos))
 
-    root = TreeNode(value=settle(active))
-    leaves = [_Leaf(active, root, created=0)]
+    leaves = [make_leaf(active)]
+    root = leaves[0].node
     n_internal = 0
-    created = 1
     while n_internal < max_nodes:
         # Refresh candidate splits lazily and expand the leaf whose best
-        # split decreases the impurity the most (first/earliest wins ties).
+        # split decreases the impurity the most.  leaves stays in creation
+        # order, so the earliest leaf wins ties.
         best_leaf = None
         best_gain = 0.0
-        for leaf in sorted(leaves, key=lambda l: l.created):
+        for leaf in leaves:
             if leaf.best is None:
-                leaf.best = _best_split(S_signed, y, w, leaf.idx) or ()
+                leaf.best = _best_split(cols, y, w, leaf.idx) or ()
             if leaf.best == ():
                 continue
-            wi = w[leaf.idx]
-            w_tot = float(np.sum(wi))
-            w_pos = float(np.sum(np.where(y[leaf.idx] > 0, wi, 0.0)))
-            gain = _branch_impurity(w_pos, w_tot - w_pos) - leaf.best[0]
+            gain = leaf.impurity - leaf.best[0]
             if gain > best_gain:
                 best_leaf = leaf
                 best_gain = gain
         if best_leaf is None:
             break
         _, f, kind, cut = best_leaf.best
-        col = S_signed.columns[f][best_leaf.idx]
-        if kind == "num":
-            mask = col.astype(np.float64) <= cut
-        else:
-            mask = col.astype(str) == cut
-        li = best_leaf.idx[mask]
-        ri = best_leaf.idx[~mask]
+        mask = cols.goes_left(f, cut, best_leaf.idx)
+        left = make_leaf(best_leaf.idx[mask])
+        right = make_leaf(best_leaf.idx[~mask])
         node = best_leaf.node
         node.feature = f
         node.threshold = cut if kind == "num" else None
         node.category = cut if kind == "cat" else None
-        node.left = TreeNode(value=settle(li))
-        node.right = TreeNode(value=settle(ri))
+        node.left = left.node
+        node.right = right.node
         node.value = 0.0
         leaves.remove(best_leaf)
-        leaves.append(_Leaf(li, node.left, created))
-        leaves.append(_Leaf(ri, node.right, created + 1))
-        created += 2
+        leaves += [left, right]
         n_internal += 1
     return WeakHypothesis(root, n_internal, len(S_signed.columns))
 

@@ -85,6 +85,17 @@ def logistic_then(bad: float, smoothness_beta: float | None = None) -> sb.LossSp
     return sb.LossSpec(name, evaluate, is_convex=False, smoothness_beta=smoothness_beta)
 
 
+def logistic_nan_below(z0: float = -0.5) -> sb.LossSpec:
+    """Logistic loss that is NaN for z < z0: broken at the very first chord probe."""
+
+    def evaluate(z):
+        z = np.asarray(z, dtype=np.float64)
+        out = np.where(z < z0, np.nan, np.logaddexp(0.0, -z))
+        return float(out) if out.ndim == 0 else out
+
+    return sb.LossSpec(f"logistic_nan_below_{z0}", evaluate, is_convex=False)
+
+
 @pytest.fixture(scope="session")
 def separable200() -> sb.Dataset:
     return separable_dataset(200)

@@ -8,13 +8,14 @@ import math
 import numpy as np
 import pytest
 
-from conftest import logistic_then
+from conftest import logistic_nan_below, logistic_then
 from secantboost import (
     BoostConfig,
     BoostIterState,
     ConfigError,
     ConstantLossError,
     Ensemble,
+    LossSpec,
     TELEMETRY_COLUMNS,
     convergence_certificate,
     dataset_from_numeric,
@@ -76,6 +77,36 @@ class TestInitialize:
     def test_constant_loss_raises(self):
         with pytest.raises(ConstantLossError):
             initialize(_flat_loss(), _blobs(8))
+
+    def test_non_finite_chord_slope_raises(self):
+        # The first probe, (F(-1) - F(0)) / (-1), is NaN; NaN != 0 must not
+        # pass for a live chord and start the run from NaN weights.
+        F = logistic_nan_below(-0.5)
+        with pytest.raises(ConfigError, match=f"loss '{F.name}' returned nan at z=-1.0;"):
+            initialize(F, _blobs(8))
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_overflowing_chord_slope_raises(self):
+        # Both loss values are finite, but their difference overflows.
+        def evaluate(z):
+            out = np.where(np.asarray(z) < -0.5, 1e308, -1e308)
+            return float(out) if out.ndim == 0 else out
+
+        F = LossSpec("cliff", evaluate, is_convex=False)
+        with pytest.raises(ConfigError, match="chord slope -inf between z=0.0 and z=-1.0"):
+            initialize(F, _blobs(8))
+
+    def test_non_finite_initial_loss_raises(self):
+        # (z + 0.5)^2 is flat on the h0 = 0 chord (F(-1) == F(0)), so h0 = 0.1
+        # wins and the negatives' first margin, -0.1, lands in the NaN hole.
+        def evaluate(z):
+            z = np.asarray(z, dtype=np.float64)
+            out = np.where(np.abs(z + 0.1) < 0.05, np.nan, (z + 0.5) ** 2)
+            return float(out) if out.ndim == 0 else out
+
+        F = LossSpec("holed_square", evaluate, is_convex=False)
+        with pytest.raises(ConfigError, match="loss 'holed_square' returned nan at z=-0.1;"):
+            initialize(F, _blobs(8))
 
     def test_initial_loss_and_error(self):
         F = make_builtin("logistic")
@@ -259,6 +290,12 @@ class TestNonFiniteLoss:
             run(F, _blobs(24, seed=1), T=30)
         z = float(str(exc.value).split("z=")[1].split(";")[0])
         assert z > 0.3
+
+
+    def test_run_raises_config_error_at_start(self):
+        F = logistic_nan_below(-0.5)
+        with pytest.raises(ConfigError, match=f"loss '{F.name}' returned nan at z=-1.0;"):
+            run(F, _blobs(24, seed=1), T=5)
 
 
 class TestDecreaseBound:

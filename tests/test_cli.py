@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import secantboost.losses as losses_module
-from conftest import logistic_then
+from conftest import logistic_nan_below, logistic_then
 from secantboost.cli import (
     EXIT_CONFIG,
     EXIT_CONSTANT_LOSS,
@@ -94,6 +94,13 @@ class TestTrain:
         code = main(["train", "--loss", "broken", "-T", "30", train_csv, str(tmp_path / "o")])
         assert code == EXIT_CONFIG
         assert "returned nan at z=" in capsys.readouterr().err
+
+    def test_non_finite_chord_slope_at_start_exits_2(self, tmp_path, train_csv, capsys, monkeypatch):
+        monkeypatch.setattr(losses_module, "_REGISTRY", {})
+        losses_module.register_loss("broken_start", lambda: logistic_nan_below(-0.5))
+        code = main(["train", "--loss", "broken_start", "-T", "5", train_csv, str(tmp_path / "o")])
+        assert code == EXIT_CONFIG
+        assert "returned nan at z=-1.0" in capsys.readouterr().err
 
 
 class TestEval:

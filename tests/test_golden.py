@@ -1,7 +1,8 @@
 """Golden digests: boosting outputs pinned across builds, not just reruns.
 
 Each run of a fixed grid (eight losses x {stumps, 20-node trees} x two seeds
-on numeric data, plus one categorical run) is reduced to three sha256
+on numeric data, plus categorical board runs and mixed numeric/categorical
+runs with tied thresholds) is reduced to three sha256
 digests: the telemetry CSV, the canonical model text, and every row's
 recorded vectors and certificate fields.  The stored digests were written by
 an earlier build, so a refactor that claims to leave outputs unchanged must
@@ -61,6 +62,25 @@ def _numeric(seed: int) -> sb.Dataset:
     return sb.dataset_from_numeric(X, np.where(raw > 0.0, 1.0, -1.0))
 
 
+def _mixed(seed: int) -> sb.Dataset:
+    """Two coarse numeric features and two categorical ones, one with a rare level.
+
+    Rounding to one decimal leaves many duplicate values and tied thresholds;
+    the category "z" is carried by only a few rows.
+    """
+    rng = np.random.default_rng(seed)
+    X = np.round(rng.normal(size=(M, 2)), 1)
+    colour = rng.choice(["red", "green", "blue"], size=M)
+    rare = np.where(rng.random(M) < 0.04, "z", rng.choice(["a", "b"], size=M))
+    raw = X @ np.array([1.0, -0.6]) + 0.8 * (colour == "red") - 0.5 * (rare == "b")
+    raw += 0.3 * rng.normal(size=M)
+    return sb.dataset_from_columns(
+        (X[:, 0], colour, X[:, 1], rare),
+        np.where(raw > 0.0, 1.0, -1.0),
+        types=("numeric", "categorical", "numeric", "categorical"),
+    )
+
+
 def grid() -> dict:
     """Run name -> (loss factory, dataset factory, max_nodes, seed)."""
     runs = {}
@@ -69,6 +89,9 @@ def grid() -> dict:
             for seed in SEEDS:
                 runs[f"{loss}-{tree}-seed{seed}"] = (loss, _numeric, max_nodes, seed)
     runs["logistic-board-trees20-seed1"] = ("logistic", lambda s: board_dataset(M, s), 20, 1)
+    runs["logistic-board-stumps-seed1"] = ("logistic", lambda s: board_dataset(M, s), 1, 1)
+    for seed in SEEDS:
+        runs[f"mixed-trees20-seed{seed}"] = ("logistic", _mixed, 20, seed)
     return runs
 
 

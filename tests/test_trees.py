@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -15,7 +16,14 @@ from secantboost import (
     nonzero_shift,
     train_tree,
 )
-from secantboost.trees import WeakHypothesis, _branch_impurity, _leaf_value
+from secantboost.trees import (
+    TreeNode,
+    WeakHypothesis,
+    _best_split,
+    _branch_impurity,
+    _Columns,
+    _leaf_value,
+)
 
 
 def _stump_data():
@@ -243,3 +251,238 @@ class TestNonzeroShift:
             nonzero_shift(h, S, gamma_est=0.0)
         with pytest.raises(ValueError, match="eps_frac"):
             nonzero_shift(h, S, eps_frac=1.0)
+
+
+# ---------------------------------------------------------------------------
+# Loop reference: the scan-every-boundary split search and the string-mask
+# tree growth that the vectorized code replaced, kept verbatim so the two can
+# be compared for exact equality.
+
+
+def _loop_branch_impurity(w_pos: float, w_neg: float) -> float:
+    return 2.0 * math.sqrt(max(0.0, w_pos * w_neg))
+
+
+def _loop_best_split(S, y, w, idx: np.ndarray):
+    best = None
+    wi = w[idx]
+    pos = y[idx] > 0
+    for f in range(len(S.columns)):
+        col = S.columns[f][idx]
+        if S.feature_types[f] == "numeric":
+            vals = col.astype(np.float64)
+            order = np.argsort(vals, kind="stable")
+            sv = vals[order]
+            sw = wi[order]
+            sp = np.where(pos[order], sw, 0.0)
+            cum_w = np.cumsum(sw)
+            cum_p = np.cumsum(sp)
+            boundary = np.nonzero(sv[1:] > sv[:-1])[0]  # split after position k
+            for k in boundary:
+                wl = cum_w[k]
+                pl = cum_p[k]
+                wr = cum_w[-1] - wl
+                pr = cum_p[-1] - pl
+                if wl <= 0.0 or wr <= 0.0:
+                    continue
+                imp = _loop_branch_impurity(pl, wl - pl) + _loop_branch_impurity(pr, wr - pr)
+                cut = 0.5 * (sv[k] + sv[k + 1])
+                cand = (imp, f, "num", cut)
+                if best is None or cand[0] < best[0]:
+                    best = cand
+        else:
+            cats = sorted(set(col.astype(str)))
+            if len(cats) < 2:
+                continue
+            total_w = float(np.sum(wi))
+            total_p = float(np.sum(np.where(pos, wi, 0.0)))
+            for cat in cats:
+                mask = col.astype(str) == cat
+                wl = float(np.sum(wi[mask]))
+                pl = float(np.sum(wi[mask & pos]))
+                wr = total_w - wl
+                pr = total_p - pl
+                if wl <= 0.0 or wr <= 0.0:
+                    continue
+                imp = _loop_branch_impurity(pl, wl - pl) + _loop_branch_impurity(pr, wr - pr)
+                cand = (imp, f, "cat", cat)
+                if best is None or cand[0] < best[0]:
+                    best = cand
+    return best
+
+
+@dataclass(eq=False)
+class _LoopLeaf:
+    idx: np.ndarray
+    node: TreeNode
+    created: int
+    best: tuple | None = None
+
+
+def _loop_train_tree(S_signed, weights, max_nodes: int) -> WeakHypothesis:
+    w = np.asarray(weights, dtype=np.float64)
+    active = np.nonzero(w > 0.0)[0]
+    y = np.asarray(S_signed.labels, dtype=np.float64)
+
+    def settle(idx: np.ndarray) -> float:
+        wi = w[idx]
+        w_tot = float(np.sum(wi))
+        w_pos = float(np.sum(np.where(y[idx] > 0, wi, 0.0)))
+        return _leaf_value(w_pos, w_tot, int(idx.size))
+
+    root = TreeNode(value=settle(active))
+    leaves = [_LoopLeaf(active, root, created=0)]
+    n_internal = 0
+    created = 1
+    while n_internal < max_nodes:
+        best_leaf = None
+        best_gain = 0.0
+        for leaf in sorted(leaves, key=lambda l: l.created):
+            if leaf.best is None:
+                leaf.best = _loop_best_split(S_signed, y, w, leaf.idx) or ()
+            if leaf.best == ():
+                continue
+            wi = w[leaf.idx]
+            w_tot = float(np.sum(wi))
+            w_pos = float(np.sum(np.where(y[leaf.idx] > 0, wi, 0.0)))
+            gain = _loop_branch_impurity(w_pos, w_tot - w_pos) - leaf.best[0]
+            if gain > best_gain:
+                best_leaf = leaf
+                best_gain = gain
+        if best_leaf is None:
+            break
+        _, f, kind, cut = best_leaf.best
+        col = S_signed.columns[f][best_leaf.idx]
+        if kind == "num":
+            mask = col.astype(np.float64) <= cut
+        else:
+            mask = col.astype(str) == cut
+        li = best_leaf.idx[mask]
+        ri = best_leaf.idx[~mask]
+        node = best_leaf.node
+        node.feature = f
+        node.threshold = cut if kind == "num" else None
+        node.category = cut if kind == "cat" else None
+        node.left = TreeNode(value=settle(li))
+        node.right = TreeNode(value=settle(ri))
+        node.value = 0.0
+        leaves.remove(best_leaf)
+        leaves.append(_LoopLeaf(li, node.left, created))
+        leaves.append(_LoopLeaf(ri, node.right, created + 1))
+        created += 2
+        n_internal += 1
+    return WeakHypothesis(root, n_internal, len(S_signed.columns))
+
+
+N_REFERENCE_CASES = 320
+
+
+def _reference_case(seed: int):
+    """A small random (dataset, weights) pair built to provoke exact ties.
+
+    Integer weights make every branch sum exact, so equal impurities across
+    thresholds and features are common; a duplicated column forces
+    cross-feature ties.  Columns may be constant, categorical columns may
+    carry a single category, and labels may be all one class.
+    """
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(2, 40))
+    columns, types = [], []
+    for _ in range(int(rng.integers(1, 5))):
+        style = rng.choice(["coarse", "integer", "constant", "fine", "cat", "cat1", "catrare"])
+        if style == "coarse":
+            col = np.round(rng.normal(size=m), 1)
+        elif style == "integer":
+            col = rng.integers(0, 4, size=m).astype(np.float64)
+        elif style == "constant":
+            col = np.full(m, 1.5)
+        elif style == "fine":
+            col = rng.normal(size=m)
+        elif style == "cat":
+            col = rng.choice(["b", "a", "c", "aa"], size=m)
+        elif style == "cat1":
+            col = np.full(m, "only")
+        else:
+            col = np.where(rng.random(m) < 0.1, "r", rng.choice(["p", "q"], size=m))
+        columns.append(col)
+        types.append("categorical" if style.startswith("cat") else "numeric")
+    if rng.random() < 0.3:
+        j = int(rng.integers(len(columns)))
+        columns.append(columns[j].copy())
+        types.append(types[j])
+    label_style = rng.choice(["mixed", "pos", "neg"], p=[0.8, 0.1, 0.1])
+    if label_style == "mixed":
+        y = rng.choice([-1.0, 1.0], size=m)
+    else:
+        y = np.full(m, 1.0 if label_style == "pos" else -1.0)
+    if rng.random() < 0.6:
+        w = rng.integers(0, 4, size=m).astype(np.float64)
+    else:
+        w = rng.uniform(0.0, 2.0, size=m) * (rng.random(m) < 0.9)
+    w[int(rng.integers(m))] = 1.0  # at least one example carries weight
+    S = dataset_from_columns(columns, y, types=tuple(types))
+    return S, w
+
+
+def _tie_counts(S, y, w, idx, best) -> tuple[int, bool]:
+    """How many features reach the best impurity, and whether the winning
+    numeric column reaches it at a second cut (seen by mirroring the column:
+    the loop then finds the last tied cut first)."""
+
+    def alone(col, kind):
+        return _loop_best_split(dataset_from_columns([col], S.labels, types=(kind,)), y, w, idx)
+
+    per_feature = [alone(col, kind) for col, kind in zip(S.columns, S.feature_types)]
+    n_features = sum(c is not None and c[0] == best[0] for c in per_feature)
+    if best[2] != "num":
+        return n_features, False
+    mirrored = alone(-S.columns[best[1]], "numeric")
+    return n_features, bool(mirrored[0] == best[0] and -mirrored[3] != best[3])
+
+
+class TestLoopReference:
+    """The vectorized split search must equal the loop it replaced, bit for bit."""
+
+    def test_best_split_matches_loop(self):
+        n_cross_ties = n_threshold_ties = 0
+        for seed in range(N_REFERENCE_CASES):
+            S, w = _reference_case(seed)
+            y = S.labels
+            rng = np.random.default_rng(10_000 + seed)
+            active = np.nonzero(w > 0.0)[0]
+            half = np.sort(rng.choice(active, size=max(1, active.size // 2), replace=False))
+            for idx in (active, half):
+                want = _loop_best_split(S, y, w, idx)
+                assert _best_split(_Columns(S), y, w, idx) == want, f"case {seed}"
+                if want is not None:
+                    n_features, threshold_tie = _tie_counts(S, y, w, idx, want)
+                    n_cross_ties += n_features > 1
+                    n_threshold_ties += threshold_tie
+        # The cases do exercise both tie-breaks.
+        assert n_cross_ties >= 20
+        assert n_threshold_ties >= 20
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflows themselves
+    def test_best_split_matches_loop_when_sums_overflow(self):
+        # Weights of 1e308 and inf overflow the branch sums and products to
+        # inf and NaN; the vectorized search must still pick the loop's split.
+        for seed in range(40):
+            S, w = _reference_case(seed)
+            rng = np.random.default_rng(20_000 + seed)
+            w[rng.random(S.m) < 0.3] = rng.choice([1e308, np.inf])
+            idx = np.nonzero(w > 0.0)[0]
+            got = _best_split(_Columns(S), S.labels, w, idx)
+            want = _loop_best_split(S, S.labels, w, idx)
+            assert (got is None) == (want is None), f"case {seed}"
+            if want is not None:
+                assert got[1:] == want[1:], f"case {seed}"
+                np.testing.assert_array_equal(got[0], want[0])
+
+    def test_trees_match_loop(self):
+        for seed in range(N_REFERENCE_CASES):
+            S, w = _reference_case(seed)
+            for max_nodes in (1, 6):
+                got = train_tree(S, w, max_nodes)
+                want = _loop_train_tree(S, w, max_nodes)
+                assert got.node_count == want.node_count, f"case {seed}"
+                assert got.root == want.root, f"case {seed}"
