@@ -52,13 +52,12 @@ from .losses import (
     registered_names,
     table_loss,
 )
-from .offsets import OffsetRequest, find_offset, find_offset_convex_dichotomic, sanitize_offset
+from .offsets import OffsetRequest, find_offset, sanitize_offset
 from .trees import WeakHypothesis, max_confidence, nonzero_shift, train_tree
 from .vderiv import (
     V_derivative,
     V_derivative_expansion,
     secant_slopes,
-    shift_compose_check,
     v_derivative,
 )
 
@@ -93,7 +92,6 @@ __all__ = [
     "epsilon_from",
     "find_alpha",
     "find_offset",
-    "find_offset_convex_dichotomic",
     "guaranteed_decrease_bound",
     "initialize",
     "inject_label_noise",
@@ -112,7 +110,6 @@ __all__ = [
     "sanitize_offset",
     "second_order_mean",
     "secant_slopes",
-    "shift_compose_check",
     "stratified_folds",
     "table_loss",
     "telemetry_to_csv",

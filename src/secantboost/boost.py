@@ -256,7 +256,8 @@ def run(F, S, T: int, config: BoostConfig | None = None):
     says how the run ended (completed / zero_weights / offsets_infeasible, or
     none after a zero-edge warning).  A constant loss yields a single t=1 row
     with all-zero weights.  A loss value that is not finite at a candidate
-    margin raises ConfigError.
+    margin, a chord distortion that is not finite, or a non-finite refreshed
+    weight raises ConfigError.
     """
     if T < 1:
         raise ValueError(f"T must be >= 1, got {T}")
@@ -376,6 +377,12 @@ def run(F, S, T: int, config: BoostConfig | None = None):
             row.offsets_reused = reused
 
         w_next = -secant_slopes(F, margins_new, v_new)
+        if not np.isfinite(w_next).all():
+            i = int(np.argmin(np.isfinite(w_next)))
+            raise ConfigError(
+                f"loss {F.name!r} gives weight {float(w_next[i])!r} at margin "
+                f"z={float(margins_new[i])!r} with offset {float(v_new[i])!r}"
+            )
         if not np.any(w_next != 0.0):
             row.stop_reason = "zero_weights"
             return ens, rows

@@ -10,10 +10,14 @@ an integer factor reuses every coarse abscissa and the maximum can only grow.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ConfigError
+from .losses import finite_values
 from .vderiv import v_derivative
 
 __all__ = [
@@ -25,7 +29,6 @@ __all__ = [
     "obi",
     "q_star",
     "offset_feasible",
-    "convex_identity_residual",
 ]
 
 DEFAULT_GRID = 512
@@ -62,25 +65,54 @@ def bregman_secant(F, zp: float, z: float, v: float) -> float:
     return float(F(zp)) - float(F(z)) - (zp - z) * v_derivative(F, z, v)
 
 
+@functools.lru_cache(maxsize=32)
+def ticks(n: int) -> np.ndarray:
+    """The float64 range 0, 1, ..., n-1, cached and read-only."""
+    out = np.arange(n, dtype=np.float64)
+    out.flags.writeable = False
+    return out
+
+
+def _grid(lo: float, hi: float, grid_points: int) -> np.ndarray:
+    """np.linspace(lo, hi, grid_points + 1) bit for bit: the same operations,
+    including linspace's branch for a step that underflows to zero."""
+    span = hi - lo
+    step = span / grid_points
+    if step == 0.0:
+        xs = ticks(grid_points + 1) / grid_points
+        xs *= span
+    else:
+        xs = ticks(grid_points + 1) * step
+    xs += lo
+    xs[-1] = hi
+    return xs
+
+
+def _obi(F, a: float, b: float, c: float, grid_points: int) -> float:
+    """obi on float arguments; see there."""
+    if grid_points < 2:
+        raise ValueError(f"grid_points must be >= 2, got {grid_points}")
+    if a == b:
+        return 0.0
+    lo, hi = (a, c) if a <= c else (c, a)
+    xs = _grid(lo, hi, grid_points)
+    fa = float(F(a))
+    slope = (float(F(b)) - fa) / (b - a)
+    # fa + slope * (xs - a) - F(xs), in one buffer.
+    gap = xs - a
+    gap *= slope
+    gap += fa
+    gap -= F(xs)
+    return float(gap.max())
+
+
 def obi(F, query: ObiQuery) -> float:
     """Grid maximum of the chord line minus the loss over the spanned segment.
 
     Always nonnegative: the segment endpoints include a itself, where the line
     touches the loss exactly.  Degenerate chords (a == b) return 0.
     """
-    if query.grid_points < 2:
-        raise ValueError(f"grid_points must be >= 2, got {query.grid_points}")
-    a = float(query.a)
-    b = float(query.b)
-    c = float(query.c)
-    if a == b:
-        return 0.0
-    lo, hi = (a, c) if a <= c else (c, a)
-    xs = np.linspace(lo, hi, query.grid_points + 1)
-    fa = float(F(a))
-    slope = (float(F(b)) - fa) / (b - a)
-    line = fa + slope * (xs - a)
-    return float(np.max(line - F(xs)))
+    return _obi(F, float(query.a), float(query.b), float(query.c), query.grid_points)
 
 
 def q_star(F, z: float, zp: float, v: float, grid_points: int = DEFAULT_GRID) -> float:
@@ -91,9 +123,8 @@ def q_star(F, z: float, zp: float, v: float, grid_points: int = DEFAULT_GRID) ->
     segment runs from z to zp.  Together with bregman_secant this gives the
     guarantee B(zp || z) >= -q_star(z, zp, v).
     """
-    if F.is_convex:
-        return obi(F, ObiQuery(z, z + v, z + v, grid_points))
-    return obi(F, ObiQuery(z, z + v, zp, grid_points))
+    b = float(z + v)
+    return _obi(F, float(z), b, b if F.is_convex else float(zp), grid_points)
 
 
 def offset_feasible(
@@ -102,35 +133,22 @@ def offset_feasible(
     """Does the offset v at e_t keep the worst chord distortion within budget?
 
     Borderline calls (within REFINE_MARGIN of the budget) are re-decided on a
-    REFINE_FACTOR-times finer grid.
+    REFINE_FACTOR-times finer grid.  A distortion that is not finite (the loss
+    is NaN between the edges, or the chord arithmetic overflowed) raises
+    ConfigError naming the loss.
     """
     if not z_limit > 0.0:
         raise ValueError(f"z_limit must be positive, got {z_limit}")
     q = q_star(F, e_t, e_prev, v, grid_points)
     if abs(q - z_limit) < REFINE_MARGIN:
-        q = q_star(F, e_t, e_prev, v, grid_points * REFINE_FACTOR)
+        grid_points *= REFINE_FACTOR
+        q = q_star(F, e_t, e_prev, v, grid_points)
+    if not math.isfinite(q):
+        # Name the first non-finite loss value on the segment, if there is one.
+        c = e_t + v if F.is_convex else e_prev
+        finite_values(F, np.append(_grid(*sorted((e_t, c)), grid_points), e_t + v))
+        raise ConfigError(
+            f"loss {F.name!r}: chord distortion {q!r} for the offset {v!r} at z={e_t!r}; "
+            "the loss is finite there but the chord arithmetic overflowed"
+        )
     return q <= z_limit
-
-
-def convex_identity_residual(
-    F, z: float, v: float, r: float, grid_points: int = DEFAULT_GRID
-) -> float:
-    """Residual of the conjugate identity at the chord slope, minus r.
-
-    For convex F with s the slope of the chord through z and z+v,
-
-        F(z) + F*(s) - z * s
-
-    equals the chord's own OBI; the conjugate F*(s) = sup_t (t s - F(t)) is
-    evaluated on a wide grid around z.  Returns the identity value minus r so
-    callers can assert near-zero residuals directly.
-    """
-    if not F.is_convex:
-        raise ValueError("conjugate identity requires a convex loss")
-    if grid_points < 2:
-        raise ValueError(f"grid_points must be >= 2, got {grid_points}")
-    z = float(z)
-    s = v_derivative(F, z, v)
-    ts = np.linspace(z - 50.0, z + 50.0, grid_points + 1)
-    conj = float(np.max(ts * s - F(ts)))
-    return float(F(z)) + conj - z * s - float(r)

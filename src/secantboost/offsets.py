@@ -13,21 +13,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bregman import DEFAULT_GRID, offset_feasible
+from .bregman import DEFAULT_GRID, offset_feasible, ticks
 
 __all__ = [
     "DEFAULT_PRECISION_Z",
     "DEFAULT_MAX_RETRIES",
     "OffsetRequest",
     "find_offset",
-    "find_offset_convex_dichotomic",
     "sanitize_offset",
 ]
 
 DEFAULT_PRECISION_Z = 64
 DEFAULT_MAX_RETRIES = 5
-
-_DICHOTOMIC_CAP = 60
 
 
 @dataclass(frozen=True)
@@ -74,39 +71,21 @@ def find_offset(F, req: OffsetRequest, grid_points: int = DEFAULT_GRID) -> float
     Z = int(req.precision_Z)
     for _ in range(req.max_retries + 1):
         delta = (e_prev - e_t) / Z
-        z_cand = e_t + delta * np.arange(1, Z)
+        z_cand = e_t + delta * ticks(Z)[1:]
+        gap = z_cand - e_t
         # Guard against float absorption: keep only candidates strictly
         # between the edges and distinct from both.
-        inside = (z_cand - e_t) * (z_cand - e_prev) < 0.0
-        z_cand = z_cand[inside]
+        inside = gap * (z_cand - e_prev) < 0.0
+        if np.count_nonzero(inside) < inside.size:
+            z_cand = z_cand[inside]
+            gap = gap[inside]
         if z_cand.size:
-            slopes = (np.asarray(F(z_cand), dtype=np.float64) - f_et) / (z_cand - e_t)
-            pick = int(np.argmin(slopes)) if delta > 0 else int(np.argmax(slopes))
-            v = float(z_cand[pick] - e_t)
+            slopes = (np.asarray(F(z_cand), dtype=np.float64) - f_et) / gap
+            pick = int(slopes.argmin()) if delta > 0 else int(slopes.argmax())
+            v = float(gap[pick])
             if v != 0.0 and offset_feasible(F, e_t, e_prev, v, req.z_limit, grid_points):
                 return v
         Z *= 4
-    return None
-
-
-def find_offset_convex_dichotomic(F, e_t: float, e_prev: float, z_limit: float) -> float | None:
-    """Convex shortcut: halve the full gap until it becomes feasible.
-
-    For convex losses the distortion of the chord over its own span shrinks
-    with the offset, so starting from the whole gap and halving must succeed
-    unless the budget sits below float resolution; gives up after 60 halvings.
-    """
-    if not F.is_convex:
-        raise ValueError("dichotomic offset search requires a convex loss")
-    if e_t == e_prev:
-        raise ValueError("equal edges: caller must fall back to the previous offset")
-    v = float(e_prev) - float(e_t)
-    for _ in range(_DICHOTOMIC_CAP):
-        if v == 0.0:
-            break
-        if offset_feasible(F, e_t, e_prev, v, z_limit):
-            return v
-        v /= 2.0
     return None
 
 

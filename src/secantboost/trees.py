@@ -254,6 +254,8 @@ def train_tree(S_signed, weights, max_nodes: int, seed: int = 0) -> WeakHypothes
     w = np.asarray(weights, dtype=np.float64)
     if w.shape != (S_signed.m,):
         raise ValueError("weights must match the dataset length")
+    if not np.isfinite(w).all():
+        raise ValueError("weights must be finite")
     if np.any(w < 0.0):
         raise ValueError("weights must be nonnegative")
     active = np.nonzero(w > 0.0)[0]

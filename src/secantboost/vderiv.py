@@ -22,7 +22,6 @@ __all__ = [
     "v_derivative",
     "V_derivative",
     "V_derivative_expansion",
-    "shift_compose_check",
     "secant_slopes",
 ]
 
@@ -113,25 +112,6 @@ def V_derivative_expansion(
     for v in offsets:
         denom *= v
     return total / denom
-
-
-def shift_compose_check(
-    F: Callable[[float], float], z: float, zp: float, v: float
-) -> tuple[float, float]:
-    """Both sides of the slope-of-shifted-loss identity.
-
-    Returns (lhs, rhs) where lhs is the secant slope of F at z + zp and rhs
-    rebuilds it from quantities anchored at z:
-
-        lhs = D_v F(z + zp)
-        rhs = D_v F(z) + zp * D_{zp, v} F(z)
-
-    The identity is exact, so the two should agree to rounding error.
-    """
-    zp = _checked_offset(zp)
-    lhs = v_derivative(F, float(z) + zp, v)
-    rhs = v_derivative(F, z, v) + zp * V_derivative(F, z, [zp, v])
-    return lhs, rhs
 
 
 def secant_slopes(F, z: np.ndarray, v: np.ndarray) -> np.ndarray:

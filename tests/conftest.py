@@ -96,6 +96,21 @@ def logistic_nan_below(z0: float = -0.5) -> sb.LossSpec:
     return sb.LossSpec(f"logistic_nan_below_{z0}", evaluate, is_convex=False)
 
 
+def logistic_nan_between(lo: float = 0.30, hi: float = 0.31, is_convex: bool = False) -> sb.LossSpec:
+    """Logistic loss that is NaN on the open interval (lo, hi) and finite elsewhere.
+
+    Margins can step over the hole, so only the chord-gap grid between two
+    finite edges sees the NaN.
+    """
+
+    def evaluate(z):
+        z = np.asarray(z, dtype=np.float64)
+        out = np.where((z > lo) & (z < hi), np.nan, np.logaddexp(0.0, -z))
+        return float(out) if out.ndim == 0 else out
+
+    return sb.LossSpec(f"logistic_nan_between_{lo}_{hi}", evaluate, is_convex=is_convex)
+
+
 @pytest.fixture(scope="session")
 def separable200() -> sb.Dataset:
     return separable_dataset(200)

@@ -8,7 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import logistic_nan_below, logistic_then
+from conftest import logistic_nan_below, logistic_nan_between, logistic_then, separable_dataset
 from secantboost import (
     BoostConfig,
     BoostIterState,
@@ -296,6 +296,30 @@ class TestNonFiniteLoss:
         F = logistic_nan_below(-0.5)
         with pytest.raises(ConfigError, match=f"loss '{F.name}' returned nan at z=-1.0;"):
             run(F, _blobs(24, seed=1), T=5)
+
+    @pytest.mark.parametrize("is_convex", [False, True])
+    def test_nan_between_finite_edges_raises(self, is_convex):
+        """Margins step over the NaN hole, so only the chord-gap grid sees it;
+        the run must name the hole, not stop as offsets_infeasible."""
+        F = logistic_nan_between(0.30, 0.31, is_convex=is_convex)
+        with pytest.raises(ConfigError, match=f"loss '{F.name}' returned nan at z=") as exc:
+            run(F, separable_dataset(m=120, seed=3), T=30)
+        z = float(str(exc.value).split("z=")[1].split(";")[0])
+        assert 0.30 < z < 0.31
+
+    def test_non_finite_weight_raises(self, monkeypatch):
+        import secantboost.boost as boost_module
+
+        def slopes_with_nan(F, margins, offsets):
+            out = secant_slopes(F, margins, offsets)
+            out[5] = np.nan
+            return out
+
+        monkeypatch.setattr(boost_module, "secant_slopes", slopes_with_nan)
+        F = make_builtin("logistic")
+        with pytest.raises(ConfigError, match=r"loss 'logistic' gives weight nan at margin z=\S+ "
+                           r"with offset \S+$"):
+            run(F, _blobs(12, seed=2), T=4)
 
 
 class TestDecreaseBound:

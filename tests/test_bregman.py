@@ -9,8 +9,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from secantboost import ObiQuery, bregman_secant, make_builtin, obi, offset_feasible, q_star
-from secantboost.bregman import convex_identity_residual
+from conftest import logistic_nan_between
+from secantboost import (
+    ConfigError,
+    LossSpec,
+    ObiQuery,
+    bregman_secant,
+    make_builtin,
+    obi,
+    offset_feasible,
+    q_star,
+)
+from secantboost.bregman import DEFAULT_GRID
+from secantboost.vderiv import v_derivative
 
 offsets = st.floats(min_value=0.01, max_value=2.0).flatmap(
     lambda mag: st.sampled_from([mag, -mag])
@@ -148,6 +159,52 @@ class TestOffsetFeasible:
     def test_nonpositive_budget_rejected(self):
         with pytest.raises(ValueError):
             offset_feasible(_square_spec(), 0.0, 1.0, 0.1, z_limit=0.0)
+
+    @pytest.mark.parametrize("is_convex", [False, True])
+    def test_nan_between_finite_edges_raises(self, is_convex):
+        # NaN compares false with any budget, so an unchecked NaN distortion
+        # would read as "infeasible" and stop the run under the wrong cause.
+        F = logistic_nan_between(0.30, 0.31, is_convex=is_convex)
+        assert np.isfinite(F(np.array([0.0, 0.5, 1.0]))).all()
+        with pytest.raises(ConfigError, match=f"loss '{F.name}' returned nan at z=") as exc:
+            offset_feasible(F, 0.0, 1.0, 0.5, z_limit=1.0)
+        z = float(str(exc.value).split("z=")[1].split(";")[0])
+        assert 0.30 < z < 0.31
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf * 0 in the line
+    def test_overflowing_chord_raises(self):
+        def cliff(z):
+            z = np.asarray(z, dtype=np.float64)
+            out = np.where(z < 0.0, 1.5e308, -1.5e308)
+            return float(out) if out.ndim == 0 else out
+
+        F = LossSpec("cliff", cliff, is_convex=False)
+        with pytest.raises(ConfigError, match="'cliff'.*chord arithmetic overflowed"):
+            offset_feasible(F, -1.0, 1.0, 1.5, z_limit=0.1)
+
+
+def convex_identity_residual(
+    F, z: float, v: float, r: float, grid_points: int = DEFAULT_GRID
+) -> float:
+    """Residual of the conjugate identity at the chord slope, minus r.
+
+    For convex F with s the slope of the chord through z and z+v,
+
+        F(z) + F*(s) - z * s
+
+    equals the chord's own OBI; the conjugate F*(s) = sup_t (t s - F(t)) is
+    evaluated on a wide grid around z.  Returns the identity value minus r so
+    callers can assert near-zero residuals directly.
+    """
+    if not F.is_convex:
+        raise ValueError("conjugate identity requires a convex loss")
+    if grid_points < 2:
+        raise ValueError(f"grid_points must be >= 2, got {grid_points}")
+    z = float(z)
+    s = v_derivative(F, z, v)
+    ts = np.linspace(z - 50.0, z + 50.0, grid_points + 1)
+    conj = float(np.max(ts * s - F(ts)))
+    return float(F(z)) + conj - z * s - float(r)
 
 
 class TestConjugateIdentity:

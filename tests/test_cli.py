@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import secantboost.losses as losses_module
-from conftest import logistic_nan_below, logistic_then
+from conftest import logistic_nan_below, logistic_nan_between, logistic_then, separable_dataset
 from secantboost.cli import (
     EXIT_CONFIG,
     EXIT_CONSTANT_LOSS,
@@ -101,6 +101,19 @@ class TestTrain:
         code = main(["train", "--loss", "broken_start", "-T", "5", train_csv, str(tmp_path / "o")])
         assert code == EXIT_CONFIG
         assert "returned nan at z=-1.0" in capsys.readouterr().err
+
+    def test_nan_between_finite_edges_exits_2(self, tmp_path, capsys, monkeypatch):
+        S = separable_dataset(m=120, seed=3)
+        rows = [f"{a!r},{b!r},{int(y)}" for a, b, y in zip(*S.columns, S.labels.tolist())]
+        data = tmp_path / "separable.csv"
+        data.write_text("a,b,label\n" + "\n".join(rows) + "\n")
+        monkeypatch.setattr(losses_module, "_REGISTRY", {})
+        losses_module.register_loss("holed", lambda: logistic_nan_between(0.30, 0.31))
+        code = main(["train", "--loss", "holed", "-T", "30", str(data), str(tmp_path / "o")])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "returned nan at z=" in err
+        assert 0.30 < float(err.split("z=")[1].split(";")[0]) < 0.31
 
 
 class TestEval:

@@ -82,16 +82,22 @@ def _mixed(seed: int) -> sb.Dataset:
 
 
 def grid() -> dict:
-    """Run name -> (loss factory, dataset factory, max_nodes, seed)."""
+    """Run name -> (loss factory, dataset factory, max_nodes, seed, precision_Z)."""
     runs = {}
     for loss in LOSSES:
         for tree, max_nodes in TREES.items():
             for seed in SEEDS:
-                runs[f"{loss}-{tree}-seed{seed}"] = (loss, _numeric, max_nodes, seed)
-    runs["logistic-board-trees20-seed1"] = ("logistic", lambda s: board_dataset(M, s), 20, 1)
-    runs["logistic-board-stumps-seed1"] = ("logistic", lambda s: board_dataset(M, s), 1, 1)
+                runs[f"{loss}-{tree}-seed{seed}"] = (loss, _numeric, max_nodes, seed, 64)
+    runs["logistic-board-trees20-seed1"] = ("logistic", lambda s: board_dataset(M, s), 20, 1, 64)
+    runs["logistic-board-stumps-seed1"] = ("logistic", lambda s: board_dataset(M, s), 1, 1, 64)
     for seed in SEEDS:
-        runs[f"mixed-trees20-seed{seed}"] = ("logistic", _mixed, 20, seed)
+        runs[f"mixed-trees20-seed{seed}"] = ("logistic", _mixed, 20, seed, 64)
+    # A coarse first scan (precision_Z=4): the 20-node runs refine
+    # near-budget decisions, and the spring one also retries the scan at 4x
+    # resolution (about 400 times in 1440 requests).
+    runs["spring-stumps-Z4-seed1"] = ("spring", _numeric, 1, 1, 4)
+    runs["spring-trees20-Z4-seed1"] = ("spring", _numeric, 20, 1, 4)
+    runs["clipped_logistic-trees20-Z4-seed1"] = ("clipped_logistic", _numeric, 20, 1, 4)
     return runs
 
 
@@ -116,8 +122,10 @@ def _rows_digest(rows) -> str:
 
 
 def run_digests(name: str) -> dict:
-    loss, make_data, max_nodes, seed = grid()[name]
-    cfg = sb.BoostConfig(max_nodes=max_nodes, seed=seed, record_vectors=True)
+    loss, make_data, max_nodes, seed, precision_Z = grid()[name]
+    cfg = sb.BoostConfig(
+        max_nodes=max_nodes, seed=seed, precision_Z=precision_Z, record_vectors=True
+    )
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # zero-edge stops are part of the output
         ens, rows = sb.run(LOSSES[loss](), make_data(seed), T, cfg)

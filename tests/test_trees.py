@@ -176,6 +176,11 @@ class TestGrowth:
             train_tree(S, np.ones(4), max_nodes=0)
         with pytest.raises(ValueError, match="nonnegative"):
             train_tree(S, np.array([1.0, -1.0, 1.0, 1.0]), max_nodes=1)
+        for bad in (math.nan, math.inf, -math.inf):
+            # NaN passes a `w < 0` test and fails `w > 0`: unchecked, the
+            # row would silently drop out of training.
+            with pytest.raises(ValueError, match="finite"):
+                train_tree(S, np.array([1.0, bad, 1.0, 1.0]), max_nodes=1)
         with pytest.raises(ValueError, match="all-zero"):
             train_tree(S, np.zeros(4), max_nodes=1)
         with pytest.raises(ValueError, match="length"):

@@ -15,9 +15,9 @@ from secantboost.vderiv import (
     V_derivative,
     V_derivative_expansion,
     ZeroOffsetError,
+    _checked_offset,
     _recursive_v_derivative,
     secant_slopes,
-    shift_compose_check,
     v_derivative,
 )
 
@@ -151,6 +151,23 @@ class TestNestedSlope:
         np.testing.assert_allclose(
             forward, backward, rtol=1e-8, atol=_noise_floor(logistic, z, V)
         )
+
+
+def shift_compose_check(F, z: float, zp: float, v: float) -> tuple[float, float]:
+    """Both sides of the slope-of-shifted-loss identity.
+
+    Returns (lhs, rhs) where lhs is the secant slope of F at z + zp and rhs
+    rebuilds it from quantities anchored at z:
+
+        lhs = D_v F(z + zp)
+        rhs = D_v F(z) + zp * D_{zp, v} F(z)
+
+    The identity is exact, so the two should agree to rounding error.
+    """
+    zp = _checked_offset(zp)
+    lhs = v_derivative(F, float(z) + zp, v)
+    rhs = v_derivative(F, z, v) + zp * V_derivative(F, z, [zp, v])
+    return lhs, rhs
 
 
 class TestShiftCompose:
