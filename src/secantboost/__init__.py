@@ -52,7 +52,7 @@ from .losses import (
     registered_names,
     table_loss,
 )
-from .offsets import OffsetRequest, find_offset, sanitize_offset
+from .offsets import find_offset, sanitize_offset
 from .trees import WeakHypothesis, max_confidence, nonzero_shift, train_tree
 from .vderiv import (
     V_derivative,
@@ -77,7 +77,6 @@ __all__ = [
     "LeveragingResult",
     "LossSpec",
     "ObiQuery",
-    "OffsetRequest",
     "TELEMETRY_COLUMNS",
     "V_derivative",
     "V_derivative_expansion",

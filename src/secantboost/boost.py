@@ -26,7 +26,7 @@ from .leverage import (
     w2_from_alpha,
 )
 from .losses import finite_values
-from .offsets import OffsetRequest, find_offset, sanitize_offset
+from .offsets import find_offset, sanitize_offset
 from .trees import WeakHypothesis, nonzero_shift, train_tree
 from .vderiv import secant_slopes, v_derivative
 
@@ -242,7 +242,7 @@ def _refresh_offsets(F, margins, margins_new, v_prev, z_limit: float, cfg: Boost
             v_new[i] = sanitize_offset(v_prev[i], 1e-9, seed=_derived_seed(cfg.seed, t, i))
             reused[i] = True
             continue
-        v = find_offset(F, OffsetRequest(e_t, e_p, z_limit, cfg.precision_Z))
+        v = find_offset(F, e_t, e_p, z_limit, cfg.precision_Z)
         if v is None:
             return None
         v_new[i] = v

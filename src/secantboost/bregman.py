@@ -88,16 +88,26 @@ def _grid(lo: float, hi: float, grid_points: int) -> np.ndarray:
     return xs
 
 
-def _obi(F, a: float, b: float, c: float, grid_points: int) -> float:
-    """obi on float arguments; see there."""
+def _obi(F, a: float, b: float, c: float, grid_points: int, certify_below=-math.inf) -> float:
+    """obi on float arguments; see there.  On the chord's own segment (c == b)
+    of a convex loss declaring beta, beta*(b-a)**2/8 plus ~32 ulps of rounding
+    bounds the gap on the whole continuum; that certificate is returned without
+    a grid when certify_below - cert >= REFINE_MARGIN (the default -inf: never)."""
     if grid_points < 2:
         raise ValueError(f"grid_points must be >= 2, got {grid_points}")
     if a == b:
         return 0.0
+    fa = float(F(a))
+    fb = float(F(b))
+    slope = (fb - fa) / (b - a)
+    if certify_below > -math.inf and c == b and F.is_convex and F.smoothness_beta is not None:
+        bound = F.smoothness_beta * (b - a) ** 2 / 8.0
+        scale = bound + max(abs(fa), abs(fb)) + abs(fb - fa) + abs(slope) * (abs(a) + abs(b))
+        cert = bound + 64 * 2.0**-53 * scale
+        if certify_below - cert >= REFINE_MARGIN:  # no refine follows; NaN: to the grid
+            return cert
     lo, hi = (a, c) if a <= c else (c, a)
     xs = _grid(lo, hi, grid_points)
-    fa = float(F(a))
-    slope = (float(F(b)) - fa) / (b - a)
     # fa + slope * (xs - a) - F(xs), in one buffer.
     gap = xs - a
     gap *= slope
@@ -115,16 +125,19 @@ def obi(F, query: ObiQuery) -> float:
     return _obi(F, float(query.a), float(query.b), float(query.c), query.grid_points)
 
 
-def q_star(F, z: float, zp: float, v: float, grid_points: int = DEFAULT_GRID) -> float:
+def q_star(
+    F, z: float, zp: float, v: float, grid_points: int = DEFAULT_GRID, certify_below=-math.inf
+) -> float:
     """Worst chord distortion for the offset v at z, against the target zp.
 
     For convex losses the chord can only dominate the loss between its own
     endpoints, so the segment is [z, z+v] regardless of zp; otherwise the
     segment runs from z to zp.  Together with bregman_secant this gives the
-    guarantee B(zp || z) >= -q_star(z, zp, v).
+    guarantee B(zp || z) >= -q_star(z, zp, v), also when a certificate at least
+    REFINE_MARGIN below certify_below stands in for the grid maximum (see _obi).
     """
     b = float(z + v)
-    return _obi(F, float(z), b, b if F.is_convex else float(zp), grid_points)
+    return _obi(F, float(z), b, b if F.is_convex else float(zp), grid_points, certify_below)
 
 
 def offset_feasible(
@@ -139,7 +152,7 @@ def offset_feasible(
     """
     if not z_limit > 0.0:
         raise ValueError(f"z_limit must be positive, got {z_limit}")
-    q = q_star(F, e_t, e_prev, v, grid_points)
+    q = q_star(F, e_t, e_prev, v, grid_points, certify_below=z_limit)
     if abs(q - z_limit) < REFINE_MARGIN:
         grid_points *= REFINE_FACTOR
         q = q_star(F, e_t, e_prev, v, grid_points)

@@ -46,6 +46,8 @@ class LossSpec:
     """A loss function plus the metadata the boosting stack consumes.
 
     evaluate must accept floats and numpy arrays and be finite on all of R.
+    A declared smoothness_beta (finite, > 0) promises that every secant
+    curvature is <= beta: the smoothness route and the chord-gap certificate rely on it.
     discontinuities lists (abscissa, jump magnitude) pairs for declared jump
     points; continuous losses leave it empty.
     """
@@ -56,6 +58,10 @@ class LossSpec:
     smoothness_beta: float | None = None
     discontinuities: tuple[tuple[float, float], ...] = ()
     params: Mapping[str, float] = field(default_factory=dict)
+
+    def __post_init__(self):
+        if (beta := self.smoothness_beta) is not None and not 0.0 < beta < np.inf:
+            raise ConfigError(f"loss {self.name!r}: need 0 < smoothness_beta < inf, got {beta}")
 
     def __call__(self, z):
         return self.evaluate(z)

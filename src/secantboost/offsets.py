@@ -9,8 +9,6 @@ the resolution when that candidate is infeasible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .bregman import DEFAULT_GRID, offset_feasible, ticks
@@ -18,7 +16,6 @@ from .bregman import DEFAULT_GRID, offset_feasible, ticks
 __all__ = [
     "DEFAULT_PRECISION_Z",
     "DEFAULT_MAX_RETRIES",
-    "OffsetRequest",
     "find_offset",
     "sanitize_offset",
 ]
@@ -27,49 +24,34 @@ DEFAULT_PRECISION_Z = 64
 DEFAULT_MAX_RETRIES = 5
 
 
-@dataclass(frozen=True)
-class OffsetRequest:
-    """One per-example offset query.
-
-    e_t is the fresh edge, e_prev the previous one; z_limit the distortion
-    budget (always positive).  precision_Z sets the initial scan resolution;
-    each retry multiplies it by 4.
-    """
-
-    e_t: float
-    e_prev: float
-    z_limit: float
-    precision_Z: int = DEFAULT_PRECISION_Z
-    max_retries: int = DEFAULT_MAX_RETRIES
-
-    def __post_init__(self):
-        if not self.z_limit > 0.0:
-            raise ValueError(f"z_limit must be positive, got {self.z_limit}")
-        if self.precision_Z < 2:
-            raise ValueError(f"precision_Z must be >= 2, got {self.precision_Z}")
-        if self.max_retries < 1:
-            raise ValueError(f"max_retries must be >= 1, got {self.max_retries}")
-        if self.e_t == self.e_prev:
-            raise ValueError("equal edges: caller must fall back to the previous offset")
-
-
-def find_offset(F, req: OffsetRequest, grid_points: int = DEFAULT_GRID) -> float | None:
+def find_offset(
+    F, e_t: float, e_prev: float, z_limit: float, precision_Z: int = DEFAULT_PRECISION_Z,
+    max_retries: int = DEFAULT_MAX_RETRIES, grid_points: int = DEFAULT_GRID,
+) -> float | None:
     """Scan for a feasible offset between the edges; None when none is found.
 
-    Candidates are the interior abscissae e_t + k*(e_prev - e_t)/Z for
-    k = 1..Z-1.  Among them the secant anchored at (e_t, F(e_t)) with the
-    extremal slope is kept — minimal slope when scanning rightward, maximal
-    when scanning leftward, first extremum winning ties so the offset stays as
-    short as possible.  The winner is accepted iff its worst chord distortion
-    fits the budget; otherwise the scan restarts at 4x resolution, up to
-    max_retries restarts.  Returned offsets are nonzero and carry the sign of
-    e_prev - e_t.
+    e_t is the fresh edge, e_prev the previous one (they must differ), and
+    z_limit the distortion budget (positive).  Candidates are the interior
+    abscissae e_t + k*(e_prev - e_t)/Z for k = 1..Z-1, from Z = precision_Z.
+    Among them the secant anchored at (e_t, F(e_t)) with the extremal slope is
+    kept — minimal slope when scanning rightward, maximal when scanning
+    leftward, first extremum winning ties so the offset stays as short as
+    possible.  The winner is accepted iff its worst chord distortion fits the
+    budget; otherwise the scan restarts at 4x resolution, up to max_retries
+    restarts.  Returned offsets are nonzero and carry the sign of e_prev - e_t.
     """
-    e_t = float(req.e_t)
-    e_prev = float(req.e_prev)
+    if not z_limit > 0.0:
+        raise ValueError(f"z_limit must be positive, got {z_limit}")
+    if precision_Z < 2:
+        raise ValueError(f"precision_Z must be >= 2, got {precision_Z}")
+    if max_retries < 1:
+        raise ValueError(f"max_retries must be >= 1, got {max_retries}")
+    if e_t == e_prev:
+        raise ValueError("equal edges: caller must fall back to the previous offset")
+    e_t, e_prev = float(e_t), float(e_prev)
     f_et = float(F(e_t))
-    Z = int(req.precision_Z)
-    for _ in range(req.max_retries + 1):
+    Z = int(precision_Z)
+    for _ in range(max_retries + 1):
         delta = (e_prev - e_t) / Z
         z_cand = e_t + delta * ticks(Z)[1:]
         gap = z_cand - e_t
@@ -83,7 +65,7 @@ def find_offset(F, req: OffsetRequest, grid_points: int = DEFAULT_GRID) -> float
             slopes = (np.asarray(F(z_cand), dtype=np.float64) - f_et) / gap
             pick = int(slopes.argmin()) if delta > 0 else int(slopes.argmax())
             v = float(gap[pick])
-            if v != 0.0 and offset_feasible(F, e_t, e_prev, v, req.z_limit, grid_points):
+            if v != 0.0 and offset_feasible(F, e_t, e_prev, v, z_limit, grid_points):
                 return v
         Z *= 4
     return None

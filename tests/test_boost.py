@@ -264,7 +264,7 @@ class TestStops:
     def test_offsets_infeasible_stops_cleanly(self, monkeypatch):
         import secantboost.boost as boost_module
 
-        monkeypatch.setattr(boost_module, "find_offset", lambda F, req: None)
+        monkeypatch.setattr(boost_module, "find_offset", lambda F, *args: None)
         ens, rows = run(make_builtin("logistic"), _blobs(12, seed=2), T=4)
         assert len(rows) == 1
         assert rows[0].stop_reason == "offsets_infeasible"

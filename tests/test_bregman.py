@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import logistic_nan_between
+from conftest import logistic_nan_between, logistic_then
 from secantboost import (
     ConfigError,
     LossSpec,
@@ -20,8 +21,9 @@ from secantboost import (
     offset_feasible,
     q_star,
 )
-from secantboost.bregman import DEFAULT_GRID
+from secantboost.bregman import DEFAULT_GRID, REFINE_MARGIN
 from secantboost.vderiv import v_derivative
+from test_offsets import _certified, _Recorder, _ref_offset_feasible
 
 offsets = st.floats(min_value=0.01, max_value=2.0).flatmap(
     lambda mag: st.sampled_from([mag, -mag])
@@ -181,6 +183,77 @@ class TestOffsetFeasible:
         F = LossSpec("cliff", cliff, is_convex=False)
         with pytest.raises(ConfigError, match="'cliff'.*chord arithmetic overflowed"):
             offset_feasible(F, -1.0, 1.0, 1.5, z_limit=0.1)
+
+
+def _certificate_cases():
+    """Seeded (loss, a, v) on both convex losses that declare beta: |a| up to
+    1e3, |v| log-uniform in [1e-12, 20], both signs, plus the square loss at
+    chords whose midpoint lies on the grid (its gap there is exactly beta*v^2/8)."""
+    rng = np.random.default_rng(31337)
+    losses = (make_builtin("logistic"), make_builtin("square"))
+    for i in range(3000):
+        a = float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-4.0, 3.0))
+        v = float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-12.0, np.log10(20.0)))
+        yield losses[i % 2], a, v
+    for a, v in [(0.0, 2.0), (-1.0, 4.0), (3.0, -4.0), (0.5, 1.0), (-7.0, 16.0)]:
+        yield losses[1], a, v
+
+
+class TestCurvatureCertificate:
+    """beta*v^2/8 plus a rounding allowance bounds the chord's own gap over
+    the whole segment, so it stands in for any grid maximum."""
+
+    def test_certificate_bounds_every_grid(self):
+        n = 0
+        for F, a, v in _certificate_cases():
+            cert = q_star(F, a, a, v, certify_below=math.inf)
+            assert math.isfinite(cert), (F.name, a, v)
+            for grid_points in (512, 2048, 8192):
+                assert q_star(F, a, a, v, grid_points) <= cert, (F.name, a, v, grid_points)
+            n += 1
+        assert n >= 3000
+
+    def test_budget_at_the_certificate_decides_as_the_grid(self):
+        """Budgets a few ulps either side of cert + REFINE_MARGIN put the
+        certificate right at its acceptance threshold: taken or not, the
+        decision equals the reference's grid decision."""
+        decided = {"certified": 0, "grid": 0}
+        for F, a, v in _certificate_cases():
+            cert = q_star(F, a, a, v, certify_below=math.inf)
+            center = cert + REFINE_MARGIN
+            budgets = [center]
+            for direction in (-math.inf, math.inf):
+                z = center
+                for _ in range(2):
+                    z = float(np.nextafter(z, direction))
+                    budgets.append(z)
+            for z_limit in budgets:
+                new, ref = _Recorder(F), _Recorder(F)
+                got = offset_feasible(new.loss, a, a, v, z_limit)
+                assert got == _ref_offset_feasible(ref.loss, a, a, v, z_limit), (F.name, a, v)
+                decided["certified" if _certified(F, new.log, ref.log) else "grid"] += 1
+        assert min(decided.values()) >= 1000, decided
+
+    def test_only_convex_losses_declaring_beta_certify(self):
+        for F in (
+            make_builtin("exponential"),  # convex, no beta
+            make_builtin("spring", Q=40.0),  # no beta, not convex
+            logistic_then(5.0, smoothness_beta=0.25),  # beta, not convex
+        ):
+            q = q_star(F, 0.1, 0.2, 0.05, certify_below=math.inf)
+            assert q == q_star(F, 0.1, 0.2, 0.05), F.name
+
+    def test_without_the_keyword_the_grid_maximum_is_returned(self):
+        F = make_builtin("square")
+        # The grid maximum of the parabola sits exactly at v^2/4 at the midpoint.
+        assert q_star(F, 0.0, 0.0, 2.0) == 1.0
+        assert q_star(F, 0.0, 0.0, 2.0, certify_below=math.inf) > 1.0
+
+    def test_nan_certificate_falls_back_to_the_grid(self):
+        # A NaN endpoint makes the certificate NaN; the grid then names it.
+        F = dataclasses.replace(logistic_then(math.nan, smoothness_beta=0.25), is_convex=True)
+        with pytest.raises(ConfigError, match=f"loss '{F.name}' returned nan at z="):
+            offset_feasible(F, 0.0, 1.0, 0.5, z_limit=1.0)
 
 
 def convex_identity_residual(

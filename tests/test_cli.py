@@ -10,6 +10,7 @@ import pytest
 
 import secantboost.losses as losses_module
 from conftest import logistic_nan_below, logistic_nan_between, logistic_then, separable_dataset
+from secantboost import LossSpec, make_builtin
 from secantboost.cli import (
     EXIT_CONFIG,
     EXIT_CONSTANT_LOSS,
@@ -94,6 +95,17 @@ class TestTrain:
         code = main(["train", "--loss", "broken", "-T", "30", train_csv, str(tmp_path / "o")])
         assert code == EXIT_CONFIG
         assert "returned nan at z=" in capsys.readouterr().err
+
+    def test_invalid_declared_beta_exits_2(self, tmp_path, train_csv, capsys, monkeypatch):
+        def factory():
+            evaluate = make_builtin("logistic").evaluate
+            return LossSpec("bad_beta", evaluate, is_convex=True, smoothness_beta=-1.0)
+
+        monkeypatch.setattr(losses_module, "_REGISTRY", {})
+        losses_module.register_loss("bad_beta", factory)
+        code = main(["train", "--loss", "bad_beta", "-T", "5", train_csv, str(tmp_path / "o")])
+        assert code == EXIT_CONFIG
+        assert "need 0 < smoothness_beta < inf, got -1.0" in capsys.readouterr().err
 
     def test_non_finite_chord_slope_at_start_exits_2(self, tmp_path, train_csv, capsys, monkeypatch):
         monkeypatch.setattr(losses_module, "_REGISTRY", {})

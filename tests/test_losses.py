@@ -137,6 +137,17 @@ class TestSpring:
             make_builtin("spring", Q=-2.0)
 
 
+class TestDeclaredBeta:
+    @pytest.mark.parametrize("beta", [-1.0, 0.0, math.nan, math.inf, -math.inf])
+    def test_invalid_beta_rejected_at_construction(self, beta):
+        with pytest.raises(ConfigError, match="'bad': need 0 < smoothness_beta < inf"):
+            LossSpec("bad", np.abs, is_convex=True, smoothness_beta=beta)
+
+    def test_valid_or_absent_beta_accepted(self):
+        assert LossSpec("ok", np.abs, is_convex=True, smoothness_beta=0.25).smoothness_beta == 0.25
+        assert LossSpec("ok", np.abs, is_convex=True).smoothness_beta is None
+
+
 class TestRegistry:
     def test_builtin_names_resolve(self):
         for name in BUILTIN_NAMES:

@@ -3,13 +3,13 @@
 from __future__ import annotations
 
 import dataclasses
+import inspect
 
 import numpy as np
 import pytest
 
 from secantboost import (
     ObiQuery,
-    OffsetRequest,
     find_offset,
     make_builtin,
     obi,
@@ -22,53 +22,50 @@ from secantboost.bregman import DEFAULT_GRID, REFINE_FACTOR, REFINE_MARGIN, _gri
 from secantboost.offsets import DEFAULT_MAX_RETRIES, DEFAULT_PRECISION_Z
 
 
-class TestOffsetRequest:
+class TestFindOffset:
     def test_defaults(self):
-        req = OffsetRequest(e_t=0.0, e_prev=1.0, z_limit=0.1)
-        assert req.precision_Z == DEFAULT_PRECISION_Z == 64
-        assert req.max_retries == DEFAULT_MAX_RETRIES == 5
+        params = inspect.signature(find_offset).parameters
+        assert params["precision_Z"].default == DEFAULT_PRECISION_Z == 64
+        assert params["max_retries"].default == DEFAULT_MAX_RETRIES == 5
 
     def test_validation(self):
+        F = make_builtin("logistic")
         with pytest.raises(ValueError, match="z_limit"):
-            OffsetRequest(0.0, 1.0, z_limit=0.0)
+            find_offset(F, 0.0, 1.0, z_limit=0.0)
         with pytest.raises(ValueError, match="precision_Z"):
-            OffsetRequest(0.0, 1.0, z_limit=0.1, precision_Z=1)
+            find_offset(F, 0.0, 1.0, z_limit=0.1, precision_Z=1)
         with pytest.raises(ValueError, match="max_retries"):
-            OffsetRequest(0.0, 1.0, z_limit=0.1, max_retries=0)
+            find_offset(F, 0.0, 1.0, z_limit=0.1, max_retries=0)
         with pytest.raises(ValueError, match="equal edges"):
-            OffsetRequest(0.5, 0.5, z_limit=0.1)
+            find_offset(F, 0.5, 0.5, z_limit=0.1)
 
-
-class TestFindOffset:
     def test_sign_matches_gap_direction(self):
         F = make_builtin("logistic")
-        right = find_offset(F, OffsetRequest(0.0, 1.0, z_limit=0.5))
-        left = find_offset(F, OffsetRequest(1.0, 0.0, z_limit=0.5))
+        right = find_offset(F, 0.0, 1.0, z_limit=0.5)
+        left = find_offset(F, 1.0, 0.0, z_limit=0.5)
         assert right is not None and right > 0
         assert left is not None and left < 0
 
     def test_offset_stays_inside_gap(self):
         F = make_builtin("spring", Q=10.0)
-        req = OffsetRequest(-0.3, 0.9, z_limit=0.05)
-        v = find_offset(F, req)
+        e_t, e_prev = -0.3, 0.9
+        v = find_offset(F, e_t, e_prev, z_limit=0.05)
         assert v is not None
-        assert 0.0 < v < req.e_prev - req.e_t
+        assert 0.0 < v < e_prev - e_t
 
     def test_extremal_slope_candidate_wins(self):
         # On the parabola (1-z)^2 scanned rightward from e_t=0, secant slope
         # through 0 and x is x - 2: strictly increasing in x, so the very
         # first interior candidate (k=1) has the minimal slope.
         F = make_builtin("square")
-        req = OffsetRequest(0.0, 1.0, z_limit=10.0, precision_Z=8)
-        v = find_offset(F, req)
+        v = find_offset(F, 0.0, 1.0, z_limit=10.0, precision_Z=8)
         assert v == pytest.approx(1.0 / 8.0, rel=1e-12)
 
     def test_leftward_scan_keeps_maximal_slope(self):
         # Scanning leftward on the same parabola, slope through 0 and x is
         # still x - 2, now maximized by the candidate nearest e_t: k=1 again.
         F = make_builtin("square")
-        req = OffsetRequest(1.0, 0.0, z_limit=10.0, precision_Z=8)
-        v = find_offset(F, req)
+        v = find_offset(F, 1.0, 0.0, z_limit=10.0, precision_Z=8)
         assert v == pytest.approx(-1.0 / 8.0, rel=1e-12)
 
     def test_first_extremum_wins_ties(self):
@@ -77,8 +74,7 @@ class TestFindOffset:
         from secantboost import table_loss
 
         F = table_loss("flat", [-10.0, 10.0], [1.0, 1.0])
-        req = OffsetRequest(0.0, 1.0, z_limit=1.0, precision_Z=16)
-        v = find_offset(F, req)
+        v = find_offset(F, 0.0, 1.0, z_limit=1.0, precision_Z=16)
         assert v == pytest.approx(1.0 / 16.0, rel=1e-12)
 
     def test_returned_offset_is_feasible_at_decision_grid(self):
@@ -91,12 +87,12 @@ class TestFindOffset:
         for _ in range(50):
             e_t = rng.uniform(-1.0, 1.0)
             e_prev = e_t + rng.uniform(0.05, 0.5) * rng.choice([-1.0, 1.0])
-            req = OffsetRequest(e_t, e_prev, z_limit=2e-3)
-            v = find_offset(F, req)
+            z_limit = 2e-3
+            v = find_offset(F, e_t, e_prev, z_limit)
             if v is None:
                 continue
             found += 1
-            assert q_star(F, e_t, e_prev, v, grid_points=512) <= req.z_limit
+            assert q_star(F, e_t, e_prev, v, grid_points=512) <= z_limit
         assert found >= 40  # the oracle should almost always succeed here
 
     def test_retries_refine_until_feasible(self):
@@ -105,23 +101,22 @@ class TestFindOffset:
         # candidate spacing by 4x per round until one fits the budget at the
         # decision grid.
         F = make_builtin("spring", Q=40.0)
-        req = OffsetRequest(0.0, 0.5, z_limit=1e-4, precision_Z=2, max_retries=6)
-        v = find_offset(F, req)
+        z_limit = 1e-4
+        v = find_offset(F, 0.0, 0.5, z_limit, precision_Z=2, max_retries=6)
         assert v is not None
-        assert q_star(F, 0.0, 0.5, v, grid_points=512) <= req.z_limit
+        assert q_star(F, 0.0, 0.5, v, grid_points=512) <= z_limit
         # The accepted offset is not the Z=2 candidate, so at least one
         # retry actually happened — and rightly so, since the midpoint
         # candidate is infeasible.
         assert v != 0.25
-        assert q_star(F, 0.0, 0.5, 0.25, grid_points=512) > req.z_limit
+        assert q_star(F, 0.0, 0.5, 0.25, grid_points=512) > z_limit
 
     def test_none_when_budget_unreachable(self):
         # The square loss's chord distortion over its own span is v^2/4, so
         # even the shortest candidate at the final retry resolution exceeds
         # a budget below float-visible scales and the scan gives up.
         F = make_builtin("square")
-        req = OffsetRequest(0.0, 1.0, z_limit=1e-12, max_retries=2)
-        assert find_offset(F, req) is None
+        assert find_offset(F, 0.0, 1.0, z_limit=1e-12, max_retries=2) is None
 
 
 def find_offset_convex_dichotomic(F, e_t: float, e_prev: float, z_limit: float) -> float | None:
@@ -232,12 +227,14 @@ def _ref_offset_feasible(
     return q <= z_limit
 
 
-def _ref_find_offset(F, req: OffsetRequest, grid_points: int = DEFAULT_GRID) -> float | None:
-    e_t = float(req.e_t)
-    e_prev = float(req.e_prev)
+def _ref_find_offset(
+    F, e_t, e_prev, z_limit, precision_Z, max_retries, grid_points: int = DEFAULT_GRID
+) -> float | None:
+    e_t = float(e_t)
+    e_prev = float(e_prev)
     f_et = float(F(e_t))
-    Z = int(req.precision_Z)
-    for _ in range(req.max_retries + 1):
+    Z = int(precision_Z)
+    for _ in range(max_retries + 1):
         delta = (e_prev - e_t) / Z
         z_cand = e_t + delta * np.arange(1, Z)
         inside = (z_cand - e_t) * (z_cand - e_prev) < 0.0
@@ -246,7 +243,7 @@ def _ref_find_offset(F, req: OffsetRequest, grid_points: int = DEFAULT_GRID) -> 
             slopes = (np.asarray(F(z_cand), dtype=np.float64) - f_et) / (z_cand - e_t)
             pick = int(np.argmin(slopes)) if delta > 0 else int(np.argmax(slopes))
             v = float(z_cand[pick] - e_t)
-            if v != 0.0 and _ref_offset_feasible(F, e_t, e_prev, v, req.z_limit, grid_points):
+            if v != 0.0 and _ref_offset_feasible(F, e_t, e_prev, v, z_limit, grid_points):
                 return v
         Z *= 4
     return None
@@ -306,39 +303,65 @@ def _oracle_requests():
         elif kind == "refine":
             # Put the budget within REFINE_MARGIN of the first pass's
             # distortion, so the decision is re-taken on the finer grid.
-            v0 = _ref_find_offset(F, OffsetRequest(e_t, e_prev, 1e300, Z, retries))
+            v0 = _ref_find_offset(F, e_t, e_prev, 1e300, Z, retries)
             q0 = _ref_q_star(F, e_t, e_prev, v0)
             z_limit = max(q0 + float(rng.uniform(-0.9, 0.9)) * REFINE_MARGIN, 1e-300)
-        yield kind, F, OffsetRequest(e_t, e_prev, z_limit, Z, retries)
+        yield kind, F, (e_t, e_prev, z_limit, Z, retries)
+
+
+def _certified(F, new_log, ref_log) -> bool:
+    """Compare the library's loss queries with the reference's.
+
+    False when they are identical.  True when the library's are the
+    reference's less the final grid array: the accepting decision was
+    certified from F(a) and F(b) alone, which only a convex loss declaring
+    beta allows.  Any other difference fails.
+    """
+    if new_log == ref_log:
+        return False
+    assert F.is_convex and F.smoothness_beta is not None, F.name
+    assert new_log == ref_log[:-1], F.name
+    assert ref_log[-1][:3] == ("array", "<f8", (DEFAULT_GRID + 1,)), F.name
+    assert [kind for kind, *_ in ref_log[-3:-1]] == ["float", "float"], F.name
+    return True
 
 
 class TestOracleMatchesReference:
-    """Same offsets, same loss queries in the same order, as the reference oracle."""
+    """Same offsets as the reference oracle, and the same loss queries in the
+    same order, except the grid of a decision the curvature certificate took."""
 
     def test_find_offset_queries_and_results(self):
         seen = dict.fromkeys(
             ("none", "retried", "refined", "part_absorbed", "all_absorbed", "left", "right"), 0
         )
+        decided = {"certified": 0, "grid": 0}
         convexities = set()
         for kind, F, req in _oracle_requests():
+            e_t, e_prev, z_limit, Z, retries = req
             new, ref = _Recorder(F), _Recorder(F)
-            got = find_offset(new.loss, req)
-            want = _ref_find_offset(ref.loss, req)
+            got = find_offset(new.loss, *req)
+            want = _ref_find_offset(ref.loss, *req)
             assert (got is None and want is None) or got == want, (kind, req)
-            assert new.log == ref.log, (kind, req)
+            certified = _certified(F, new.log, ref.log)
+            assert not certified or want is not None, (kind, req)
+            if F.smoothness_beta is not None:
+                decided["certified"] += certified
+                decided["grid"] += sum(shape == (DEFAULT_GRID + 1,) for _, _, shape, _ in new.log)
             sizes = [shape[0] for _, _, shape, _ in ref.log if shape]
             seen["none"] += want is None
             seen["retried"] += sizes.count(DEFAULT_GRID + 1) >= 2
             seen["refined"] += DEFAULT_GRID * REFINE_FACTOR + 1 in sizes
-            seen["part_absorbed"] += bool(sizes) and sizes[0] < req.precision_Z - 1
+            seen["part_absorbed"] += bool(sizes) and sizes[0] < Z - 1
             seen["all_absorbed"] += not sizes
-            seen["left" if req.e_prev < req.e_t else "right"] += 1
+            seen["left" if e_prev < e_t else "right"] += 1
             convexities.add(F.is_convex)
         assert convexities == {True, False}
         assert min(seen.values()) >= 15, seen
+        assert min(decided.values()) >= 15, decided
 
     def test_q_star_and_obi_queries_and_results(self):
         rng = np.random.default_rng(99)
+        decided = {"certified": 0, "grid": 0}
         for i in range(200):
             F = _ORACLE_LOSSES[i % len(_ORACLE_LOSSES)]
             z = float(rng.uniform(-2.0, 2.0))
@@ -351,11 +374,17 @@ class TestOracleMatchesReference:
             )
             query = ObiQuery(z, z + v, zp, grid_points)
             assert obi(new.loss, query) == _ref_obi(ref.loss, query)
+            assert new.log == ref.log
             z_limit = float(10.0 ** rng.uniform(-6.0, 0.0))
+            new, ref = _Recorder(F), _Recorder(F)
             assert offset_feasible(new.loss, z, zp, v, z_limit) == _ref_offset_feasible(
                 ref.loss, z, zp, v, z_limit
             )
-            assert new.log == ref.log
+            if _certified(F, new.log, ref.log):
+                decided["certified"] += 1
+            elif F.smoothness_beta is not None and v != 0.0:
+                decided["grid"] += 1
+        assert min(decided.values()) >= 5, decided
 
     def test_grid_equals_linspace_bit_for_bit(self):
         rng = np.random.default_rng(5)
