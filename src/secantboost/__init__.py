@@ -16,7 +16,7 @@ from .boost import (
     run,
     telemetry_to_csv,
 )
-from .bregman import ObiQuery, bregman_secant, obi, offset_feasible, q_star
+from .bregman import bregman_secant, obi, offset_feasible, q_star
 from .data import (
     Dataset,
     FoldPlan,
@@ -76,7 +76,6 @@ __all__ = [
     "FoldPlan",
     "LeveragingResult",
     "LossSpec",
-    "ObiQuery",
     "TELEMETRY_COLUMNS",
     "V_derivative",
     "V_derivative_expansion",

@@ -60,6 +60,8 @@ GUARD_SLACK = 1e-10
 # alpha is accepted unhalved.
 PI = 0.5
 
+NUDGE_REL = 1e-6  # nudge_alpha's bound on the relative change of alpha
+
 TELEMETRY_COLUMNS = (
     "t",
     "train_loss",
@@ -83,12 +85,6 @@ class Ensemble:
 
     h0: float
     terms: list = field(default_factory=list)  # [(alpha, WeakHypothesis), ...]
-
-    def predict(self, x) -> float:
-        value = self.h0
-        for alpha, h in self.terms:
-            value += alpha * h.predict(x)
-        return value
 
     def predict_dataset(self, S) -> np.ndarray:
         out = np.full(S.m, self.h0, dtype=np.float64)
@@ -180,12 +176,12 @@ def initialize(F, S):
     return Ensemble(h0=h0), state
 
 
-def nudge_alpha(F, alpha, y, margins_prev, h_values, rel=1e-6, seed=0) -> float:
+def nudge_alpha(F, alpha, y, margins_prev, h_values, seed=0) -> float:
     """Keep prospective edges off declared jump points by jittering alpha.
 
-    Each attempt re-draws a factor in [1-rel, 1+rel] around the original
-    alpha, so the total relative change stays within rel.  Losses with no
-    declared jumps pass through untouched.
+    Each attempt re-draws a factor in [1-NUDGE_REL, 1+NUDGE_REL] around the
+    original alpha, so the total relative change stays within NUDGE_REL.
+    Losses with no declared jumps pass through untouched.
     """
     if not F.discontinuities:
         return alpha
@@ -197,7 +193,7 @@ def nudge_alpha(F, alpha, y, margins_prev, h_values, rel=1e-6, seed=0) -> float:
         gap = np.min(np.abs(edges[:, None] - jumps[None, :]))
         if gap > 1e-12:
             return candidate
-        candidate = alpha * rng.uniform(1.0 - rel, 1.0 + rel)
+        candidate = alpha * rng.uniform(1.0 - NUDGE_REL, 1.0 + NUDGE_REL)
     raise DiscontinuityCollisionError(
         "could not move all edges off declared jump points by nudging alpha"
     )
@@ -238,7 +234,7 @@ def _refresh_offsets(F, margins, margins_new, v_prev, z_limit: float, cfg: Boost
     v_new = np.empty(margins.size, dtype=np.float64)
     reused = np.zeros(margins.size, dtype=bool)
     for i, (e_t, e_p) in enumerate(zip(margins_new.tolist(), margins.tolist())):
-        if e_t == e_p or e_t + (e_p - e_t) / cfg.precision_Z == e_t:
+        if e_t + (e_p - e_t) / cfg.precision_Z == e_t:
             v_new[i] = sanitize_offset(v_prev[i], 1e-9, seed=_derived_seed(cfg.seed, t, i))
             reused[i] = True
             continue
@@ -314,7 +310,7 @@ def run(F, S, T: int, config: BoostConfig | None = None):
 
         if F.smoothness_beta is not None:
             route = "smoothness"
-            lev0 = alpha_from_smoothness(eta, F.smoothness_beta, M, cfg.epsilon, PI)
+            lev0 = alpha_from_smoothness(eta, F.smoothness_beta, M, cfg.epsilon)
             alpha = lev0.alpha
 
             def certify(a):

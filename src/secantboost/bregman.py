@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,7 +23,6 @@ __all__ = [
     "DEFAULT_GRID",
     "REFINE_FACTOR",
     "REFINE_MARGIN",
-    "ObiQuery",
     "bregman_secant",
     "obi",
     "q_star",
@@ -37,20 +35,6 @@ DEFAULT_GRID = 512
 # REFINE_FACTOR times finer before committing.
 REFINE_FACTOR = 4
 REFINE_MARGIN = 1e-6
-
-
-@dataclass(frozen=True)
-class ObiQuery:
-    """Maximize (line through (a,F(a)) and (b,F(b))) - F over [min(a,c), max(a,c)].
-
-    a anchors both the line and one end of the segment; c is the other end;
-    b only shapes the line's slope.
-    """
-
-    a: float
-    b: float
-    c: float
-    grid_points: int = DEFAULT_GRID
 
 
 def bregman_secant(F, zp: float, z: float, v: float) -> float:
@@ -88,11 +72,17 @@ def _grid(lo: float, hi: float, grid_points: int) -> np.ndarray:
     return xs
 
 
-def _obi(F, a: float, b: float, c: float, grid_points: int, certify_below=-math.inf) -> float:
-    """obi on float arguments; see there.  On the chord's own segment (c == b)
-    of a convex loss declaring beta, beta*(b-a)**2/8 plus ~32 ulps of rounding
+def obi(
+    F, a: float, b: float, c: float, grid_points: int = DEFAULT_GRID, certify_below=-math.inf
+) -> float:
+    """Grid maximum of (line through (a,F(a)) and (b,F(b))) - F over [min(a,c), max(a,c)].
+
+    Always nonnegative: the segment includes a, where the line touches the loss.
+    Degenerate chords (a == b) return 0.  On the chord's own segment (c == b) of
+    a convex loss declaring beta, beta*(b-a)**2/8 plus ~32 ulps of rounding
     bounds the gap on the whole continuum; that certificate is returned without
-    a grid when certify_below - cert >= REFINE_MARGIN (the default -inf: never)."""
+    a grid when certify_below - cert >= REFINE_MARGIN (the default -inf: never).
+    """
     if grid_points < 2:
         raise ValueError(f"grid_points must be >= 2, got {grid_points}")
     if a == b:
@@ -116,15 +106,6 @@ def _obi(F, a: float, b: float, c: float, grid_points: int, certify_below=-math.
     return float(gap.max())
 
 
-def obi(F, query: ObiQuery) -> float:
-    """Grid maximum of the chord line minus the loss over the spanned segment.
-
-    Always nonnegative: the segment endpoints include a itself, where the line
-    touches the loss exactly.  Degenerate chords (a == b) return 0.
-    """
-    return _obi(F, float(query.a), float(query.b), float(query.c), query.grid_points)
-
-
 def q_star(
     F, z: float, zp: float, v: float, grid_points: int = DEFAULT_GRID, certify_below=-math.inf
 ) -> float:
@@ -134,15 +115,13 @@ def q_star(
     endpoints, so the segment is [z, z+v] regardless of zp; otherwise the
     segment runs from z to zp.  Together with bregman_secant this gives the
     guarantee B(zp || z) >= -q_star(z, zp, v), also when a certificate at least
-    REFINE_MARGIN below certify_below stands in for the grid maximum (see _obi).
+    REFINE_MARGIN below certify_below stands in for the grid maximum (see obi).
     """
     b = float(z + v)
-    return _obi(F, float(z), b, b if F.is_convex else float(zp), grid_points, certify_below)
+    return obi(F, float(z), b, b if F.is_convex else float(zp), grid_points, certify_below)
 
 
-def offset_feasible(
-    F, e_t: float, e_prev: float, v: float, z_limit: float, grid_points: int = DEFAULT_GRID
-) -> bool:
+def offset_feasible(F, e_t: float, e_prev: float, v: float, z_limit: float) -> bool:
     """Does the offset v at e_t keep the worst chord distortion within budget?
 
     Borderline calls (within REFINE_MARGIN of the budget) are re-decided on a
@@ -152,6 +131,7 @@ def offset_feasible(
     """
     if not z_limit > 0.0:
         raise ValueError(f"z_limit must be positive, got {z_limit}")
+    grid_points = DEFAULT_GRID
     q = q_star(F, e_t, e_prev, v, grid_points, certify_below=z_limit)
     if abs(q - z_limit) < REFINE_MARGIN:
         grid_points *= REFINE_FACTOR

@@ -32,10 +32,28 @@ SEED_ENV_VAR = "SECANTBOOST_SEED"
 MODEL_VERSION = 1
 
 
+def _num(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+# The values each RunConfig annotation admits.
+_FIELD_TYPES = {
+    "str": lambda x: isinstance(x, str),
+    "str | None": lambda x: x is None or isinstance(x, str),
+    "str | int": lambda x: isinstance(x, str) or _num(x) and isinstance(x, int),
+    "int": lambda x: _num(x) and isinstance(x, int),
+    "float": _num,
+    "dict[str, float]": lambda x: (
+        isinstance(x, dict) and all(isinstance(k, str) and _num(v) for k, v in x.items())
+    ),
+    "list[str]": lambda x: isinstance(x, list) and all(isinstance(c, str) for c in x),
+}
+
+
 @dataclass
 class RunConfig:
     loss: str = "logistic"
-    loss_params: dict = field(default_factory=dict)
+    loss_params: dict[str, float] = field(default_factory=dict)
     loss_table: str | None = None
     T: int = 50
     max_nodes: int = 1
@@ -45,10 +63,14 @@ class RunConfig:
     noise_eta: float = 0.0
     folds: int = 10
     seed: int = 0
-    label_col: str = "label"
-    categorical: list = field(default_factory=list)
+    label_col: str | int = "label"
+    categorical: list[str] = field(default_factory=list)
 
     def validate(self) -> "RunConfig":
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if not _FIELD_TYPES[f.type](value):
+                raise ConfigError(f"{f.name} must be {f.type}, got {value!r}")
         if self.T < 1:
             raise ConfigError(f"T must be >= 1, got {self.T}")
         if self.max_nodes < 1:
@@ -312,32 +334,20 @@ def _config_from_args(args) -> RunConfig:
             raise ConfigError(f"cannot read config {args.config}: {exc}") from None
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config {args.config} is not valid JSON: {exc}") from None
-        known = {f.name for f in dataclasses.fields(RunConfig)}
-        unknown = set(payload) - known
+        if not isinstance(payload, dict):
+            raise ConfigError(f"config {args.config} must hold a JSON object")
+        unknown = set(payload) - {f.name for f in dataclasses.fields(RunConfig)}
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         cfg = dataclasses.replace(cfg, **payload)
-    overrides = {
-        "loss": getattr(args, "loss", None),
-        "loss_table": getattr(args, "loss_table", None),
-        "T": getattr(args, "T", None),
-        "max_nodes": getattr(args, "max_nodes", None),
-        "delta_init": getattr(args, "delta_init", None),
-        "epsilon": getattr(args, "epsilon", None),
-        "precision_Z": getattr(args, "precision_Z", None),
-        "noise_eta": getattr(args, "noise_eta", None),
-        "folds": getattr(args, "folds", None),
-        "seed": getattr(args, "seed", None),
-        "label_col": getattr(args, "label_col", None),
-    }
-    for key, value in overrides.items():
+    for f in dataclasses.fields(RunConfig):
+        value = getattr(args, f.name, None)
         if value is not None:
-            setattr(cfg, key, value)
+            setattr(cfg, f.name, value)
+    cfg.validate()  # before the merge below, which needs loss_params to be a dict
     if getattr(args, "loss_param", None):
         cfg.loss_params = {**cfg.loss_params, **_parse_loss_params(args.loss_param)}
-    if getattr(args, "categorical", None):
-        cfg.categorical = list(args.categorical)
-    return cfg.validate()
+    return cfg
 
 
 def _add_config_flags(p: argparse.ArgumentParser, cv: bool = False) -> None:

@@ -42,11 +42,8 @@ _W_FALLBACK_CAP = 2000
 
 @dataclass(frozen=True)
 class LeveragingResult:
-    """The accepted coefficient and its certificate pair.
-
-    pi is recorded only on the smoothness route (where the caller supplies it
-    for telemetry); the halving route never computes one.
-    """
+    """The accepted coefficient and its certificate pair; pi is set only by the
+    driver's step-acceptance guard on the smoothness route."""
 
     alpha: float
     w2_bar: float
@@ -207,14 +204,9 @@ def epsilon_from(alpha: float, w2_bar: float, eta: float, M: float) -> float:
     return b_sup / abs(alpha) - 1.0
 
 
-def alpha_from_smoothness(
-    eta: float, beta: float, M: float, epsilon: float, pi: float
-) -> LeveragingResult:
-    """Midpoint coefficient for a beta-smooth loss: w2_bar = 2*beta.
-
-    alpha = eta / (2*(1+epsilon)*M^2*w2_bar); pi is carried through for
-    telemetry only.
-    """
+def alpha_from_smoothness(eta: float, beta: float, M: float, epsilon: float) -> LeveragingResult:
+    """Midpoint coefficient for a beta-smooth loss:
+    alpha = eta / (2*(1+epsilon)*M^2*w2_bar) with w2_bar = 2*beta."""
     if eta == 0.0:
         raise ValueError("zero edge: weak learning assumption violated")
     if not beta > 0.0:
@@ -223,8 +215,6 @@ def alpha_from_smoothness(
         raise ValueError(f"M must be positive, got {M}")
     if not epsilon > 0.0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
-    if not 0.0 < pi < 1.0:
-        raise ValueError(f"pi must lie in (0, 1), got {pi}")
     w2_bar = 2.0 * beta
     alpha = eta / (2.0 * (1.0 + epsilon) * M * M * w2_bar)
-    return LeveragingResult(alpha=alpha, w2_bar=w2_bar, epsilon=epsilon, route="smoothness", pi=pi)
+    return LeveragingResult(alpha=alpha, w2_bar=w2_bar, epsilon=epsilon, route="smoothness")

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .bregman import DEFAULT_GRID, offset_feasible, ticks
+from .bregman import offset_feasible, ticks
 
 __all__ = [
     "DEFAULT_PRECISION_Z",
@@ -26,7 +26,7 @@ DEFAULT_MAX_RETRIES = 5
 
 def find_offset(
     F, e_t: float, e_prev: float, z_limit: float, precision_Z: int = DEFAULT_PRECISION_Z,
-    max_retries: int = DEFAULT_MAX_RETRIES, grid_points: int = DEFAULT_GRID,
+    max_retries: int = DEFAULT_MAX_RETRIES,
 ) -> float | None:
     """Scan for a feasible offset between the edges; None when none is found.
 
@@ -65,7 +65,7 @@ def find_offset(
             slopes = (np.asarray(F(z_cand), dtype=np.float64) - f_et) / gap
             pick = int(slopes.argmin()) if delta > 0 else int(slopes.argmax())
             v = float(gap[pick])
-            if v != 0.0 and offset_feasible(F, e_t, e_prev, v, z_limit, grid_points):
+            if v != 0.0 and offset_feasible(F, e_t, e_prev, v, z_limit):
                 return v
         Z *= 4
     return None

@@ -23,6 +23,8 @@ __all__ = [
     "nonzero_shift",
 ]
 
+SHIFT_GAMMA, SHIFT_EPS_FRAC = 0.1, 0.5  # nonzero_shift's assumed edge, share of it to spend
+
 
 @dataclass
 class TreeNode:
@@ -313,27 +315,18 @@ def max_confidence(h: WeakHypothesis, S) -> float:
     return float(np.max(np.abs(h.predict_dataset(S))))
 
 
-def nonzero_shift(
-    h: WeakHypothesis, S, gamma_est: float = 0.1, eps_frac: float = 0.5
-) -> WeakHypothesis:
-    """Shift every leaf by a small constant if any prediction is exactly zero.
+def nonzero_shift(h: WeakHypothesis, S) -> WeakHypothesis:
+    """Shift every leaf by a small constant if any leaf is exactly zero.
 
-    The shift magnitude eps_frac*gamma_est*M/(1+gamma_est) degrades the edge
-    by at most a factor (1 - eps_frac) for a true weak learner of edge
-    gamma_est; its sign is chosen so no leaf lands back on zero.
+    S is predicted only to size the shift, SHIFT_EPS_FRAC*SHIFT_GAMMA*M/(1+SHIFT_GAMMA):
+    it costs at most a factor (1 - SHIFT_EPS_FRAC) of a true weak learner's edge
+    SHIFT_GAMMA, and its sign keeps every leaf off zero.
     """
-    if not gamma_est > 0.0:
-        raise ValueError(f"gamma_est must be positive, got {gamma_est}")
-    if not 0.0 < eps_frac < 1.0:
-        raise ValueError(f"eps_frac must lie in (0, 1), got {eps_frac}")
-    values = h.predict_dataset(S)
     leaf_vals = [leaf.value for leaf in h.iter_leaves()]
-    if np.all(np.abs(values) > 0.0) and all(v != 0.0 for v in leaf_vals):
+    if all(v != 0.0 for v in leaf_vals):
         return h
-    M = float(np.max(np.abs(values)))
-    if M == 0.0:
-        M = max((abs(v) for v in leaf_vals), default=0.0) or 1.0
-    delta = eps_frac * gamma_est * M / (1.0 + gamma_est)
+    M = max_confidence(h, S) or max(abs(v) for v in leaf_vals) or 1.0
+    delta = SHIFT_EPS_FRAC * SHIFT_GAMMA * M / (1.0 + SHIFT_GAMMA)
     for _ in range(100):
         for signed in (delta, -delta):
             if all(v + signed != 0.0 for v in leaf_vals):

@@ -127,7 +127,7 @@ class TestNudgeAlpha:
         F = make_builtin("zero_one")
         margins = np.array([-0.5])
         hv = np.array([1.0])
-        nudged = nudge_alpha(F, 0.5, np.array([1.0]), margins, hv, rel=1e-6, seed=3)
+        nudged = nudge_alpha(F, 0.5, np.array([1.0]), margins, hv, seed=3)
         assert nudged != 0.5
         assert abs(nudged - 0.5) <= 0.5 * 1e-6 * (1.0 + 1e-12)
         assert abs(margins[0] + nudged * hv[0]) > 1e-12

@@ -14,7 +14,6 @@ from conftest import logistic_nan_between, logistic_then
 from secantboost import (
     ConfigError,
     LossSpec,
-    ObiQuery,
     bregman_secant,
     make_builtin,
     obi,
@@ -40,11 +39,11 @@ class TestObi:
         # For F = (1-z)^2, the line through (0, F(0)) and (2, F(2)) is the
         # constant 1; its maximum excess over F on [0, 2] is at z=1: 1 - 0 = 1.
         F = _square_spec()
-        assert obi(F, ObiQuery(a=0.0, b=2.0, c=2.0)) == pytest.approx(1.0, rel=1e-9)
+        assert obi(F, 0.0, 2.0, 2.0) == pytest.approx(1.0, rel=1e-9)
 
     def test_degenerate_chord_is_zero(self):
         F = _square_spec()
-        assert obi(F, ObiQuery(a=0.7, b=0.7, c=1.5)) == 0.0
+        assert obi(F, 0.7, 0.7, 1.5) == 0.0
 
     def test_nonnegative_always(self):
         # The segment includes the anchor a where the line touches the loss,
@@ -55,7 +54,7 @@ class TestObi:
             a, b, c = rng.uniform(-2, 2, size=3)
             if a == b:
                 continue
-            assert obi(F, ObiQuery(a, b, c)) >= 0.0
+            assert obi(F, a, b, c) >= 0.0
 
     def test_refinement_never_shrinks_the_maximum(self):
         """Grids count subintervals, so an integer refinement keeps every
@@ -66,19 +65,19 @@ class TestObi:
             a, b, c = rng.uniform(-1, 1, size=3)
             if a == b:
                 continue
-            coarse = obi(F, ObiQuery(a, b, c, grid_points=128))
-            fine = obi(F, ObiQuery(a, b, c, grid_points=512))
+            coarse = obi(F, a, b, c, grid_points=128)
+            fine = obi(F, a, b, c, grid_points=512)
             assert fine >= coarse - 1e-12
 
     def test_grid_validation(self):
         with pytest.raises(ValueError):
-            obi(_square_spec(), ObiQuery(0.0, 1.0, 1.0, grid_points=1))
+            obi(_square_spec(), 0.0, 1.0, 1.0, grid_points=1)
 
     def test_convex_chord_dominates_between_endpoints(self):
         # Convexity puts the chord above the loss on the whole segment, so
         # the gap at the midpoint is strictly positive for a strict parabola.
         F = _square_spec()
-        gap = obi(F, ObiQuery(a=-1.0, b=1.0, c=1.0))
+        gap = obi(F, -1.0, 1.0, 1.0)
         assert gap == pytest.approx(1.0, rel=1e-9)  # (F(-1)+F(1))/2 - F(0) ... at z=1
 
 
@@ -287,7 +286,7 @@ class TestConjugateIdentity:
         # ranges, so they agree to grid resolution.
         F = make_builtin("logistic")
         for z, v in [(0.0, 0.5), (1.0, -0.8), (-2.0, 0.3)]:
-            r = obi(F, ObiQuery(z, z + v, z + v, grid_points=8192))
+            r = obi(F, z, z + v, z + v, grid_points=8192)
             resid = convex_identity_residual(F, z, v, r, grid_points=1 << 17)
             assert abs(resid) < 1e-3
 

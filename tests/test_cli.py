@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import argparse
+import dataclasses
 import json
 import math
 
@@ -18,6 +20,8 @@ from secantboost.cli import (
     EXIT_OK,
     SEED_ENV_VAR,
     RunConfig,
+    _config_from_args,
+    build_parser,
     load_model,
     main,
 )
@@ -301,3 +305,116 @@ class TestConfigResolution:
         with pytest.raises(ConfigError):
             RunConfig(noise_eta=-0.5).validate()
         assert RunConfig().validate() is not None
+
+
+# A config-file value of the wrong type for each kind of RunConfig field.
+MISTYPED = [
+    ("folds", "3"),
+    ("seed", "x"),
+    ("loss_params", [1]),
+    ("precision_Z", 4.5),
+    ("max_nodes", 2.5),
+    ("T", True),
+    ("epsilon", "0.1"),
+    ("noise_eta", False),
+    ("loss_params", {"Q": "5"}),
+    ("categorical", "a"),
+    ("categorical", [1]),
+    ("loss", 3),
+    ("loss_table", 1),
+    ("label_col", 1.5),
+]
+
+
+class TestConfigTypes:
+    @pytest.mark.parametrize("key,value", MISTYPED)
+    def test_mistyped_config_value_exits_2(self, tmp_path, train_csv, capsys, key, value):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({key: value}))
+        out = tmp_path / "o"
+        assert main(["train", "--config", str(cfg_path), train_csv, str(out)]) == EXIT_CONFIG
+        assert f"config error: {key} must be" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_mistyped_loss_params_with_flag_exits_2(self, tmp_path, train_csv):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"loss_params": [1]}))
+        argv = ["train", "--config", str(cfg_path), "--loss-param", "Q=2", train_csv, "o"]
+        assert main(argv) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("text", ["5", "[]", "null"])
+    def test_non_object_config_exits_2(self, tmp_path, train_csv, text):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(text)
+        assert main(["train", "--config", str(cfg_path), train_csv, "o"]) == EXIT_CONFIG
+
+    def test_well_typed_values_pass(self):
+        cfg = RunConfig(label_col=2, loss_params={"Q": 5, "q": -1.5}, categorical=["a"])
+        assert cfg.validate() is cfg
+        assert RunConfig(loss_table=None, delta_init=2).validate() is not None
+
+
+def _config_subparsers():
+    parser = build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return {name: sub.choices[name] for name in ("train", "cv")}
+
+
+# One flag value per RunConfig field a flag sets: (argument, resulting value).
+FLAG_SAMPLES = {
+    "loss": ("spring", "spring"),
+    "loss_table": ("table.csv", "table.csv"),
+    "T": ("3", 3),
+    "max_nodes": ("2", 2),
+    "delta_init": ("0.5", 0.5),
+    "epsilon": ("0.2", 0.2),
+    "precision_Z": ("8", 8),
+    "seed": ("7", 7),
+    "label_col": ("y", "y"),
+    "categorical": ("a", ["a"]),
+    "noise_eta": ("0.1", 0.1),
+    "folds": ("3", 3),
+}
+
+
+class TestFlagOverrides:
+    """_config_from_args copies every flag whose dest names a RunConfig field."""
+
+    def test_every_option_dest_is_a_field(self):
+        fields = {f.name for f in dataclasses.fields(RunConfig)}
+        for name, sub in _config_subparsers().items():
+            dests = {a.dest for a in sub._actions if a.option_strings and a.dest != "help"}
+            assert dests - {"config", "loss_param"} <= fields, name
+            assert dests - {"config", "loss_param"} <= set(FLAG_SAMPLES), name
+
+    def test_each_flag_reaches_its_field(self, train_csv, monkeypatch):
+        monkeypatch.delenv(SEED_ENV_VAR, raising=False)
+        default = RunConfig()
+        seen = set()
+        for name, sub in _config_subparsers().items():
+            for action in sub._actions:
+                if action.dest not in FLAG_SAMPLES:
+                    continue
+                arg, want = FLAG_SAMPLES[action.dest]
+                argv = [name, action.option_strings[0], arg, train_csv, "out"]
+                cfg = _config_from_args(build_parser().parse_args(argv))
+                assert getattr(cfg, action.dest) == want != getattr(default, action.dest)
+                changed = {
+                    f.name for f in dataclasses.fields(RunConfig)
+                    if getattr(cfg, f.name) != getattr(default, f.name)
+                }
+                assert changed == {action.dest}, argv
+                seen.add(action.dest)
+        assert seen == set(FLAG_SAMPLES)
+
+    def test_categorical_twice(self, train_csv):
+        argv = ["train", "--categorical", "a", "--categorical", "b", train_csv, "out"]
+        assert _config_from_args(build_parser().parse_args(argv)).categorical == ["a", "b"]
+
+    def test_loss_param_merges_with_config_file(self, tmp_path, train_csv):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"loss": "spring", "loss_params": {"Q": 5.0, "q": -1.0}}))
+        argv = ["train", "--config", str(cfg_path), "--loss-param", "Q=7", train_csv, "out"]
+        cfg = _config_from_args(build_parser().parse_args(argv))
+        assert cfg.loss_params == {"Q": 7.0, "q": -1.0}
+        assert cfg.loss == "spring"

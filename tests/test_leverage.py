@@ -236,24 +236,21 @@ class TestEpsilonFrom:
 class TestAlphaFromSmoothness:
     def test_worked_example(self):
         # w2_bar = 2*beta = 0.5; alpha = 1/(2*1.1*1*0.5) = 1/1.1.
-        lev = alpha_from_smoothness(1.0, 0.25, 1.0, 0.1, 0.5)
+        lev = alpha_from_smoothness(1.0, 0.25, 1.0, 0.1)
         assert lev.alpha == pytest.approx(1.0 / 1.1)
         assert lev.w2_bar == 0.5
         assert lev.epsilon == 0.1
-        assert lev.pi == 0.5
         assert lev.route == "smoothness"
 
     def test_alpha_scales_inverse_with_confidence_cap(self):
-        a1 = alpha_from_smoothness(0.4, 0.25, 2.0, 0.1, 0.5).alpha
-        a2 = alpha_from_smoothness(0.4, 0.25, 4.0, 0.1, 0.5).alpha
+        a1 = alpha_from_smoothness(0.4, 0.25, 2.0, 0.1).alpha
+        a2 = alpha_from_smoothness(0.4, 0.25, 4.0, 0.1).alpha
         assert a1 == pytest.approx(4.0 * a2)  # alpha ~ 1/M^2
 
     def test_validation(self):
         with pytest.raises(ValueError, match="zero edge"):
-            alpha_from_smoothness(0.0, 0.25, 1.0, 0.1, 0.5)
+            alpha_from_smoothness(0.0, 0.25, 1.0, 0.1)
         with pytest.raises(ValueError, match="beta"):
-            alpha_from_smoothness(1.0, 0.0, 1.0, 0.1, 0.5)
+            alpha_from_smoothness(1.0, 0.0, 1.0, 0.1)
         with pytest.raises(ValueError, match="epsilon"):
-            alpha_from_smoothness(1.0, 0.25, 1.0, 0.0, 0.5)
-        with pytest.raises(ValueError, match="pi"):
-            alpha_from_smoothness(1.0, 0.25, 1.0, 0.1, 1.0)
+            alpha_from_smoothness(1.0, 0.25, 1.0, 0.0)

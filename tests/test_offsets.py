@@ -4,12 +4,12 @@ from __future__ import annotations
 
 import dataclasses
 import inspect
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 
 from secantboost import (
-    ObiQuery,
     find_offset,
     make_builtin,
     obi,
@@ -194,6 +194,15 @@ class TestSanitizeOffset:
 # and return the same offsets.
 
 
+class ObiQuery(NamedTuple):
+    """The reference's query record, in the library's obi argument order."""
+
+    a: float
+    b: float
+    c: float
+    grid_points: int = DEFAULT_GRID
+
+
 def _ref_obi(F, query: ObiQuery) -> float:
     if query.grid_points < 2:
         raise ValueError(f"grid_points must be >= 2, got {query.grid_points}")
@@ -373,7 +382,7 @@ class TestOracleMatchesReference:
                 ref.loss, z, zp, v, grid_points
             )
             query = ObiQuery(z, z + v, zp, grid_points)
-            assert obi(new.loss, query) == _ref_obi(ref.loss, query)
+            assert obi(new.loss, *query) == _ref_obi(ref.loss, query)
             assert new.log == ref.log
             z_limit = float(10.0 ** rng.uniform(-6.0, 0.0))
             new, ref = _Recorder(F), _Recorder(F)

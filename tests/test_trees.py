@@ -226,7 +226,7 @@ class TestNonzeroShift:
         S = dataset_from_numeric(X, y)
         h = train_tree(S, np.ones(4), max_nodes=3)
         assert h.root.is_leaf and h.root.value == 0.0
-        shifted = nonzero_shift(h, S, gamma_est=0.1, eps_frac=0.5)
+        shifted = nonzero_shift(h, S)
         values = shifted.predict_dataset(S)
         assert np.all(np.abs(values) > 0.0)
         # M falls back to the leaf magnitudes (all zero here -> 1.0), so the
@@ -244,18 +244,42 @@ class TestNonzeroShift:
         values = h.predict_dataset(S)
         assert np.any(values == 0.0)
         M = float(np.max(np.abs(values)))
-        shifted = nonzero_shift(h, S, gamma_est=0.1, eps_frac=0.5)
+        shifted = nonzero_shift(h, S)
         delta = 0.5 * 0.1 * M / 1.1
         moved = shifted.predict_dataset(S) - values
         np.testing.assert_allclose(np.abs(moved), delta, rtol=1e-9)
 
-    def test_validation(self):
+    def test_nonzero_leaves_skip_prediction(self, monkeypatch):
+        # The leaves alone decide: a tree without a zero leaf comes back as
+        # the same object without S ever being predicted.
         S = _stump_data()
         h = train_tree(S, np.ones(4), max_nodes=1)
-        with pytest.raises(ValueError, match="gamma_est"):
-            nonzero_shift(h, S, gamma_est=0.0)
-        with pytest.raises(ValueError, match="eps_frac"):
-            nonzero_shift(h, S, eps_frac=1.0)
+        calls = []
+        original = WeakHypothesis.predict_dataset
+
+        def counted(self, S):
+            calls.append(S)
+            return original(self, S)
+
+        monkeypatch.setattr(WeakHypothesis, "predict_dataset", counted)
+        assert nonzero_shift(h, S) is h
+        assert calls == []
+
+    def test_unreached_zero_leaf_is_shifted(self):
+        # A zero leaf that no example of S reaches still forces the shift:
+        # M comes from the predictions on S, which never see that leaf.
+        S = _stump_data()
+        h = WeakHypothesis(
+            TreeNode(feature=0, threshold=10.0, left=TreeNode(value=0.8), right=TreeNode(value=0.0)),
+            node_count=1,
+            n_features=1,
+        )
+        assert np.all(h.predict_dataset(S) == 0.8)
+        shifted = nonzero_shift(h, S)
+        assert shifted is not h
+        delta = 0.5 * 0.1 * 0.8 / 1.1
+        leaves = [leaf.value for leaf in shifted.iter_leaves()]
+        assert leaves == pytest.approx([0.8 + delta, delta], rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
