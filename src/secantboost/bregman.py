@@ -82,6 +82,7 @@ def obi(
     a convex loss declaring beta, beta*(b-a)**2/8 plus ~32 ulps of rounding
     bounds the gap on the whole continuum; that certificate is returned without
     a grid when certify_below - cert >= REFINE_MARGIN (the default -inf: never).
+    A grid value where F is not finite makes the result NaN or inf.
     """
     if grid_points < 2:
         raise ValueError(f"grid_points must be >= 2, got {grid_points}")
@@ -103,7 +104,8 @@ def obi(
     gap *= slope
     gap += fa
     gap -= F(xs)
-    return float(gap.max())
+    # max() passes over the -inf gap where F is +inf.
+    return float(gap.max()) if gap.min() > -math.inf else math.nan
 
 
 def q_star(

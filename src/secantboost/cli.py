@@ -119,15 +119,18 @@ def _node_to_json(node: TreeNode) -> dict:
     return out
 
 
-def _node_from_json(obj: dict) -> TreeNode:
+def _node_from_json(obj: dict, n_features: int) -> TreeNode:
     if "value" in obj:
         return TreeNode(value=float(obj["value"]))
+    feature = int(obj["feature"])
+    if not 0 <= feature < n_features:
+        raise IndexError(f"feature {feature} outside [0, {n_features})")
     return TreeNode(
-        feature=int(obj["feature"]),
+        feature=feature,
         threshold=float(obj["threshold"]) if "threshold" in obj else None,
         category=obj.get("category"),
-        left=_node_from_json(obj["left"]),
-        right=_node_from_json(obj["right"]),
+        left=_node_from_json(obj["left"], n_features),
+        right=_node_from_json(obj["right"], n_features),
     )
 
 
@@ -160,15 +163,21 @@ def load_model(path: str):
             payload = json.load(fh)
     except OSError as exc:
         raise DataError(f"cannot read model {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise DataError(f"model {path} is not valid JSON: {exc}") from None
+    if not isinstance(payload, dict):
+        raise DataError(f"model {path} must hold a JSON object")
     if payload.get("version") != MODEL_VERSION:
         raise ConfigError(f"unsupported model version {payload.get('version')!r}")
-    n_features = len(payload["features"])
-    ens = boost.Ensemble(h0=float(payload["h0"]))
-    for term in payload["terms"]:
-        h = WeakHypothesis(_node_from_json(term["tree"]), int(term["node_count"]), n_features)
-        ens.terms.append((float(term["alpha"]), h))
+    try:
+        schema = [(f["name"], f["type"]) for f in payload["features"]]
+        ens = boost.Ensemble(h0=float(payload["h0"]))
+        for term in payload["terms"]:
+            tree = _node_from_json(term["tree"], len(schema))
+            h = WeakHypothesis(tree, int(term["node_count"]), len(schema))
+            ens.terms.append((float(term["alpha"]), h))
+    except (KeyError, IndexError, TypeError, ValueError) as exc:
+        raise DataError(f"model {path} is malformed: {type(exc).__name__}: {exc}") from None
     return ens, payload
 
 
@@ -207,7 +216,7 @@ def cmd_train(cfg: RunConfig, data_path: str, out_dir: str) -> int:
 
 def cmd_eval(model_path: str, data_path: str) -> int:
     ens, payload = load_model(model_path)
-    cfg = RunConfig(**payload["config"])
+    cfg = _merged(RunConfig(), payload.get("config"), f"model {model_path} config").validate()
     S = _load_dataset(cfg, data_path)
     expected = [(f["name"], f["type"]) for f in payload["features"]]
     actual = list(zip(S.feature_names, S.feature_types))
@@ -245,6 +254,7 @@ def run_cross_validation(cfg: RunConfig, S: data.Dataset):
     Returns (per-fold telemetry lists, per-fold test-error curves, mean curve).
     """
     F = build_loss(cfg)
+    bcfg = build_boost_config(cfg)
     plan = data.stratified_folds(S, cfg.folds, cfg.seed)
     fold_rows = []
     curves = []
@@ -255,9 +265,8 @@ def run_cross_validation(cfg: RunConfig, S: data.Dataset):
             S_train = losses.inject_label_noise(
                 S_train, cfg.noise_eta, seed=cfg.seed * 1009 + fold
             )
-        bcfg = build_boost_config(cfg)
-        bcfg.seed = cfg.seed * 131 + fold
-        ens, rows = boost.run(F, S_train, cfg.T, bcfg)
+        fold_cfg = dataclasses.replace(bcfg, seed=cfg.seed * 131 + fold)
+        ens, rows = boost.run(F, S_train, cfg.T, fold_cfg)
         fold_rows.append(rows)
         curves.append(_test_error_curve(ens, S_test, cfg.T))
     mean_curve = [float(np.mean([c[t] for c in curves])) for t in range(cfg.T)]
@@ -318,6 +327,20 @@ def _parse_loss_params(pairs) -> dict:
     return params
 
 
+def _merged(cfg: RunConfig, payload, where: str) -> RunConfig:
+    """cfg with the fields that payload, a JSON value read from where, sets.
+
+    ConfigError, naming where, unless payload is an object whose keys are all
+    RunConfig fields; the caller validates the values.
+    """
+    if not isinstance(payload, dict):
+        raise ConfigError(f"{where} must hold a JSON object")
+    unknown = payload.keys() - {f.name for f in dataclasses.fields(RunConfig)}
+    if unknown:
+        raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
+    return dataclasses.replace(cfg, **payload)
+
+
 def _config_from_args(args) -> RunConfig:
     cfg = RunConfig()
     env_seed = os.environ.get(SEED_ENV_VAR)
@@ -332,14 +355,9 @@ def _config_from_args(args) -> RunConfig:
                 payload = json.load(fh)
         except OSError as exc:
             raise ConfigError(f"cannot read config {args.config}: {exc}") from None
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise ConfigError(f"config {args.config} is not valid JSON: {exc}") from None
-        if not isinstance(payload, dict):
-            raise ConfigError(f"config {args.config} must hold a JSON object")
-        unknown = set(payload) - {f.name for f in dataclasses.fields(RunConfig)}
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        cfg = dataclasses.replace(cfg, **payload)
+        cfg = _merged(cfg, payload, f"config {args.config}")
     for f in dataclasses.fields(RunConfig):
         value = getattr(args, f.name, None)
         if value is not None:
@@ -350,12 +368,16 @@ def _config_from_args(args) -> RunConfig:
     return cfg
 
 
-def _add_config_flags(p: argparse.ArgumentParser, cv: bool = False) -> None:
-    p.add_argument("--config", help="JSON file with RunConfig fields (flags override)")
-    p.add_argument("--loss", help="builtin or registered loss name")
+def _add_loss_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--loss", help="builtin or registered loss name (default logistic)")
     p.add_argument("--loss-param", action="append", metavar="NAME=VALUE",
                    help="loss parameter, repeatable (e.g. Q=500)")
     p.add_argument("--loss-table", help="two-column CSV (z,F) piecewise-linear loss")
+
+
+def _add_config_flags(p: argparse.ArgumentParser, cv: bool = False) -> None:
+    p.add_argument("--config", help="JSON file with RunConfig fields (flags override)")
+    _add_loss_flags(p)
     p.add_argument("-T", type=int, help="boosting iterations")
     p.add_argument("--max-nodes", type=int, dest="max_nodes", help="internal nodes per tree")
     p.add_argument("--delta-init", type=float, dest="delta_init", help="halving-search start")
@@ -393,9 +415,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cv.add_argument("out", help="output directory")
 
     p_losses = sub.add_parser("losses", help="sample a loss curve as CSV")
-    p_losses.add_argument("--loss", default="logistic")
-    p_losses.add_argument("--loss-param", action="append", metavar="NAME=VALUE")
-    p_losses.add_argument("--loss-table")
+    _add_loss_flags(p_losses)
     p_losses.add_argument("--lo", type=float, default=-2.0)
     p_losses.add_argument("--hi", type=float, default=2.0)
     p_losses.add_argument("--steps", type=int, default=401)
@@ -414,12 +434,7 @@ def main(argv=None) -> int:
         if args.command == "cv":
             return cmd_cv(_config_from_args(args), args.data, args.out)
         if args.command == "losses":
-            cfg = RunConfig(
-                loss=args.loss,
-                loss_params=_parse_loss_params(args.loss_param),
-                loss_table=args.loss_table,
-            )
-            return cmd_losses(cfg, args.lo, args.hi, args.steps, args.out)
+            return cmd_losses(_config_from_args(args), args.lo, args.hi, args.steps, args.out)
         parser.error(f"unknown command {args.command!r}")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

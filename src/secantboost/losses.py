@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import inspect
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
@@ -48,6 +49,9 @@ class LossSpec:
     evaluate must accept floats and numpy arrays and be finite on all of R.
     A declared smoothness_beta (finite, > 0) promises that every secant
     curvature is <= beta: the smoothness route and the chord-gap certificate rely on it.
+    A certified chord-gap decision trusts beta on the segment's interior and
+    never evaluates the loss there; decisions for non-convex or beta-less
+    losses are grid estimates.
     discontinuities lists (abscissa, jump magnitude) pairs for declared jump
     points; continuous losses leave it empty.
     """
@@ -109,16 +113,21 @@ def _zero_one(z):
     return np.where(z <= 0.0, 1.0, 0.0)
 
 
-def _make_clipped_logistic(q: float):
+def _clipped_logistic(q: float = -2.0) -> LossSpec:
+    q = float(q)
     cap = float(np.logaddexp(0.0, -q))
 
     def clipped(z):
         return np.minimum(np.logaddexp(0.0, -z), cap)
 
-    return clipped
+    return LossSpec("clipped_logistic", _vectorized(clipped), is_convex=False, params={"q": q})
 
 
-def _make_spring(Q: float):
+def _spring(Q: float = 1.0) -> LossSpec:
+    Q = float(Q)
+    if Q <= 0:
+        raise ConfigError(f"spring loss needs Q > 0, got {Q}")
+
     # Logistic plus a train of circular-arc bumps of period 1/Q.  The bump
     # argument u = Q z - [Q z] (nearest-integer bracket, ties to even) lives
     # in [-1/2, 1/2], so 1 - 4 u^2 >= 0 up to rounding at the seams.
@@ -127,62 +136,28 @@ def _make_spring(Q: float):
         bump = (1.0 - np.sqrt(np.maximum(0.0, 1.0 - 4.0 * u * u))) / Q
         return np.logaddexp(0.0, -z) + bump
 
-    return spring
+    return LossSpec("spring", _vectorized(spring), is_convex=False, params={"Q": Q})
 
 
-def _builtin_specs(name: str, params: dict) -> LossSpec:
-    if name == "exponential":
-        return LossSpec("exponential", _vectorized(_exponential), is_convex=True)
-    if name == "logistic":
-        return LossSpec(
-            "logistic",
-            _vectorized(_logistic),
-            is_convex=True,
-            smoothness_beta=LOGISTIC_BETA,
-        )
-    if name == "square":
-        return LossSpec(
-            "square", _vectorized(_square), is_convex=True, smoothness_beta=SQUARE_BETA
-        )
-    if name == "hinge":
-        return LossSpec("hinge", _vectorized(_hinge), is_convex=True)
-    if name == "zero_one":
-        return LossSpec(
-            "zero_one",
-            _vectorized(_zero_one),
-            is_convex=False,
-            discontinuities=((0.0, 1.0),),
-        )
-    if name == "clipped_logistic":
-        q = float(params.pop("q", -2.0))
-        return LossSpec(
-            "clipped_logistic",
-            _vectorized(_make_clipped_logistic(q)),
-            is_convex=False,
-            params={"q": q},
-        )
-    if name == "spring":
-        Q = float(params.pop("Q", 1.0))
-        if Q <= 0:
-            raise ConfigError(f"spring loss needs Q > 0, got {Q}")
-        return LossSpec(
-            "spring",
-            _vectorized(_make_spring(Q)),
-            is_convex=False,
-            params={"Q": Q},
-        )
-    raise KeyError(name)
+# Builtin loss factories: name -> callable(**params) -> LossSpec.  A factory's
+# keyword parameters are the only parameters its loss takes.
+_BUILTINS: dict[str, Callable[..., LossSpec]] = {
+    "exponential": lambda: LossSpec("exponential", _vectorized(_exponential), is_convex=True),
+    "logistic": lambda: LossSpec(
+        "logistic", _vectorized(_logistic), is_convex=True, smoothness_beta=LOGISTIC_BETA
+    ),
+    "square": lambda: LossSpec(
+        "square", _vectorized(_square), is_convex=True, smoothness_beta=SQUARE_BETA
+    ),
+    "hinge": lambda: LossSpec("hinge", _vectorized(_hinge), is_convex=True),
+    "zero_one": lambda: LossSpec(
+        "zero_one", _vectorized(_zero_one), is_convex=False, discontinuities=((0.0, 1.0),)
+    ),
+    "clipped_logistic": _clipped_logistic,
+    "spring": _spring,
+}
 
-
-BUILTIN_NAMES = (
-    "exponential",
-    "logistic",
-    "square",
-    "hinge",
-    "zero_one",
-    "clipped_logistic",
-    "spring",
-)
+BUILTIN_NAMES = tuple(_BUILTINS)
 
 # User-registered loss factories: name -> callable(**params) -> LossSpec.
 _REGISTRY: dict[str, Callable[..., LossSpec]] = {}
@@ -201,16 +176,15 @@ def registered_names() -> tuple[str, ...]:
 
 def make_builtin(name: str, **params) -> LossSpec:
     """Resolve a loss by name: builtins first, then registered factories."""
-    params = dict(params)
-    try:
-        spec = _builtin_specs(name, params)
-    except KeyError:
+    factory = _BUILTINS.get(name)
+    if factory is None:
         if name in _REGISTRY:
             return _REGISTRY[name](**params)
-        raise ConfigError(f"unknown loss {name!r}") from None
-    if params:
-        raise ConfigError(f"loss {name!r} does not take parameters {sorted(params)}")
-    return spec
+        raise ConfigError(f"unknown loss {name!r}")
+    unknown = params.keys() - inspect.signature(factory).parameters.keys()
+    if unknown:
+        raise ConfigError(f"loss {name!r} does not take parameters {sorted(unknown)}")
+    return factory(**params)
 
 
 def table_loss(name: str, zs: Sequence[float], values: Sequence[float]) -> LossSpec:

@@ -15,18 +15,18 @@ from .bregman import offset_feasible, ticks
 
 __all__ = [
     "DEFAULT_PRECISION_Z",
-    "DEFAULT_MAX_RETRIES",
+    "MAX_RETRIES",
     "find_offset",
     "sanitize_offset",
 ]
 
 DEFAULT_PRECISION_Z = 64
-DEFAULT_MAX_RETRIES = 5
+# Restarts at 4x resolution before the oracle gives up on an example.
+MAX_RETRIES = 5
 
 
 def find_offset(
-    F, e_t: float, e_prev: float, z_limit: float, precision_Z: int = DEFAULT_PRECISION_Z,
-    max_retries: int = DEFAULT_MAX_RETRIES,
+    F, e_t: float, e_prev: float, z_limit: float, precision_Z: int = DEFAULT_PRECISION_Z
 ) -> float | None:
     """Scan for a feasible offset between the edges; None when none is found.
 
@@ -37,21 +37,19 @@ def find_offset(
     kept — minimal slope when scanning rightward, maximal when scanning
     leftward, first extremum winning ties so the offset stays as short as
     possible.  The winner is accepted iff its worst chord distortion fits the
-    budget; otherwise the scan restarts at 4x resolution, up to max_retries
+    budget; otherwise the scan restarts at 4x resolution, up to MAX_RETRIES
     restarts.  Returned offsets are nonzero and carry the sign of e_prev - e_t.
     """
     if not z_limit > 0.0:
         raise ValueError(f"z_limit must be positive, got {z_limit}")
     if precision_Z < 2:
         raise ValueError(f"precision_Z must be >= 2, got {precision_Z}")
-    if max_retries < 1:
-        raise ValueError(f"max_retries must be >= 1, got {max_retries}")
     if e_t == e_prev:
         raise ValueError("equal edges: caller must fall back to the previous offset")
     e_t, e_prev = float(e_t), float(e_prev)
     f_et = float(F(e_t))
     Z = int(precision_Z)
-    for _ in range(max_retries + 1):
+    for _ in range(MAX_RETRIES + 1):
         delta = (e_prev - e_t) / Z
         z_cand = e_t + delta * ticks(Z)[1:]
         gap = z_cand - e_t

@@ -8,7 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import logistic_nan_below, logistic_nan_between, logistic_then, separable_dataset
+from conftest import logistic_nan_below, logistic_hole, logistic_then, separable_dataset
 from secantboost import (
     BoostConfig,
     BoostIterState,
@@ -301,8 +301,17 @@ class TestNonFiniteLoss:
     def test_nan_between_finite_edges_raises(self, is_convex):
         """Margins step over the NaN hole, so only the chord-gap grid sees it;
         the run must name the hole, not stop as offsets_infeasible."""
-        F = logistic_nan_between(0.30, 0.31, is_convex=is_convex)
+        F = logistic_hole(0.30, 0.31, is_convex=is_convex)
         with pytest.raises(ConfigError, match=f"loss '{F.name}' returned nan at z=") as exc:
+            run(F, separable_dataset(m=120, seed=3), T=30)
+        z = float(str(exc.value).split("z=")[1].split(";")[0])
+        assert 0.30 < z < 0.31
+
+    def test_inf_between_finite_edges_raises(self):
+        """An inf hole makes a -inf chord gap, which the grid maximum passes
+        over; the run must name the hole, not end as completed."""
+        F = logistic_hole(0.30, 0.31, bad=math.inf)
+        with pytest.raises(ConfigError, match=f"loss '{F.name}' returned inf at z=") as exc:
             run(F, separable_dataset(m=120, seed=3), T=30)
         z = float(str(exc.value).split("z=")[1].split(";")[0])
         assert 0.30 < z < 0.31

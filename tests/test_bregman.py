@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import logistic_nan_between, logistic_then
+from conftest import logistic_hole, logistic_then
 from secantboost import (
     ConfigError,
     LossSpec,
@@ -165,9 +165,20 @@ class TestOffsetFeasible:
     def test_nan_between_finite_edges_raises(self, is_convex):
         # NaN compares false with any budget, so an unchecked NaN distortion
         # would read as "infeasible" and stop the run under the wrong cause.
-        F = logistic_nan_between(0.30, 0.31, is_convex=is_convex)
+        F = logistic_hole(0.30, 0.31, is_convex=is_convex)
         assert np.isfinite(F(np.array([0.0, 0.5, 1.0]))).all()
         with pytest.raises(ConfigError, match=f"loss '{F.name}' returned nan at z=") as exc:
+            offset_feasible(F, 0.0, 1.0, 0.5, z_limit=1.0)
+        z = float(str(exc.value).split("z=")[1].split(";")[0])
+        assert 0.30 < z < 0.31
+
+    @pytest.mark.parametrize("is_convex", [False, True])
+    def test_inf_between_finite_edges_raises(self, is_convex):
+        # inf in the loss is -inf in the chord gap, which a plain grid maximum
+        # passes over: the offset would read as feasible.
+        F = logistic_hole(0.30, 0.31, is_convex=is_convex, bad=math.inf)
+        assert math.isnan(q_star(F, 0.0, 1.0, 0.5))
+        with pytest.raises(ConfigError, match=f"loss '{F.name}' returned inf at z=") as exc:
             offset_feasible(F, 0.0, 1.0, 0.5, z_limit=1.0)
         z = float(str(exc.value).split("z=")[1].split(";")[0])
         assert 0.30 < z < 0.31

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import secantboost.losses as losses_module
-from conftest import logistic_nan_below, logistic_nan_between, logistic_then, separable_dataset
+from conftest import logistic_nan_below, logistic_hole, logistic_then, separable_dataset
 from secantboost import LossSpec, make_builtin
 from secantboost.cli import (
     EXIT_CONFIG,
@@ -124,15 +124,95 @@ class TestTrain:
         data = tmp_path / "separable.csv"
         data.write_text("a,b,label\n" + "\n".join(rows) + "\n")
         monkeypatch.setattr(losses_module, "_REGISTRY", {})
-        losses_module.register_loss("holed", lambda: logistic_nan_between(0.30, 0.31))
+        losses_module.register_loss("holed", lambda: logistic_hole(0.30, 0.31))
         code = main(["train", "--loss", "holed", "-T", "30", str(data), str(tmp_path / "o")])
         assert code == EXIT_CONFIG
         err = capsys.readouterr().err
         assert "returned nan at z=" in err
         assert 0.30 < float(err.split("z=")[1].split(";")[0]) < 0.31
 
+    def test_inf_between_finite_edges_exits_2(self, tmp_path, capsys, monkeypatch):
+        S = separable_dataset(m=120, seed=3)
+        rows = [f"{a!r},{b!r},{int(y)}" for a, b, y in zip(*S.columns, S.labels.tolist())]
+        data = tmp_path / "separable.csv"
+        data.write_text("a,b,label\n" + "\n".join(rows) + "\n")
+        monkeypatch.setattr(losses_module, "_REGISTRY", {})
+        # No margin of this run lands in (0.40, 0.41); only a chord-gap grid crosses it.
+        losses_module.register_loss("inf_holed", lambda: logistic_hole(0.40, 0.41, bad=math.inf))
+        code = main(["train", "--loss", "inf_holed", "-T", "30", str(data), str(tmp_path / "o")])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "returned inf at z=" in err
+        assert 0.40 < float(err.split("z=")[1].split(";")[0]) < 0.41
+
+
+@pytest.fixture()
+def trained_model(tmp_path, train_csv, capsys):
+    out = tmp_path / "run"
+    assert main(["train", "-T", "2", train_csv, str(out)]) == EXIT_OK
+    capsys.readouterr()
+    return out / "model.json"
+
+
+_DROP = object()
+
+
+def _edit(*keys, value=_DROP):
+    """An edit of a model payload: set the item at the key path, or drop it."""
+
+    def edit(payload):
+        node = payload
+        for key in keys[:-1]:
+            node = node[key]
+        if value is _DROP:
+            del node[keys[-1]]
+        else:
+            node[keys[-1]] = value
+        return payload
+
+    return edit
+
+
+# Structurally malformed models: eval exits 3.
+MALFORMED_MODELS = {
+    "not_an_object": lambda payload: [payload],
+    "no_features": _edit("features"),
+    "no_terms": _edit("terms"),
+    "no_left": _edit("terms", 0, "tree", "left"),
+    "feature_not_an_object": _edit("features", 0, value="a"),
+    "feature_index_too_large": _edit("terms", 0, "tree", "feature", value=2),
+    "feature_index_negative": _edit("terms", 0, "tree", "feature", value=-1),
+    "h0_not_a_number": _edit("h0", value="x"),
+}
+
+# Models whose config a RunConfig does not accept: eval exits 2.
+BAD_MODEL_CONFIGS = {
+    "unknown_key": _edit("config", "extra", value=1),
+    "mistyped_T": _edit("config", "T", value="2"),
+    "mistyped_loss_params": _edit("config", "loss_params", value=[1]),
+    "not_an_object": _edit("config", value=5),
+}
+
 
 class TestEval:
+    @pytest.mark.parametrize("edit", MALFORMED_MODELS.values(), ids=MALFORMED_MODELS)
+    def test_malformed_model_exits_3(self, trained_model, train_csv, capsys, edit):
+        trained_model.write_text(json.dumps(edit(json.loads(trained_model.read_text()))))
+        assert main(["eval", str(trained_model), train_csv]) == EXIT_DATA
+        assert "data error: model" in capsys.readouterr().err
+
+    def test_too_deeply_nested_model_exits_3(self, tmp_path, train_csv, capsys):
+        model = tmp_path / "model.json"
+        model.write_text("[" * 5000 + "]" * 5000)  # valid JSON that json.load cannot recurse into
+        assert main(["eval", str(model), train_csv]) == EXIT_DATA
+        assert "data error: model" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit", BAD_MODEL_CONFIGS.values(), ids=BAD_MODEL_CONFIGS)
+    def test_bad_model_config_exits_2(self, trained_model, train_csv, capsys, edit):
+        trained_model.write_text(json.dumps(edit(json.loads(trained_model.read_text()))))
+        assert main(["eval", str(trained_model), train_csv]) == EXIT_CONFIG
+        assert "config error:" in capsys.readouterr().err
+
     def test_round_trip_matches_final_telemetry(self, tmp_path, train_csv, capsys):
         out = tmp_path / "run"
         assert main(["train", "-T", "5", "--seed", "3", train_csv, str(out)]) == EXIT_OK
@@ -296,6 +376,7 @@ class TestConfigResolution:
     def test_bad_env_seed_exits_2(self, tmp_path, train_csv, monkeypatch):
         monkeypatch.setenv(SEED_ENV_VAR, "not-a-number")
         assert main(["train", train_csv, str(tmp_path / "o")]) == EXIT_CONFIG
+        assert main(["losses", "--steps", "3"]) == EXIT_CONFIG
 
     def test_runconfig_validation(self):
         with pytest.raises(ConfigError):
@@ -342,7 +423,7 @@ class TestConfigTypes:
         argv = ["train", "--config", str(cfg_path), "--loss-param", "Q=2", train_csv, "o"]
         assert main(argv) == EXIT_CONFIG
 
-    @pytest.mark.parametrize("text", ["5", "[]", "null"])
+    @pytest.mark.parametrize("text", ["5", "[]", "null", pytest.param("[" * 5000 + "]" * 5000, id="deep")])
     def test_non_object_config_exits_2(self, tmp_path, train_csv, text):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(text)

@@ -160,6 +160,9 @@ class TestRegistry:
     def test_parameterless_builtin_rejects_params(self):
         with pytest.raises(ConfigError, match="does not take parameters"):
             make_builtin("logistic", q=1.0)
+        for name in BUILTIN_NAMES:
+            with pytest.raises(ConfigError, match=r"does not take parameters \['nope'\]"):
+                make_builtin(name, nope=1.0)
 
     def test_register_and_resolve(self, monkeypatch):
         monkeypatch.setattr(losses_module, "_REGISTRY", {})

@@ -19,14 +19,15 @@ from secantboost import (
     table_loss,
 )
 from secantboost.bregman import DEFAULT_GRID, REFINE_FACTOR, REFINE_MARGIN, _grid
-from secantboost.offsets import DEFAULT_MAX_RETRIES, DEFAULT_PRECISION_Z
+from secantboost.offsets import DEFAULT_PRECISION_Z, MAX_RETRIES
 
 
 class TestFindOffset:
     def test_defaults(self):
         params = inspect.signature(find_offset).parameters
         assert params["precision_Z"].default == DEFAULT_PRECISION_Z == 64
-        assert params["max_retries"].default == DEFAULT_MAX_RETRIES == 5
+        assert "max_retries" not in params
+        assert MAX_RETRIES == 5
 
     def test_validation(self):
         F = make_builtin("logistic")
@@ -34,8 +35,6 @@ class TestFindOffset:
             find_offset(F, 0.0, 1.0, z_limit=0.0)
         with pytest.raises(ValueError, match="precision_Z"):
             find_offset(F, 0.0, 1.0, z_limit=0.1, precision_Z=1)
-        with pytest.raises(ValueError, match="max_retries"):
-            find_offset(F, 0.0, 1.0, z_limit=0.1, max_retries=0)
         with pytest.raises(ValueError, match="equal edges"):
             find_offset(F, 0.5, 0.5, z_limit=0.1)
 
@@ -102,7 +101,7 @@ class TestFindOffset:
         # decision grid.
         F = make_builtin("spring", Q=40.0)
         z_limit = 1e-4
-        v = find_offset(F, 0.0, 0.5, z_limit, precision_Z=2, max_retries=6)
+        v = find_offset(F, 0.0, 0.5, z_limit, precision_Z=2)
         assert v is not None
         assert q_star(F, 0.0, 0.5, v, grid_points=512) <= z_limit
         # The accepted offset is not the Z=2 candidate, so at least one
@@ -116,7 +115,7 @@ class TestFindOffset:
         # even the shortest candidate at the final retry resolution exceeds
         # a budget below float-visible scales and the scan gives up.
         F = make_builtin("square")
-        assert find_offset(F, 0.0, 1.0, z_limit=1e-12, max_retries=2) is None
+        assert find_offset(F, 0.0, 1.0, z_limit=1e-12) is None
 
 
 def find_offset_convex_dichotomic(F, e_t: float, e_prev: float, z_limit: float) -> float | None:
@@ -296,7 +295,6 @@ def _oracle_requests():
         e_t = float(rng.uniform(-2.0, 2.0))
         sign = float(rng.choice([-1.0, 1.0]))
         Z = int(rng.choice([4, 8, 64]))
-        retries = int(rng.choice([2, DEFAULT_MAX_RETRIES]))
         if kind == "ulps":
             k = int(rng.choice([1, 2, 3, 5, 17, 40]))
             e_prev = e_t
@@ -312,10 +310,10 @@ def _oracle_requests():
         elif kind == "refine":
             # Put the budget within REFINE_MARGIN of the first pass's
             # distortion, so the decision is re-taken on the finer grid.
-            v0 = _ref_find_offset(F, e_t, e_prev, 1e300, Z, retries)
+            v0 = _ref_find_offset(F, e_t, e_prev, 1e300, Z, MAX_RETRIES)
             q0 = _ref_q_star(F, e_t, e_prev, v0)
             z_limit = max(q0 + float(rng.uniform(-0.9, 0.9)) * REFINE_MARGIN, 1e-300)
-        yield kind, F, (e_t, e_prev, z_limit, Z, retries)
+        yield kind, F, (e_t, e_prev, z_limit, Z)
 
 
 def _certified(F, new_log, ref_log) -> bool:
@@ -346,10 +344,10 @@ class TestOracleMatchesReference:
         decided = {"certified": 0, "grid": 0}
         convexities = set()
         for kind, F, req in _oracle_requests():
-            e_t, e_prev, z_limit, Z, retries = req
+            e_t, e_prev, z_limit, Z = req
             new, ref = _Recorder(F), _Recorder(F)
             got = find_offset(new.loss, *req)
-            want = _ref_find_offset(ref.loss, *req)
+            want = _ref_find_offset(ref.loss, *req, MAX_RETRIES)
             assert (got is None and want is None) or got == want, (kind, req)
             certified = _certified(F, new.log, ref.log)
             assert not certified or want is not None, (kind, req)
