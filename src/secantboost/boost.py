@@ -18,6 +18,7 @@ import numpy as np
 
 from .errors import ConfigError, ConstantLossError, DiscontinuityCollisionError
 from .leverage import (
+    _DELTA_INIT,
     LeveragingResult,
     alpha_from_smoothness,
     epsilon_from,
@@ -25,8 +26,7 @@ from .leverage import (
     second_order_mean,
     w2_from_alpha,
 )
-from .losses import finite_values
-from .offsets import find_offset, sanitize_offset
+from .offsets import DEFAULT_PRECISION_Z, find_offset, sanitize_offset
 from .trees import WeakHypothesis, nonzero_shift, train_tree
 from .vderiv import secant_slopes, v_derivative
 
@@ -96,9 +96,9 @@ class Ensemble:
 @dataclass
 class BoostConfig:
     max_nodes: int = 1
-    delta_init: float = 1.0
+    delta_init: float = _DELTA_INIT
     epsilon: float = 0.1  # smoothness-route slack
-    precision_Z: int = 64
+    precision_Z: int = DEFAULT_PRECISION_Z
     seed: int = 0
     record_vectors: bool = False
 
@@ -149,13 +149,12 @@ def initialize(F, S):
     """Pick (h0, v0) with a nonzero chord slope and broadcast the first weights.
 
     If every probed chord is flat the loss is constant on the probe set and
-    there is nothing to fit.  A chord slope or initial loss that is not finite
-    is a broken loss: ConfigError, naming the loss and the abscissa.
+    there is nothing to fit.  A chord slope that overflows is a ConfigError
+    naming the chord (a non-finite loss value raises where F is called).
     """
     for v0, h0 in itertools.product(V0_GRID, H0_GRID):
         d = v_derivative(F, h0, v0)
         if not np.isfinite(d):
-            finite_values(F, np.array([h0, h0 + v0]))
             raise ConfigError(
                 f"loss {F.name!r} has chord slope {d!r} between z={h0!r} and z={h0 + v0!r}"
             )
@@ -170,7 +169,7 @@ def initialize(F, S):
         weights=np.full(S.m, -d, dtype=np.float64),
         offsets=np.full(S.m, v0, dtype=np.float64),
         edges_tilde=margins0,
-        train_loss=float(np.mean(finite_values(F, margins0))),
+        train_loss=float(np.mean(F(margins0))),
         train_err=float(np.mean(margins0 <= 0.0)),
     )
     return Ensemble(h0=h0), state
@@ -213,7 +212,7 @@ def _leverage(F, y, hv, margins, loss_prev, eta, M, route, alpha, certify):
         if cert is not None:
             w2_bar, eps = cert
             margins_new = margins + alpha * y * hv
-            loss = float(np.mean(finite_values(F, margins_new)))
+            loss = float(np.mean(F(margins_new)))
             bound = _decrease_bound(eta, alpha, eps, M, w2_bar)
             if loss_prev - loss >= bound - GUARD_SLACK:
                 pi = max(PI, 1.0 - 0.5**halvings) if route == "smoothness" else None

@@ -16,7 +16,6 @@ import math
 import numpy as np
 
 from .errors import ConfigError
-from .losses import finite_values
 from .vderiv import v_derivative
 
 __all__ = [
@@ -82,7 +81,7 @@ def obi(
     a convex loss declaring beta, beta*(b-a)**2/8 plus ~32 ulps of rounding
     bounds the gap on the whole continuum; that certificate is returned without
     a grid when certify_below - cert >= REFINE_MARGIN (the default -inf: never).
-    A grid value where F is not finite makes the result NaN or inf.
+    A grid point where the loss is NaN or inf raises ConfigError (calling F checks).
     """
     if grid_points < 2:
         raise ValueError(f"grid_points must be >= 2, got {grid_points}")
@@ -104,8 +103,7 @@ def obi(
     gap *= slope
     gap += fa
     gap -= F(xs)
-    # max() passes over the -inf gap where F is +inf.
-    return float(gap.max()) if gap.min() > -math.inf else math.nan
+    return float(gap.max())
 
 
 def q_star(
@@ -118,6 +116,7 @@ def q_star(
     segment runs from z to zp.  Together with bregman_secant this gives the
     guarantee B(zp || z) >= -q_star(z, zp, v), also when a certificate at least
     REFINE_MARGIN below certify_below stands in for the grid maximum (see obi).
+    A loss value that is not finite on the grid raises ConfigError (see obi).
     """
     b = float(z + v)
     return obi(F, float(z), b, b if F.is_convex else float(zp), grid_points, certify_below)
@@ -127,9 +126,9 @@ def offset_feasible(F, e_t: float, e_prev: float, v: float, z_limit: float) -> b
     """Does the offset v at e_t keep the worst chord distortion within budget?
 
     Borderline calls (within REFINE_MARGIN of the budget) are re-decided on a
-    REFINE_FACTOR-times finer grid.  A distortion that is not finite (the loss
-    is NaN between the edges, or the chord arithmetic overflowed) raises
-    ConfigError naming the loss.
+    REFINE_FACTOR-times finer grid.  A distortion that is not finite although
+    every loss value was (the chord arithmetic overflowed) raises ConfigError
+    naming the loss.
     """
     if not z_limit > 0.0:
         raise ValueError(f"z_limit must be positive, got {z_limit}")
@@ -139,9 +138,6 @@ def offset_feasible(F, e_t: float, e_prev: float, v: float, z_limit: float) -> b
         grid_points *= REFINE_FACTOR
         q = q_star(F, e_t, e_prev, v, grid_points)
     if not math.isfinite(q):
-        # Name the first non-finite loss value on the segment, if there is one.
-        c = e_t + v if F.is_convex else e_prev
-        finite_values(F, np.append(_grid(*sorted((e_t, c)), grid_points), e_t + v))
         raise ConfigError(
             f"loss {F.name!r}: chord distortion {q!r} for the offset {v!r} at z={e_t!r}; "
             "the loss is finite there but the chord arithmetic overflowed"

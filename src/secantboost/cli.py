@@ -3,7 +3,7 @@
 Configuration comes from an optional JSON file plus flag overrides; the seed
 default can also arrive through the SECANTBOOST_SEED environment variable.
 Exit codes: 0 ok, 2 config, 3 data/I-O, 4 constant loss, 5 discontinuity
-collision.
+collision (a jump point not avoided, or no step after 200 halvings).
 """
 
 from __future__ import annotations
@@ -56,13 +56,13 @@ class RunConfig:
     loss_params: dict[str, float] = field(default_factory=dict)
     loss_table: str | None = None
     T: int = 50
-    max_nodes: int = 1
-    delta_init: float = 1.0
-    epsilon: float = 0.1
-    precision_Z: int = 64
+    max_nodes: int = boost.BoostConfig.max_nodes
+    delta_init: float = boost.BoostConfig.delta_init
+    epsilon: float = boost.BoostConfig.epsilon
+    precision_Z: int = boost.BoostConfig.precision_Z
     noise_eta: float = 0.0
     folds: int = 10
-    seed: int = 0
+    seed: int = boost.BoostConfig.seed
     label_col: str | int = "label"
     categorical: list[str] = field(default_factory=list)
 
@@ -196,9 +196,8 @@ def cmd_train(cfg: RunConfig, data_path: str, out_dir: str) -> int:
     ens, rows = boost.run(F, S, cfg.T, build_boost_config(cfg))
     with open(os.path.join(out_dir, "telemetry.csv"), "w", encoding="utf-8") as fh:
         boost.telemetry_to_csv(rows, fh)
-    if rows and rows[0].constant_loss:
-        print("constant loss: stopped at t=1 with zero weights", file=sys.stderr)
-        return EXIT_CONSTANT_LOSS
+    if rows[0].constant_loss:
+        raise ConstantLossError("stopped at t=1 with zero weights")
     save_model(os.path.join(out_dir, "model.json"), ens, cfg, S)
     last = rows[-1]
     print(
@@ -281,6 +280,8 @@ def cmd_cv(cfg: RunConfig, data_path: str, out_dir: str) -> int:
         path = os.path.join(out_dir, f"fold_{fold:02d}_telemetry.csv")
         with open(path, "w", encoding="utf-8") as fh:
             boost.telemetry_to_csv(rows, fh)
+    if fold_rows[0][0].constant_loss:
+        raise ConstantLossError("every fold stopped at t=1 with zero weights")
     curve_path = os.path.join(out_dir, "cv_curves.csv")
     with open(curve_path, "w", encoding="utf-8") as fh:
         header = ["t"] + [f"fold_{j:02d}" for j in range(cfg.folds)] + ["mean_test_err"]
@@ -298,12 +299,13 @@ def cmd_losses(cfg: RunConfig, lo: float, hi: float, steps: int, out: str | None
     if not hi > lo:
         raise ConfigError(f"need hi > lo, got [{lo}, {hi}]")
     F = build_loss(cfg)
-    zs = np.linspace(lo, hi, steps)
+    zs = np.linspace(lo, hi, steps).tolist()
+    values = [float(F(z)) for z in zs]  # a non-finite value raises before any output
     fh = open(out, "w", encoding="utf-8") if out else sys.stdout
     try:
         fh.write("z,F\n")
-        for z in zs:
-            fh.write(f"{float(z)!r},{float(F(float(z)))!r}\n")
+        for z, value in zip(zs, values):
+            fh.write(f"{z!r},{value!r}\n")
     finally:
         if out:
             fh.close()

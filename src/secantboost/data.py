@@ -112,9 +112,9 @@ def load_csv(path, label_column="label", force_categorical: Sequence[str] = ()) 
     """Read a header-ed CSV into a Dataset.
 
     label_column may be a header name or an integer index.  A feature column
-    is numeric iff every value parses as a finite number; names listed in
-    force_categorical stay categorical regardless.  Missing values (empty
-    cells) and short rows are rejected.
+    is numeric iff every value parses as a finite number; names or indices in
+    force_categorical stay categorical (DataError if one matches no column).
+    Missing values (empty cells) and short rows are rejected.
     """
     try:
         with open(path, newline="", encoding="utf-8") as fh:
@@ -163,6 +163,8 @@ def load_csv(path, label_column="label", force_categorical: Sequence[str] = ()) 
     names = []
     kinds = []
     forced = {str(name) for name in force_categorical}
+    if unknown := sorted(forced - set(header) - {str(j) for j in range(width)}):
+        raise DataError(f"categorical columns {unknown} not in header {header}")
     for j in range(width):
         if j == label_idx:
             continue

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DiscontinuityCollisionError
-from .losses import finite_values
 from .offsets import sanitize_offset
 from .vderiv import secant_slopes
 
@@ -32,9 +31,10 @@ __all__ = [
     "alpha_from_smoothness",
 ]
 
-# Halving from delta_init = 1.0 two hundred times reaches ~1e-60; a loss that
-# is continuous at every edge must accept long before that, so running out is
-# treated as a discontinuity sitting exactly on an edge.
+# Halving from the default start _DELTA_INIT two hundred times reaches ~1e-60;
+# a loss that is continuous at every edge must accept long before that, so
+# running out is treated as a discontinuity sitting exactly on an edge.
+_DELTA_INIT = 1.0
 HALVING_CAP = 200
 
 _W_FALLBACK_CAP = 2000
@@ -93,7 +93,7 @@ def find_alpha(
     w,
     h,
     v_prev,
-    delta_init: float = 1.0,
+    delta_init: float = _DELTA_INIT,
     *,
     margins_prev=None,
     h_values=None,
@@ -122,9 +122,6 @@ def find_alpha(
             F, S, H_prev, h, v_prev, alpha, margins_prev=margins_prev, h_values=hv
         )
         eta_trial = edge(trial, S, h, h_values=hv)
-        if not np.isfinite(eta_trial):
-            z = alpha * np.asarray(S.labels, dtype=np.float64) * hv + margins_prev
-            finite_values(F, np.concatenate([z, z + np.asarray(v_prev, dtype=np.float64)]))
         if abs(eta - eta_trial) < abs(eta):
             return alpha
         delta /= 2.0

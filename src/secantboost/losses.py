@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import inspect
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
@@ -27,7 +28,6 @@ __all__ = [
     "load_table_loss",
     "empirical_loss",
     "inject_label_noise",
-    "finite_values",
     "LOGISTIC_BETA",
     "SQUARE_BETA",
 ]
@@ -47,6 +47,8 @@ class LossSpec:
     """A loss function plus the metadata the boosting stack consumes.
 
     evaluate must accept floats and numpy arrays and be finite on all of R.
+    Calling the spec checks this on every value: a NaN or inf raises ConfigError
+    naming its abscissa (only find_offset's candidate scan reads evaluate raw).
     A declared smoothness_beta (finite, > 0) promises that every secant
     curvature is <= beta: the smoothness route and the chord-gap certificate rely on it.
     A certified chord-gap decision trusts beta on the segment's interior and
@@ -68,7 +70,15 @@ class LossSpec:
             raise ConfigError(f"loss {self.name!r}: need 0 < smoothness_beta < inf, got {beta}")
 
     def __call__(self, z):
-        return self.evaluate(z)
+        out = self.evaluate(z)
+        if math.isfinite(out) if type(out) is float else np.isfinite(out).all():
+            return out
+        values = np.ravel(out)
+        i = int(np.argmin(np.isfinite(values)))
+        raise ConfigError(
+            f"loss {self.name!r} returned {float(values[i])!r} at z={float(np.ravel(z)[i])!r}; "
+            "a loss must be finite on all of R"
+        )
 
     @property
     def disc(self) -> float:
@@ -237,22 +247,6 @@ def _is_number(token: str) -> bool:
     except ValueError:
         return False
     return True
-
-
-def finite_values(F: LossSpec, z: np.ndarray) -> np.ndarray:
-    """F(z) for an array z; ConfigError at the first z where F is not finite.
-
-    Unchecked, step halving would absorb a NaN or inf or blame a discontinuity.
-    """
-    values = F(z)
-    bad = ~np.isfinite(values)
-    if np.any(bad):
-        i = int(np.argmax(bad))
-        raise ConfigError(
-            f"loss {F.name!r} returned {float(values[i])!r} at z={float(z[i])!r}; "
-            "a loss must be finite on all of R"
-        )
-    return values
 
 
 def empirical_loss(F: LossSpec, S, H) -> float:

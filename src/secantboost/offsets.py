@@ -60,7 +60,10 @@ def find_offset(
             z_cand = z_cand[inside]
             gap = gap[inside]
         if z_cand.size:
-            slopes = (np.asarray(F(z_cand), dtype=np.float64) - f_et) / gap
+            # The one unchecked loss call (checking costs several percent of a
+            # logistic stumps run): a NaN or -inf can win the pick, and then
+            # offset_feasible's checked call raises; a +inf never wins.
+            slopes = (np.asarray(F.evaluate(z_cand), dtype=np.float64) - f_et) / gap
             pick = int(slopes.argmin()) if delta > 0 else int(slopes.argmax())
             v = float(gap[pick])
             if v != 0.0 and offset_feasible(F, e_t, e_prev, v, z_limit):

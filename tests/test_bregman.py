@@ -177,7 +177,8 @@ class TestOffsetFeasible:
         # inf in the loss is -inf in the chord gap, which a plain grid maximum
         # passes over: the offset would read as feasible.
         F = logistic_hole(0.30, 0.31, is_convex=is_convex, bad=math.inf)
-        assert math.isnan(q_star(F, 0.0, 1.0, 0.5))
+        with pytest.raises(ConfigError, match="returned inf at z="):
+            q_star(F, 0.0, 1.0, 0.5)
         with pytest.raises(ConfigError, match=f"loss '{F.name}' returned inf at z=") as exc:
             offset_feasible(F, 0.0, 1.0, 0.5, z_limit=1.0)
         z = float(str(exc.value).split("z=")[1].split(";")[0])

@@ -12,7 +12,7 @@ import pytest
 
 import secantboost.losses as losses_module
 from conftest import logistic_nan_below, logistic_hole, logistic_then, separable_dataset
-from secantboost import LossSpec, make_builtin
+from secantboost import BoostConfig, LossSpec, make_builtin
 from secantboost.cli import (
     EXIT_CONFIG,
     EXIT_CONSTANT_LOSS,
@@ -21,6 +21,7 @@ from secantboost.cli import (
     SEED_ENV_VAR,
     RunConfig,
     _config_from_args,
+    build_boost_config,
     build_parser,
     load_model,
     main,
@@ -81,6 +82,11 @@ class TestTrain:
         assert telemetry[1].split(",")[0] == "1"
         assert telemetry[1].split(",")[-1] == "zero_weights"
         assert not (out / "model.json").exists()
+
+    def test_unknown_categorical_column_exits_3(self, tmp_path, train_csv, capsys):
+        code = main(["train", "--categorical", "nosuch", train_csv, str(tmp_path / "o")])
+        assert code == EXIT_DATA
+        assert "categorical columns ['nosuch'] not in header" in capsys.readouterr().err
 
     def test_missing_data_exits_3(self, tmp_path):
         code = main(["train", str(tmp_path / "nope.csv"), str(tmp_path / "out")])
@@ -233,6 +239,21 @@ class TestEval:
         other.write_text("c,label\n1,1\n2,-1\n")
         assert main(["eval", str(out / "model.json"), str(other)]) == EXIT_DATA
 
+    def test_non_finite_loss_at_a_margin_exits_2(
+        self, trained_model, train_csv, capsys, monkeypatch
+    ):
+        # logistic_then(nan) is NaN above z = 0.3, where some margins of the
+        # trained model lie.
+        monkeypatch.setattr(losses_module, "_REGISTRY", {})
+        losses_module.register_loss("broken", lambda: logistic_then(math.nan))
+        edit = _edit("config", "loss", value="broken")
+        trained_model.write_text(json.dumps(edit(json.loads(trained_model.read_text()))))
+        assert main(["eval", str(trained_model), train_csv]) == EXIT_CONFIG
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "returned nan at z=" in err
+        assert float(err.split("z=")[1].split(";")[0]) > 0.3
+
     def test_missing_model_exits_3(self, tmp_path, train_csv):
         assert main(["eval", str(tmp_path / "no.json"), train_csv]) == EXIT_DATA
 
@@ -291,6 +312,20 @@ class TestCv:
         assert a == (out2 / "cv_curves.csv").read_bytes()
         assert a != (out3 / "cv_curves.csv").read_bytes()
 
+    def test_constant_loss_exits_4(self, tmp_path, train_csv, flat_loss_csv, capsys):
+        out = tmp_path / "cv"
+        code = main(["cv", "--loss-table", flat_loss_csv, "--folds", "3", train_csv, str(out)])
+        assert code == EXIT_CONSTANT_LOSS
+        stdout, err = capsys.readouterr()
+        assert "constant loss" in err
+        # Each fold's telemetry documents the degenerate stop; no curves, no summary.
+        for j in range(3):
+            telemetry = (out / f"fold_{j:02d}_telemetry.csv").read_text().strip().split("\n")
+            assert len(telemetry) == 2
+            assert telemetry[1].split(",")[-1] == "zero_weights"
+        assert not (out / "cv_curves.csv").exists()
+        assert stdout == ""
+
     def test_invalid_noise_exits_2(self, tmp_path, train_csv):
         code = main(
             ["cv", "--noise-eta", "1.0", train_csv, str(tmp_path / "cv")]
@@ -320,6 +355,15 @@ class TestLossesCommand:
         lines = capsys.readouterr().out.strip().split("\n")
         assert lines[0] == "z,F"
         assert len(lines) == 4
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered in exp:RuntimeWarning")
+    def test_non_finite_value_exits_2(self, capsys):
+        # exp(800) overflows float64.
+        code = main(["losses", "--loss", "exponential", "--lo", "-800", "--hi", "-700"])
+        assert code == EXIT_CONFIG
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "loss 'exponential' returned inf at z=-800.0;" in err
 
     def test_bad_range_exits_2(self):
         assert main(["losses", "--lo", "1", "--hi", "0"]) == EXIT_CONFIG
@@ -377,6 +421,9 @@ class TestConfigResolution:
         monkeypatch.setenv(SEED_ENV_VAR, "not-a-number")
         assert main(["train", train_csv, str(tmp_path / "o")]) == EXIT_CONFIG
         assert main(["losses", "--steps", "3"]) == EXIT_CONFIG
+
+    def test_booster_defaults_come_from_boost_config(self):
+        assert build_boost_config(RunConfig()) == BoostConfig()
 
     def test_runconfig_validation(self):
         with pytest.raises(ConfigError):

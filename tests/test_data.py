@@ -99,6 +99,17 @@ class TestLoadCsv:
         assert S.feature_types == ("categorical",)
         np.testing.assert_array_equal(S.columns[0], ["1", "2"])
 
+    def test_force_categorical_by_index(self, tmp_path):
+        path = _write(tmp_path, "a,b,label\n1,3,1\n2,4,-1\n")
+        S = load_csv(path, force_categorical=("1",))
+        assert S.feature_types == ("numeric", "categorical")
+
+    @pytest.mark.parametrize("name", ["nosuch", "3", "-1"])
+    def test_force_categorical_unknown_column_rejected(self, tmp_path, name):
+        path = _write(tmp_path, "a,b,label\n1,3,1\n2,4,-1\n")
+        with pytest.raises(DataError, match=rf"categorical columns \['{name}'\] not in header"):
+            load_csv(path, force_categorical=(name,))
+
     def test_mixed_column_becomes_categorical(self, tmp_path):
         path = _write(tmp_path, "a,label\n1,1\nx,-1\n")
         S = load_csv(path)

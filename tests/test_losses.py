@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import secantboost.losses as losses_module
+from conftest import logistic_hole
 from secantboost import (
     Ensemble,
     dataset_from_numeric,
@@ -16,8 +17,11 @@ from secantboost import (
     inject_label_noise,
     load_table_loss,
     make_builtin,
+    partial_weights,
     register_loss,
     registered_names,
+    second_order_mean,
+    secant_slopes,
     table_loss,
 )
 from secantboost.errors import ConfigError
@@ -228,6 +232,43 @@ def _tiny_dataset():
     X = np.array([[1.0], [2.0], [3.0], [4.0]])
     y = np.array([1.0, 1.0, -1.0, -1.0])
     return dataset_from_numeric(X, y)
+
+
+def _named_z(exc) -> float:
+    return float(str(exc.value).split("z=")[1].split(";")[0])
+
+
+# Callers that query the loss at 0.305, inside logistic_hole's (0.30, 0.31),
+# among finite points.
+HOLE_CALLERS = {
+    "secant_slopes": lambda F: secant_slopes(F, np.array([0.0, 0.2]), np.array([0.1, 0.105])),
+    "partial_weights": lambda F: partial_weights(
+        F, dataset_from_numeric(np.zeros((2, 1)), [1.0, 1.0]), None, None,
+        np.array([0.1, 0.1]), 0.305, margins_prev=np.zeros(2), h_values=np.array([1.0, 0.0]),
+    ),
+    "second_order_mean": lambda F: second_order_mean(
+        F, np.zeros(2), np.array([0.305, 0.1]), np.array([0.1, 0.1]), np.ones(2), 1.0
+    ),
+}
+
+
+class TestFiniteContract:
+    """Calling a LossSpec checks every value it returns."""
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_scalar_and_array_name_the_first_bad_abscissa(self, bad):
+        F = logistic_hole(0.30, 0.31, bad=bad)
+        with pytest.raises(ConfigError, match=f"loss '{F.name}' returned {bad} at z=0.305; "):
+            F(0.305)
+        with pytest.raises(ConfigError, match=f"returned {bad} at z=0.305; "):
+            F(np.array([0.0, 0.305, 0.306]))
+
+    @pytest.mark.parametrize("call", HOLE_CALLERS.values(), ids=HOLE_CALLERS)
+    def test_callers_raise_inside_the_hole(self, call):
+        F = logistic_hole(0.30, 0.31)
+        with pytest.raises(ConfigError, match=f"loss '{F.name}' returned nan at z=") as exc:
+            call(F)
+        assert 0.30 < _named_z(exc) < 0.31
 
 
 class TestEmpiricalLoss:
