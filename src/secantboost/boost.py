@@ -16,6 +16,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
+from .bregman import certifies
 from .errors import ConfigError, ConstantLossError, DiscontinuityCollisionError
 from .leverage import (
     _DELTA_INIT,
@@ -228,19 +229,26 @@ def _refresh_offsets(F, margins, margins_new, v_prev, z_limit: float, cfg: Boost
     """(offsets, reused mask) for the move margins -> margins_new, or None if infeasible.
 
     An example whose edge did not move at the scan's resolution reuses (a
-    sanitized copy of) its previous offset.
+    sanitized copy of) its previous offset.  For a loss whose chord gaps
+    certify, the moved examples go to find_offset as one array request.
     """
+    reused = margins_new + (margins - margins_new) / cfg.precision_Z == margins_new
+    moved = np.flatnonzero(~reused)
+    e_t, e_p = margins_new[moved], margins[moved]
     v_new = np.empty(margins.size, dtype=np.float64)
-    reused = np.zeros(margins.size, dtype=bool)
-    for i, (e_t, e_p) in enumerate(zip(margins_new.tolist(), margins.tolist())):
-        if e_t + (e_p - e_t) / cfg.precision_Z == e_t:
-            v_new[i] = sanitize_offset(v_prev[i], 1e-9, seed=_derived_seed(cfg.seed, t, i))
-            reused[i] = True
-            continue
+    if certifies(F):
         v = find_offset(F, e_t, e_p, z_limit, cfg.precision_Z)
         if v is None:
             return None
-        v_new[i] = v
+        v_new[moved] = v
+    else:
+        for i, e_t_i, e_p_i in zip(moved.tolist(), e_t.tolist(), e_p.tolist()):
+            v = find_offset(F, e_t_i, e_p_i, z_limit, cfg.precision_Z)
+            if v is None:
+                return None
+            v_new[i] = v
+    for i in np.flatnonzero(reused).tolist():
+        v_new[i] = sanitize_offset(v_prev[i], 1e-9, seed=_derived_seed(cfg.seed, t, i))
     return v_new, reused
 
 

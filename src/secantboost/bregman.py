@@ -23,6 +23,7 @@ __all__ = [
     "REFINE_FACTOR",
     "REFINE_MARGIN",
     "bregman_secant",
+    "certifies",
     "obi",
     "q_star",
     "offset_feasible",
@@ -71,6 +72,37 @@ def _grid(lo: float, hi: float, grid_points: int) -> np.ndarray:
     return xs
 
 
+def certifies(F) -> bool:
+    """Does F's declared curvature certify its chord gaps?  Convex and declaring beta."""
+    return F.is_convex and F.smoothness_beta is not None
+
+
+def _certificate(beta: float, a, b, fa, fb, slope):
+    """beta*(b-a)**2/8 plus ~32 ulps of rounding, elementwise on floats or arrays.
+
+    On the chord's own segment of a convex loss declaring beta this bounds the
+    chord gap on the whole continuum.  The square is d*d, not d**2: numpy
+    squares arrays by multiplication, and Python's float pow is not always
+    correctly rounded, so only d*d gives floats and arrays the same bits.
+    """
+    d = b - a
+    bound = beta * (d * d) / 8.0
+    scale = bound + np.maximum(abs(fa), abs(fb)) + abs(fb - fa) + abs(slope) * (abs(a) + abs(b))
+    return bound + 64 * 2.0**-53 * scale
+
+
+def _grid_gap(F, a: float, c: float, fa: float, slope: float, grid_points: int) -> float:
+    """Grid maximum of fa + slope*(x - a) - F(x) over [min(a,c), max(a,c)]."""
+    lo, hi = (a, c) if a <= c else (c, a)
+    xs = _grid(lo, hi, grid_points)
+    # fa + slope * (xs - a) - F(xs), in one buffer.
+    gap = xs - a
+    gap *= slope
+    gap += fa
+    gap -= F(xs)
+    return float(gap.max())
+
+
 def obi(
     F, a: float, b: float, c: float, grid_points: int = DEFAULT_GRID, certify_below=-math.inf
 ) -> float:
@@ -82,28 +114,44 @@ def obi(
     bounds the gap on the whole continuum; that certificate is returned without
     a grid when certify_below - cert >= REFINE_MARGIN (the default -inf: never).
     A grid point where the loss is NaN or inf raises ConfigError (calling F checks).
+
+    Arrays a, b, c (one request per row) give an array, each row equal to the
+    float call's result bit for bit: F is queried once at all a and once at
+    all b, and rows the certificate does not decide take the float call's grid.
     """
     if grid_points < 2:
         raise ValueError(f"grid_points must be >= 2, got {grid_points}")
+    if isinstance(a, np.ndarray):
+        return _obi_rows(F, a, b, c, grid_points, certify_below)
     if a == b:
         return 0.0
     fa = float(F(a))
     fb = float(F(b))
     slope = (fb - fa) / (b - a)
-    if certify_below > -math.inf and c == b and F.is_convex and F.smoothness_beta is not None:
-        bound = F.smoothness_beta * (b - a) ** 2 / 8.0
-        scale = bound + max(abs(fa), abs(fb)) + abs(fb - fa) + abs(slope) * (abs(a) + abs(b))
-        cert = bound + 64 * 2.0**-53 * scale
+    if certify_below > -math.inf and c == b and certifies(F):
+        cert = float(_certificate(F.smoothness_beta, a, b, fa, fb, slope))
         if certify_below - cert >= REFINE_MARGIN:  # no refine follows; NaN: to the grid
             return cert
-    lo, hi = (a, c) if a <= c else (c, a)
-    xs = _grid(lo, hi, grid_points)
-    # fa + slope * (xs - a) - F(xs), in one buffer.
-    gap = xs - a
-    gap *= slope
-    gap += fa
-    gap -= F(xs)
-    return float(gap.max())
+    return _grid_gap(F, a, c, fa, slope, grid_points)
+
+
+def _obi_rows(F, a, b, c, grid_points: int, certify_below) -> np.ndarray:
+    """obi on arrays of requests (see obi)."""
+    out = np.zeros(a.shape)
+    live = np.flatnonzero(a != b)
+    a, b, c = a[live], b[live], c[live]
+    fa = F(a)
+    fb = F(b)
+    slope = (fb - fa) / (b - a)
+    to_grid = np.ones(live.size, dtype=bool)
+    if certify_below > -math.inf and certifies(F):
+        cert = _certificate(F.smoothness_beta, a, b, fa, fb, slope)
+        to_grid = (c != b) | ~(certify_below - cert >= REFINE_MARGIN)
+        out[live[~to_grid]] = cert[~to_grid]
+    for i in np.flatnonzero(to_grid).tolist():
+        gap = _grid_gap(F, float(a[i]), float(c[i]), float(fa[i]), float(slope[i]), grid_points)
+        out[live[i]] = gap
+    return out
 
 
 def q_star(
@@ -117,7 +165,11 @@ def q_star(
     guarantee B(zp || z) >= -q_star(z, zp, v), also when a certificate at least
     REFINE_MARGIN below certify_below stands in for the grid maximum (see obi).
     A loss value that is not finite on the grid raises ConfigError (see obi).
+    Arrays z, zp, v give an array, row by row equal to the float calls.
     """
+    if isinstance(z, np.ndarray):
+        b = z + v
+        return obi(F, z, b, b if F.is_convex else zp, grid_points, certify_below)
     b = float(z + v)
     return obi(F, float(z), b, b if F.is_convex else float(zp), grid_points, certify_below)
 
@@ -128,18 +180,30 @@ def offset_feasible(F, e_t: float, e_prev: float, v: float, z_limit: float) -> b
     Borderline calls (within REFINE_MARGIN of the budget) are re-decided on a
     REFINE_FACTOR-times finer grid.  A distortion that is not finite although
     every loss value was (the chord arithmetic overflowed) raises ConfigError
-    naming the loss.
+    naming the loss.  Arrays e_t, e_prev, v give a boolean array, row by row
+    equal to the float calls: one q_star call on all rows, then one on the
+    borderline rows.
     """
     if not z_limit > 0.0:
         raise ValueError(f"z_limit must be positive, got {z_limit}")
-    grid_points = DEFAULT_GRID
-    q = q_star(F, e_t, e_prev, v, grid_points, certify_below=z_limit)
+    q = q_star(F, e_t, e_prev, v, DEFAULT_GRID, certify_below=z_limit)
+    if isinstance(q, np.ndarray):
+        rows = np.flatnonzero(abs(q - z_limit) < REFINE_MARGIN)
+        if rows.size:
+            q[rows] = q_star(F, e_t[rows], e_prev[rows], v[rows], DEFAULT_GRID * REFINE_FACTOR)
+        if not np.isfinite(q).all():
+            i = int(np.argmin(np.isfinite(q)))
+            raise _overflow(F, float(q[i]), float(v[i]), float(e_t[i]))
+        return q <= z_limit
     if abs(q - z_limit) < REFINE_MARGIN:
-        grid_points *= REFINE_FACTOR
-        q = q_star(F, e_t, e_prev, v, grid_points)
+        q = q_star(F, e_t, e_prev, v, DEFAULT_GRID * REFINE_FACTOR)
     if not math.isfinite(q):
-        raise ConfigError(
-            f"loss {F.name!r}: chord distortion {q!r} for the offset {v!r} at z={e_t!r}; "
-            "the loss is finite there but the chord arithmetic overflowed"
-        )
+        raise _overflow(F, q, v, e_t)
     return q <= z_limit
+
+
+def _overflow(F, q: float, v: float, z: float) -> ConfigError:
+    return ConfigError(
+        f"loss {F.name!r}: chord distortion {q!r} for the offset {v!r} at z={z!r}; "
+        "the loss is finite there but the chord arithmetic overflowed"
+    )

@@ -47,6 +47,9 @@ class LossSpec:
     """A loss function plus the metadata the boosting stack consumes.
 
     evaluate must accept floats and numpy arrays and be finite on all of R.
+    It must be elementwise, with a float and the same value inside an array
+    giving the same bits: the oracle decides a whole iteration's offsets from
+    array queries and relies on them equalling the per-example float queries.
     Calling the spec checks this on every value: a NaN or inf raises ConfigError
     naming its abscissa (only find_offset's candidate scan reads evaluate raw).
     A declared smoothness_beta (finite, > 0) promises that every secant

@@ -4,14 +4,16 @@ Each boosting iteration needs, per example, an offset v pointing from the new
 edge toward the previous one such that the worst chord distortion (q_star)
 stays within the iteration's budget.  The oracle scans interior candidates at
 a fixed resolution, keeps the secant with extremal slope, and retries at 4x
-the resolution when that candidate is infeasible.
+the resolution when that candidate is infeasible.  For a convex loss that
+declares beta the extremal slope is the first candidate's, so a whole
+iteration's requests are decided in one array pass.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .bregman import offset_feasible, ticks
+from .bregman import certifies, offset_feasible, ticks
 
 __all__ = [
     "DEFAULT_PRECISION_Z",
@@ -39,11 +41,24 @@ def find_offset(
     possible.  The winner is accepted iff its worst chord distortion fits the
     budget; otherwise the scan restarts at 4x resolution, up to MAX_RETRIES
     restarts.  Returned offsets are nonzero and carry the sign of e_prev - e_t.
+
+    Arrays e_t and e_prev (one request per row) give an array of offsets, or
+    None when some row has none; F must be convex and declare beta.  The chord
+    slope of a convex loss is nondecreasing, so in exact arithmetic the scan's
+    extremal-slope candidate is always the first one (k=1).  Each row's
+    offset is that candidate, v = (e_t + (e_prev - e_t)/Z) - e_t bit for bit,
+    when it lies strictly between the edges and one offset_feasible call on
+    those rows accepts it; every other row takes the float scan above.  Where
+    rounding makes the float scan pick another candidate (spans below about
+    1e-5) the array call still returns k=1, the exact answer and the shortest
+    candidate.
     """
     if not z_limit > 0.0:
         raise ValueError(f"z_limit must be positive, got {z_limit}")
     if precision_Z < 2:
         raise ValueError(f"precision_Z must be >= 2, got {precision_Z}")
+    if isinstance(e_t, np.ndarray):
+        return _find_offsets(F, e_t, e_prev, z_limit, int(precision_Z))
     if e_t == e_prev:
         raise ValueError("equal edges: caller must fall back to the previous offset")
     e_t, e_prev = float(e_t), float(e_prev)
@@ -70,6 +85,26 @@ def find_offset(
                 return v
         Z *= 4
     return None
+
+
+def _find_offsets(F, e_t: np.ndarray, e_prev: np.ndarray, z_limit: float, Z: int):
+    """find_offset on arrays of requests (see find_offset)."""
+    if not certifies(F):
+        raise ValueError(f"loss {F.name!r}: array requests need a convex loss that declares beta")
+    if np.any(e_t == e_prev):
+        raise ValueError("equal edges: caller must fall back to the previous offset")
+    z1 = e_t + (e_prev - e_t) / Z
+    v = z1 - e_t
+    first = np.flatnonzero(v * (z1 - e_prev) < 0.0)
+    feasible = offset_feasible(F, e_t[first], e_prev[first], v[first], z_limit)
+    scan = np.ones(v.size, dtype=bool)
+    scan[first[feasible]] = False
+    for i in np.flatnonzero(scan).tolist():
+        v_i = find_offset(F, float(e_t[i]), float(e_prev[i]), z_limit, Z)
+        if v_i is None:
+            return None
+        v[i] = v_i
+    return v
 
 
 def sanitize_offset(v: float, scale: float, seed: int) -> float:

@@ -267,6 +267,139 @@ class TestCurvatureCertificate:
             offset_feasible(F, 0.0, 1.0, 0.5, z_limit=1.0)
 
 
+def _offset_at(F, e_t: float, sign: float, target: float) -> float:
+    """The offset (sign's direction) whose 512-point distortion at e_t is
+    target, to bisection precision: the chord gap grows with |v|."""
+    lo, hi = 0.0, 4.0
+    for _ in range(60):
+        mid = (lo + hi) / 2.0
+        lo, hi = (mid, hi) if q_star(F, e_t, e_t, sign * mid) < target else (lo, mid)
+    return sign * hi
+
+
+def _array_rows(F, seed: int, z_limit: float):
+    """Seeded (e_t, e_prev, v) rows for one budget, in both gap directions:
+    offsets from 1e-6 to 2 (certified well inside the budget, or over it and
+    decided on the grid), offsets whose distortion lies within REFINE_MARGIN
+    of the budget (the refine), edges a few ulps apart, and v = 0."""
+    rng = np.random.default_rng(seed)
+    rows = []
+    for i in range(200):
+        e_t = float(rng.uniform(-3.0, 3.0))
+        sign = float(rng.choice([-1.0, 1.0]))
+        kind = i % 5
+        if kind in (0, 1):
+            e_prev = e_t + sign * float(10.0 ** rng.uniform(-6.0, 0.3))
+            v = (e_prev - e_t) * float(rng.uniform(0.0, 1.0))
+        elif kind == 2:
+            e_prev = e_t + sign * 2.0
+            v = _offset_at(F, e_t, sign, z_limit + float(rng.uniform(-0.9, 0.9)) * REFINE_MARGIN)
+        elif kind == 3:
+            e_prev = e_t
+            for _ in range(int(rng.choice([1, 2, 3, 17, 200]))):
+                e_prev = float(np.nextafter(e_prev, sign * np.inf))
+            v = (e_t + (e_prev - e_t) / 64) - e_t
+        else:
+            e_prev, v = e_t + sign, 0.0
+        rows.append((e_t, e_prev, v))
+    return tuple(np.array(col) for col in zip(*rows))
+
+
+def _same_bytes(got, want) -> bool:
+    return isinstance(got, np.ndarray) and got.tobytes() == np.array(want).tobytes()
+
+
+class TestArrayRequests:
+    """Arrays of requests give, row by row, the float calls' results bit for bit."""
+
+    @pytest.mark.parametrize("name,z_limit", [("logistic", 1e-3), ("square", 1e-2)])
+    def test_rows_equal_the_float_calls(self, name, z_limit):
+        F = make_builtin(name)
+        e_t, e_prev, v = _array_rows(F, seed=len(name), z_limit=z_limit)
+        rows = list(zip(e_t.tolist(), e_prev.tolist(), v.tolist()))
+        b = e_t + v
+        for c in (b, e_prev):
+            for certify_below in (-math.inf, z_limit):
+                want = [obi(F, a_i, a_i + v_i, c_i, certify_below=certify_below)
+                        for (a_i, _, v_i), c_i in zip(rows, c.tolist())]
+                assert _same_bytes(obi(F, e_t, b, c, certify_below=certify_below), want)
+        for certify_below in (-math.inf, z_limit):
+            want = [q_star(F, *row, certify_below=certify_below) for row in rows]
+            assert _same_bytes(q_star(F, e_t, e_prev, v, certify_below=certify_below), want)
+        want = [offset_feasible(F, *row, z_limit) for row in rows]
+        assert _same_bytes(offset_feasible(F, e_t, e_prev, v, z_limit), want)
+
+        # The batch holds every kind of decision the float path takes.
+        first = [q_star(F, *row, certify_below=z_limit) for row in rows]
+        grid = [q_star(F, *row) for row in rows]
+        seen = {
+            "certified": sum(q != g for q, g in zip(first, grid)),
+            "refined": sum(abs(q - z_limit) < REFINE_MARGIN for q in first),
+            "feasible": sum(want),
+            "infeasible": len(want) - sum(want),
+            "degenerate": int(np.count_nonzero(v == 0.0)),
+        }
+        assert min(seen.values()) >= 10, seen
+
+    def test_non_convex_segments_equal_the_float_calls(self):
+        F = make_builtin("spring", Q=40.0)
+        rng = np.random.default_rng(4)
+        z = rng.uniform(-2.0, 2.0, 50)
+        zp = z + rng.uniform(-1.0, 1.0, 50)
+        v = (zp - z) * rng.uniform(0.0, 1.0, 50)
+        rows = list(zip(z.tolist(), zp.tolist(), v.tolist()))
+        assert _same_bytes(q_star(F, z, zp, v, 64), [q_star(F, *row, 64) for row in rows])
+        assert _same_bytes(
+            offset_feasible(F, z, zp, v, 1e-3), [offset_feasible(F, *row, 1e-3) for row in rows]
+        )
+
+    def test_feasibility_makes_one_call_and_one_refine_call(self, monkeypatch):
+        import secantboost.bregman as bregman
+
+        F = make_builtin("square")
+        z_limit = 1e-2
+        e_t, e_prev, v = _array_rows(F, seed=6, z_limit=z_limit)
+        calls = []
+
+        def counted(F, z, *args, **kwargs):
+            calls.append(z.size)
+            return q_star(F, z, *args, **kwargs)
+
+        monkeypatch.setattr(bregman, "q_star", counted)
+        offset_feasible(F, e_t, e_prev, v, z_limit)
+        assert len(calls) == 2 and calls[0] == e_t.size and 0 < calls[1] < e_t.size
+
+    def test_nan_at_an_array_point_is_named(self):
+        F = dataclasses.replace(logistic_then(math.nan, smoothness_beta=0.25), is_convex=True)
+        a = np.array([0.0, 0.1, 0.2])
+        b = np.array([0.05, 0.5, 0.25])
+        with pytest.raises(ConfigError, match=f"loss '{F.name}' returned nan at z=0.5;"):
+            obi(F, a, b, b, certify_below=1.0)
+        with pytest.raises(ConfigError, match=f"loss '{F.name}' returned nan at z=0.5;"):
+            offset_feasible(F, a, b, b - a, z_limit=1.0)
+
+    def test_nan_on_a_row_grid_is_named(self):
+        F = logistic_hole(0.30, 0.31, is_convex=True)
+        with pytest.raises(ConfigError, match=f"loss '{F.name}' returned nan at z=") as exc:
+            offset_feasible(F, np.array([0.0, 0.0]), np.array([1.0, 1.0]),
+                            np.array([0.1, 0.5]), z_limit=1.0)
+        z = float(str(exc.value).split("z=")[1].split(";")[0])
+        assert 0.30 < z < 0.31
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf * 0 in the line
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")  # the chord's rise
+    def test_overflowing_chord_raises(self):
+        def cliff(z):
+            z = np.asarray(z, dtype=np.float64)
+            out = np.where(z < 0.0, 1.5e308, -1.5e308)
+            return float(out) if out.ndim == 0 else out
+
+        F = LossSpec("cliff", cliff, is_convex=False)
+        with pytest.raises(ConfigError, match="'cliff'.*offset 1.5 at z=-1.0;.*overflowed"):
+            offset_feasible(F, np.array([-1.0, -1.0]), np.array([1.0, -0.5]),
+                            np.array([1.5, 0.25]), z_limit=0.1)
+
+
 def convex_identity_residual(
     F, z: float, v: float, r: float, grid_points: int = DEFAULT_GRID
 ) -> float:

@@ -118,6 +118,94 @@ class TestFindOffset:
         assert find_offset(F, 0.0, 1.0, z_limit=1e-12) is None
 
 
+def _first_candidate(e_t, e_prev, Z: int):
+    """The scan's k=1 offset: (e_t + (e_prev - e_t)/Z) - e_t."""
+    return (e_t + (e_prev - e_t) / Z) - e_t
+
+
+def _find_requests(seed: int, n: int = 300):
+    """Seeded edge pairs in both directions: spans log-uniform in [1e-12, 2],
+    and every tenth pair a few ulps apart."""
+    rng = np.random.default_rng(seed)
+    e_t = rng.uniform(-3.0, 3.0, n)
+    e_prev = e_t + rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-12.0, 0.3, n)
+    for i in range(0, n, 10):
+        direction = np.copysign(np.inf, e_prev[i] - e_t[i])
+        e_prev[i] = e_t[i]
+        for _ in range(int(rng.choice([2, 3, 17, 40, 70]))):
+            e_prev[i] = np.nextafter(e_prev[i], direction)
+    return e_t, e_prev
+
+
+class TestArrayFindOffset:
+    """Arrays of requests (convex losses declaring beta) take the scan's first
+    candidate where it is inside the gap and feasible, else the float scan."""
+
+    @pytest.mark.parametrize("name", ["logistic", "square"])
+    @pytest.mark.parametrize("z_limit,Z", [(1e-6, 64), (1e-8, 64), (1e-5, 4), (1e-9, 4)])
+    def test_rows_equal_the_float_scan_where_it_picks_k1(self, name, z_limit, Z):
+        F = make_builtin(name)
+        e_t, e_prev = _find_requests(seed=Z + len(name))
+        want = [find_offset(F, a, b, z_limit, Z) for a, b in zip(e_t.tolist(), e_prev.tolist())]
+        keep = np.array([w is not None for w in want])
+        e_t, e_prev = e_t[keep], e_prev[keep]
+        want = [w for w in want if w is not None]
+        got = find_offset(F, e_t, e_prev, z_limit, Z)
+        v1 = _first_candidate(e_t, e_prev, Z)
+        seen = {"k1": 0, "scanned": 0, "rounding": 0, "ulps": 0}
+        for i, (g, w) in enumerate(zip(got.tolist(), want)):
+            if w == v1[i]:
+                seen["k1"] += 1
+            elif g != v1[i]:
+                seen["scanned"] += 1
+            else:  # the float scan's pick is not k=1, only at spans rounding decides
+                seen["rounding"] += 1
+                assert abs(e_prev[i] - e_t[i]) < 1e-5, (e_t[i], e_prev[i])
+                continue
+            assert g == w, (e_t[i], e_prev[i])
+            seen["ulps"] += bool(abs(e_prev[i] - e_t[i]) < 100 * np.spacing(abs(e_t[i])))
+        assert seen["k1"] >= 100 and seen["scanned"] >= 10 and seen["ulps"] >= 5, seen
+
+    def test_none_when_one_row_is_unreachable(self):
+        F = make_builtin("square")
+        e_t = np.array([0.0, 0.3, -1.0])
+        e_prev = e_t + np.array([1e-5, -2e-5, 3e-6])
+        assert find_offset(F, e_t, e_prev, z_limit=1e-12) is not None
+        assert find_offset(F, np.append(e_t, 0.0), np.append(e_prev, 1.0), z_limit=1e-12) is None
+
+    def test_rejects_losses_without_certified_chords_and_equal_edges(self):
+        e_t, e_prev = np.array([0.0, 0.5]), np.array([1.0, 0.7])
+        for F in (make_builtin("spring", Q=40.0), make_builtin("exponential")):
+            with pytest.raises(ValueError, match="convex loss that declares beta"):
+                find_offset(F, e_t, e_prev, z_limit=0.1)
+        with pytest.raises(ValueError, match="equal edges"):
+            find_offset(make_builtin("logistic"), e_t, np.array([1.0, 0.5]), z_limit=0.1)
+
+    def test_k1_where_the_float_scan_picks_by_rounding(self):
+        """At a span of 1e-9 the candidates' chord slopes differ from the
+        first one's only by rounding, so the float scan's pick is noise.  The
+        array call returns k=1: the exact-arithmetic pick, feasible, and the
+        shortest candidate."""
+        F = make_builtin("logistic")
+        Z, z_limit = DEFAULT_PRECISION_Z, 1e-3
+        rng = np.random.default_rng(1)
+        for _ in range(200):
+            e_t = float(rng.uniform(-2.0, 2.0))
+            e_prev = e_t + float(rng.choice([-1e-9, 1e-9]))
+            scanned = find_offset(F, e_t, e_prev, z_limit, Z)
+            v1 = _first_candidate(e_t, e_prev, Z)
+            if scanned != v1:
+                break
+        else:
+            pytest.fail("no request where the float scan's pick is not k=1")
+        got = find_offset(F, np.array([e_t]), np.array([e_prev]), z_limit, Z)
+        assert got[0] == v1
+        assert offset_feasible(F, e_t, e_prev, v1, z_limit)
+        z = e_t + (e_prev - e_t) / Z * np.arange(1, Z)
+        gaps = np.abs(z - e_t)[(z - e_t) * (z - e_prev) < 0.0]
+        assert abs(v1) == gaps.min() < abs(scanned)
+
+
 def find_offset_convex_dichotomic(F, e_t: float, e_prev: float, z_limit: float) -> float | None:
     """Convex shortcut: halve the full gap until it becomes feasible.
 
