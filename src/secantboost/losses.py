@@ -51,7 +51,7 @@ class LossSpec:
     giving the same bits: the oracle decides a whole iteration's offsets from
     array queries and relies on them equalling the per-example float queries.
     Calling the spec checks this on every value: a NaN or inf raises ConfigError
-    naming its abscissa (only find_offset's candidate scan reads evaluate raw).
+    naming its abscissa.
     A declared smoothness_beta (finite, > 0) promises that every secant
     curvature is <= beta: the smoothness route and the chord-gap certificate rely on it.
     A certified chord-gap decision trusts beta on the segment's interior and
@@ -145,7 +145,8 @@ def _spring(Q: float = 1.0) -> LossSpec:
     # argument u = Q z - [Q z] (nearest-integer bracket, ties to even) lives
     # in [-1/2, 1/2], so 1 - 4 u^2 >= 0 up to rounding at the seams.
     def spring(z):
-        u = Q * z - np.rint(Q * z)
+        qz = Q * z
+        u = qz - np.rint(qz)
         bump = (1.0 - np.sqrt(np.maximum(0.0, 1.0 - 4.0 * u * u))) / Q
         return np.logaddexp(0.0, -z) + bump
 

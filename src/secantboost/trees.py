@@ -137,7 +137,9 @@ class _Columns:
     Numeric columns are float64 values.  Categorical columns become rows of
     integer codes, sorted by category label within a column and numbered on
     across columns in feature order, so each (column, category) pair has its
-    own code and code order is scan order.
+    own code and code order is scan order.  Each row's stable code order
+    (order) and its codes in that order (sorted_codes) are computed here once,
+    so a leaf finds its examples grouped by code without sorting again.
     """
 
     def __init__(self, S):
@@ -157,6 +159,8 @@ class _Columns:
         self.codes.shape = (len(cat), S.m)
         self.first_code = np.array(first_code, dtype=np.intp)
         self.code_feature = [f for f, n in zip(cat, np.diff(first_code)) for _ in range(n)]
+        self.order = self.codes.argsort(axis=1, kind="stable")
+        self.sorted_codes = np.sort(self.codes, axis=1)
 
     def goes_left(self, f: int, cut, idx: np.ndarray) -> np.ndarray:
         """Which examples of idx a split on feature f at cut sends left."""
@@ -167,19 +171,22 @@ class _Columns:
         return self.codes[r, idx] == first + self.labels[first:end].index(cut)
 
 
-def _code_sums(codes: np.ndarray, wi: np.ndarray, at: np.ndarray, n_codes: int) -> np.ndarray:
-    """For each code in at, the sum of wi over the examples carrying it.
+def _code_sums(codes: np.ndarray, wi: np.ndarray, n_codes: int):
+    """(sums, counts): for each code below n_codes, wi summed and counted over
+    the examples carrying it.
 
-    A stable sort lays each code's examples out contiguously and in their
-    original order, so every slice sums pairwise exactly as np.sum(wi[mask])
-    does; grouped sums (bincount, reduceat) would round differently.
+    codes must be sorted, with each code's weights in wi in the order the
+    reference sums them (np.sum(wi[mask]) over the leaf in example order).
+    np.add.reduce over a slice adds its elements pairwise to the identity
+    0.0; np.add.reduceat starts a segment from its first element instead and
+    adds the rest pairwise, which rounds differently.  So every code's slice
+    gets a 0.0 in front, and one reduceat over the padded array returns each
+    code's sum exactly as np.add.reduce on the bare slice does.
     """
-    order = np.argsort(codes, axis=1, kind="stable")
-    flat = wi[order].ravel()
-    counts = np.bincount(codes.ravel(), minlength=n_codes)
-    ends = np.cumsum(counts)
-    starts = ends - counts
-    return np.array([np.add.reduce(flat[a:b]) for a, b in zip(starts[at].tolist(), ends[at].tolist())])
+    counts = np.bincount(codes, minlength=n_codes)
+    padded = np.zeros(codes.size + n_codes)
+    padded[np.arange(1, codes.size + 1) + codes] = wi
+    return np.add.reduceat(padded, np.cumsum(counts) - counts + np.arange(n_codes)), counts
 
 
 def _first_min(wl, pl, wr, pr):
@@ -205,7 +212,8 @@ def _best_split(cols: _Columns, y, w, idx: np.ndarray):
     lexicographically first category.  Each numeric column scores all its
     thresholds at once, and all categorical columns score their categories
     together, exactly as a scan over the candidates in that order would.
-    Returns None when no split separates the examples.
+    idx lists the leaf's examples in ascending order.  Returns None when no
+    split separates the examples.
     """
     wi = w[idx]
     pos = y[idx] > 0
@@ -225,14 +233,22 @@ def _best_split(cols: _Columns, y, w, idx: np.ndarray):
             i, imp = hit
             cands.append((imp, f, "num", 0.5 * (sv[k[i]] + sv[k[i] + 1])))
     if cols.codes.size:
-        codes = cols.codes[:, idx]
+        # The leaf's examples in each row's code order, which is example order
+        # within a code because the order is stable and idx ascending.
+        member = np.zeros(cols.codes.shape[1], dtype=bool)
+        member[idx] = True
+        sel = member[cols.order]
+        ex = cols.order[sel]
+        codes = cols.sorted_codes[sel]
         n_codes = len(cols.labels)
-        present = np.bincount(codes.ravel(), minlength=n_codes) > 0
+        on = y[ex] > 0
+        wl, counts = _code_sums(codes, w[ex], n_codes)
+        pl, _ = _code_sums(codes[on], w[ex[on]], n_codes)
+        present = counts > 0
         # Candidates: the categories present, in columns where two or more are.
         n_present = np.add.reduceat(present, cols.first_code[:-1], dtype=np.intp)
         at = np.flatnonzero(present & np.repeat(n_present >= 2, np.diff(cols.first_code)))
-        wl = _code_sums(codes, wi, at, n_codes)
-        pl = _code_sums(codes[:, pos], wi[pos], at, n_codes)
+        wl, pl = wl[at], pl[at]
         total_w = float(np.sum(wi))
         total_p = float(np.sum(np.where(pos, wi, 0.0)))
         hit = _first_min(wl, pl, total_w - wl, total_p - pl)

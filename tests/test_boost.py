@@ -316,6 +316,15 @@ class TestNonFiniteLoss:
         z = float(str(exc.value).split("z=")[1].split(";")[0])
         assert 0.30 < z < 0.31
 
+    def test_inf_between_finite_edges_raises_for_convex_loss(self):
+        """A convex loss's chords end before the hole, so only the offset
+        oracle's candidate scan evaluates it; the run must name the hole."""
+        F = logistic_hole(0.30, 0.31, is_convex=True, bad=math.inf)
+        with pytest.raises(ConfigError, match=f"loss '{F.name}' returned inf at z=") as exc:
+            run(F, separable_dataset(m=120, seed=3), T=30)
+        z = float(str(exc.value).split("z=")[1].split(";")[0])
+        assert 0.30 < z < 0.31
+
     def test_non_finite_weight_raises(self, monkeypatch):
         import secantboost.boost as boost_module
 

@@ -21,6 +21,7 @@ from secantboost.trees import (
     WeakHypothesis,
     _best_split,
     _branch_impurity,
+    _code_sums,
     _Columns,
     _leaf_value,
 )
@@ -126,6 +127,35 @@ class TestCategorical:
         S = dataset_from_columns([col], y, names=("cat",), types=("categorical",))
         h = train_tree(S, np.ones(4), max_nodes=1)
         assert h.predict(["zzz"]) == h.predict(["b"])
+
+
+class TestCodeSums:
+    """Each code's sum must equal np.add.reduce over its slice, bit for bit."""
+
+    @staticmethod
+    def _check(rng, lengths):
+        codes = np.repeat(np.arange(lengths.size), lengths)
+        wi = rng.uniform(0.0, 2.0, size=codes.size) * (rng.random(codes.size) < 0.9)
+        sums, counts = _code_sums(codes, wi, lengths.size + 1)
+        np.testing.assert_array_equal(counts, np.append(lengths, 0))
+        ends = np.cumsum(lengths)
+        want = [np.add.reduce(wi[b - n:b]) for n, b in zip(lengths.tolist(), ends.tolist())]
+        assert sums.tobytes() == np.array(want + [0.0]).tobytes()
+
+    def test_random_slices_match_add_reduce(self):
+        rng = np.random.default_rng(14)
+        for _ in range(40):
+            self._check(rng, rng.integers(1, 5001, size=int(rng.integers(1, 12))))
+
+    def test_slices_past_pairwise_blocks_match_add_reduce(self):
+        # Slices longer than numpy's 8 192-element reduction buffer.
+        rng = np.random.default_rng(15)
+        self._check(rng, np.array([8193, 20_000, 1, 70_000, 129]))
+
+    def test_empty_codes_sum_to_zero(self):
+        sums, counts = _code_sums(np.array([1, 1, 3], dtype=np.intp), np.array([0.5, 0.25, 2.0]), 5)
+        assert sums.tolist() == [0.0, 0.75, 0.0, 2.0, 0.0]
+        assert counts.tolist() == [0, 2, 0, 1, 0]
 
 
 class TestGrowth:
@@ -506,6 +536,30 @@ class TestLoopReference:
             if want is not None:
                 assert got[1:] == want[1:], f"case {seed}"
                 np.testing.assert_array_equal(got[0], want[0])
+
+    def test_best_split_matches_loop_with_many_large_categories(self):
+        # 24 categories of 70-470 examples each: the per-category sums run
+        # numpy's pairwise recursion (above 128 elements) in most slices.
+        rng = np.random.default_rng(30_000)
+        m = 6000
+        p = rng.uniform(0.2, 2.0, size=24)
+        code = rng.choice(24, size=m, p=p / p.sum())
+        y = np.where(rng.random(m) < rng.uniform(0.1, 0.9, size=24)[code], 1.0, -1.0)
+        S = dataset_from_columns(
+            [np.char.add("c", code.astype(str)), rng.choice(["u", "v", "w"], size=m),
+             rng.normal(size=m)],
+            y,
+            types=("categorical", "categorical", "numeric"),
+        )
+        w = rng.uniform(0.0, 2.0, size=m) * (rng.random(m) < 0.95)
+        active = np.nonzero(w > 0.0)[0]
+        cols = _Columns(S)
+        for k in range(8):
+            size = active.size - k * active.size // 10
+            idx = np.sort(rng.choice(active, size=size, replace=False))
+            want = _loop_best_split(S, S.labels, w, idx)
+            assert want[2] == "cat"
+            assert _best_split(cols, S.labels, w, idx) == want, f"subset {k}"
 
     def test_trees_match_loop(self):
         for seed in range(N_REFERENCE_CASES):
