@@ -44,9 +44,7 @@ def bregman_secant(F, zp: float, z: float, v: float) -> float:
     Unlike the gradient version this can be negative; the OBI below bounds
     how negative.
     """
-    zp = float(zp)
-    z = float(z)
-    return float(F(zp)) - float(F(z)) - (zp - z) * v_derivative(F, z, v)
+    return F(zp) - F(z) - (zp - z) * v_derivative(F, z, v)
 
 
 @functools.lru_cache(maxsize=32)
@@ -125,8 +123,8 @@ def obi(
         return _obi_rows(F, a, b, c, grid_points, certify_below)
     if a == b:
         return 0.0
-    fa = float(F(a))
-    fb = float(F(b))
+    fa = F(a)
+    fb = F(b)
     slope = (fb - fa) / (b - a)
     if certify_below > -math.inf and c == b and certifies(F):
         cert = float(_certificate(F.smoothness_beta, a, b, fa, fb, slope))
@@ -167,11 +165,8 @@ def q_star(
     A loss value that is not finite on the grid raises ConfigError (see obi).
     Arrays z, zp, v give an array, row by row equal to the float calls.
     """
-    if isinstance(z, np.ndarray):
-        b = z + v
-        return obi(F, z, b, b if F.is_convex else zp, grid_points, certify_below)
-    b = float(z + v)
-    return obi(F, float(z), b, b if F.is_convex else float(zp), grid_points, certify_below)
+    b = z + v
+    return obi(F, z, b, b if F.is_convex else zp, grid_points, certify_below)
 
 
 def offset_feasible(F, e_t: float, e_prev: float, v: float, z_limit: float) -> bool:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, field
@@ -90,7 +91,7 @@ class RunConfig:
 
 def build_loss(cfg: RunConfig) -> losses.LossSpec:
     if cfg.loss_table:
-        return losses.load_table_loss(cfg.loss_table, name=cfg.loss or "table")
+        return losses.load_table_loss(cfg.loss_table)
     return losses.make_builtin(cfg.loss, **cfg.loss_params)
 
 
@@ -119,15 +120,25 @@ def _node_to_json(node: TreeNode) -> dict:
     return out
 
 
+def _finite(x, what: str) -> float:
+    """x as a float; ValueError unless it is a finite JSON number (not a bool)."""
+    if not (_num(x) and math.isfinite(x)):
+        raise ValueError(f"{what} must be a finite number, got {x!r}")
+    return float(x)
+
+
 def _node_from_json(obj: dict, n_features: int) -> TreeNode:
     if "value" in obj:
-        return TreeNode(value=float(obj["value"]))
+        return TreeNode(value=_finite(obj["value"], "leaf value"))
     feature = int(obj["feature"])
     if not 0 <= feature < n_features:
         raise IndexError(f"feature {feature} outside [0, {n_features})")
+    numeric = "threshold" in obj
+    if numeric == ("category" in obj) or not (numeric or isinstance(obj["category"], str)):
+        raise ValueError("an internal node needs exactly one of a threshold and a string category")
     return TreeNode(
         feature=feature,
-        threshold=float(obj["threshold"]) if "threshold" in obj else None,
+        threshold=_finite(obj["threshold"], "threshold") if numeric else None,
         category=obj.get("category"),
         left=_node_from_json(obj["left"], n_features),
         right=_node_from_json(obj["right"], n_features),
@@ -171,12 +182,12 @@ def load_model(path: str):
         raise ConfigError(f"unsupported model version {payload.get('version')!r}")
     try:
         schema = [(f["name"], f["type"]) for f in payload["features"]]
-        ens = boost.Ensemble(h0=float(payload["h0"]))
+        ens = boost.Ensemble(h0=_finite(payload["h0"], "h0"))
         for term in payload["terms"]:
             tree = _node_from_json(term["tree"], len(schema))
             h = WeakHypothesis(tree, int(term["node_count"]), len(schema))
-            ens.terms.append((float(term["alpha"]), h))
-    except (KeyError, IndexError, TypeError, ValueError) as exc:
+            ens.terms.append((_finite(term["alpha"], "alpha"), h))
+    except (KeyError, IndexError, TypeError, ValueError, OverflowError) as exc:
         raise DataError(f"model {path} is malformed: {type(exc).__name__}: {exc}") from None
     return ens, payload
 
@@ -296,15 +307,15 @@ def cmd_cv(cfg: RunConfig, data_path: str, out_dir: str) -> int:
 def cmd_losses(cfg: RunConfig, lo: float, hi: float, steps: int, out: str | None) -> int:
     if steps < 2:
         raise ConfigError(f"steps must be >= 2, got {steps}")
-    if not hi > lo:
-        raise ConfigError(f"need hi > lo, got [{lo}, {hi}]")
+    if not (hi > lo and math.isfinite(hi - lo)):
+        raise ConfigError(f"need finite --lo < --hi with a finite span hi - lo, got [{lo}, {hi}]")
     F = build_loss(cfg)
-    zs = np.linspace(lo, hi, steps).tolist()
-    values = [float(F(z)) for z in zs]  # a non-finite value raises before any output
+    zs = np.linspace(lo, hi, steps)
+    values = F(zs)  # a non-finite value raises before any output
     fh = open(out, "w", encoding="utf-8") if out else sys.stdout
     try:
         fh.write("z,F\n")
-        for z, value in zip(zs, values):
+        for z, value in zip(zs.tolist(), values.tolist()):
             fh.write(f"{z!r},{value!r}\n")
     finally:
         if out:

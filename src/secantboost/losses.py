@@ -46,12 +46,12 @@ SQUARE_BETA = 2.0
 class LossSpec:
     """A loss function plus the metadata the boosting stack consumes.
 
-    evaluate must accept floats and numpy arrays and be finite on all of R.
-    It must be elementwise, with a float and the same value inside an array
-    giving the same bits: the oracle decides a whole iteration's offsets from
-    array queries and relies on them equalling the per-example float queries.
-    Calling the spec checks this on every value: a NaN or inf raises ConfigError
-    naming its abscissa.
+    evaluate receives float64 arrays and must be elementwise and finite on
+    all of R.  Calling the spec is the one adapter: it passes every query to
+    evaluate as a float64 array (a 0-d one for a scalar) and returns a float
+    for a scalar query and a float64 array otherwise, so the scalar and array
+    paths share evaluate's arithmetic.  It checks every value: a NaN or inf
+    raises ConfigError naming its abscissa.
     A declared smoothness_beta (finite, > 0) promises that every secant
     curvature is <= beta: the smoothness route and the chord-gap certificate rely on it.
     A certified chord-gap decision trusts beta on the segment's interior and
@@ -73,9 +73,16 @@ class LossSpec:
             raise ConfigError(f"loss {self.name!r}: need 0 < smoothness_beta < inf, got {beta}")
 
     def __call__(self, z):
+        z = np.asarray(z, dtype=np.float64)
         out = self.evaluate(z)
-        if math.isfinite(out) if type(out) is float else np.isfinite(out).all():
-            return out
+        if z.ndim == 0:
+            out = float(out)
+            if math.isfinite(out):
+                return out
+        else:
+            out = np.asarray(out, dtype=np.float64)
+            if np.isfinite(out).all():
+                return out
         values = np.ravel(out)
         i = int(np.argmin(np.isfinite(values)))
         raise ConfigError(
@@ -89,19 +96,6 @@ class LossSpec:
         if not self.discontinuities:
             return 0.0
         return max(j for _, j in self.discontinuities)
-
-
-def _vectorized(fn):
-    # Uniform calling convention: scalars in, float out; arrays in, array out.
-    # Scalar and array paths share the same ufunc arithmetic bit for bit.
-    def wrapped(z):
-        arr = np.asarray(z, dtype=np.float64)
-        out = fn(arr)
-        if arr.ndim == 0:
-            return float(out)
-        return out
-
-    return wrapped
 
 
 def _logistic(z):
@@ -133,7 +127,7 @@ def _clipped_logistic(q: float = -2.0) -> LossSpec:
     def clipped(z):
         return np.minimum(np.logaddexp(0.0, -z), cap)
 
-    return LossSpec("clipped_logistic", _vectorized(clipped), is_convex=False, params={"q": q})
+    return LossSpec("clipped_logistic", clipped, is_convex=False, params={"q": q})
 
 
 def _spring(Q: float = 1.0) -> LossSpec:
@@ -150,22 +144,20 @@ def _spring(Q: float = 1.0) -> LossSpec:
         bump = (1.0 - np.sqrt(np.maximum(0.0, 1.0 - 4.0 * u * u))) / Q
         return np.logaddexp(0.0, -z) + bump
 
-    return LossSpec("spring", _vectorized(spring), is_convex=False, params={"Q": Q})
+    return LossSpec("spring", spring, is_convex=False, params={"Q": Q})
 
 
 # Builtin loss factories: name -> callable(**params) -> LossSpec.  A factory's
 # keyword parameters are the only parameters its loss takes.
 _BUILTINS: dict[str, Callable[..., LossSpec]] = {
-    "exponential": lambda: LossSpec("exponential", _vectorized(_exponential), is_convex=True),
+    "exponential": lambda: LossSpec("exponential", _exponential, is_convex=True),
     "logistic": lambda: LossSpec(
-        "logistic", _vectorized(_logistic), is_convex=True, smoothness_beta=LOGISTIC_BETA
+        "logistic", _logistic, is_convex=True, smoothness_beta=LOGISTIC_BETA
     ),
-    "square": lambda: LossSpec(
-        "square", _vectorized(_square), is_convex=True, smoothness_beta=SQUARE_BETA
-    ),
-    "hinge": lambda: LossSpec("hinge", _vectorized(_hinge), is_convex=True),
+    "square": lambda: LossSpec("square", _square, is_convex=True, smoothness_beta=SQUARE_BETA),
+    "hinge": lambda: LossSpec("hinge", _hinge, is_convex=True),
     "zero_one": lambda: LossSpec(
-        "zero_one", _vectorized(_zero_one), is_convex=False, discontinuities=((0.0, 1.0),)
+        "zero_one", _zero_one, is_convex=False, discontinuities=((0.0, 1.0),)
     ),
     "clipped_logistic": _clipped_logistic,
     "spring": _spring,
@@ -223,7 +215,7 @@ def table_loss(name: str, zs: Sequence[float], values: Sequence[float]) -> LossS
     def interp(z):
         return np.interp(z, zs, values)
 
-    return LossSpec(name, _vectorized(interp), is_convex=False)
+    return LossSpec(name, interp, is_convex=False)
 
 
 def load_table_loss(path: str, name: str | None = None) -> LossSpec:

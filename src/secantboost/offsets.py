@@ -61,8 +61,7 @@ def find_offset(
         return _find_offsets(F, e_t, e_prev, z_limit, int(precision_Z))
     if e_t == e_prev:
         raise ValueError("equal edges: caller must fall back to the previous offset")
-    e_t, e_prev = float(e_t), float(e_prev)
-    f_et = float(F(e_t))
+    f_et = F(e_t)
     Z = int(precision_Z)
     for _ in range(MAX_RETRIES + 1):
         delta = (e_prev - e_t) / Z
@@ -77,7 +76,7 @@ def find_offset(
         if z_cand.size:
             # Checked: a +inf candidate never wins the pick, so an unchecked
             # scan would pass a hole that the chosen chord stops short of.
-            slopes = (np.asarray(F(z_cand), dtype=np.float64) - f_et) / gap
+            slopes = (F(z_cand) - f_et) / gap
             pick = int(slopes.argmin()) if delta > 0 else int(slopes.argmax())
             v = float(gap[pick])
             if v != 0.0 and offset_feasible(F, e_t, e_prev, v, z_limit):

@@ -158,7 +158,9 @@ class _Columns:
         self.codes = np.array(codes, dtype=np.intp)
         self.codes.shape = (len(cat), S.m)
         self.first_code = np.array(first_code, dtype=np.intp)
-        self.code_feature = [f for f, n in zip(cat, np.diff(first_code)) for _ in range(n)]
+        n_labels = np.diff(first_code)
+        self.code_feature = [f for f, n in zip(cat, n_labels) for _ in range(n)]
+        self.code_row = np.repeat(np.arange(len(cat)), n_labels)  # each code's row of codes
         self.order = self.codes.argsort(axis=1, kind="stable")
         self.sorted_codes = np.sort(self.codes, axis=1)
 
@@ -247,7 +249,7 @@ def _best_split(cols: _Columns, y, w, idx: np.ndarray):
         present = counts > 0
         # Candidates: the categories present, in columns where two or more are.
         n_present = np.add.reduceat(present, cols.first_code[:-1], dtype=np.intp)
-        at = np.flatnonzero(present & np.repeat(n_present >= 2, np.diff(cols.first_code)))
+        at = np.flatnonzero(present & (n_present >= 2)[cols.code_row])
         wl, pl = wl[at], pl[at]
         total_w = float(np.sum(wi))
         total_p = float(np.sum(np.where(pos, wi, 0.0)))

@@ -77,9 +77,7 @@ def logistic_then(bad: float, smoothness_beta: float | None = None) -> sb.LossSp
     """
 
     def evaluate(z):
-        z = np.asarray(z, dtype=np.float64)
-        out = np.where(z > 0.3, bad, np.logaddexp(0.0, -z))
-        return float(out) if out.ndim == 0 else out
+        return np.where(z > 0.3, bad, np.logaddexp(0.0, -z))
 
     name = f"logistic_then_{bad}"
     return sb.LossSpec(name, evaluate, is_convex=False, smoothness_beta=smoothness_beta)
@@ -89,9 +87,7 @@ def logistic_nan_below(z0: float = -0.5) -> sb.LossSpec:
     """Logistic loss that is NaN for z < z0: broken at the very first chord probe."""
 
     def evaluate(z):
-        z = np.asarray(z, dtype=np.float64)
-        out = np.where(z < z0, np.nan, np.logaddexp(0.0, -z))
-        return float(out) if out.ndim == 0 else out
+        return np.where(z < z0, np.nan, np.logaddexp(0.0, -z))
 
     return sb.LossSpec(f"logistic_nan_below_{z0}", evaluate, is_convex=False)
 
@@ -106,9 +102,7 @@ def logistic_hole(
     """
 
     def evaluate(z):
-        z = np.asarray(z, dtype=np.float64)
-        out = np.where((z > lo) & (z < hi), bad, np.logaddexp(0.0, -z))
-        return float(out) if out.ndim == 0 else out
+        return np.where((z > lo) & (z < hi), bad, np.logaddexp(0.0, -z))
 
     return sb.LossSpec(f"logistic_{bad}_between_{lo}_{hi}", evaluate, is_convex=is_convex)
 

@@ -89,8 +89,7 @@ class TestInitialize:
     def test_overflowing_chord_slope_raises(self):
         # Both loss values are finite, but their difference overflows.
         def evaluate(z):
-            out = np.where(np.asarray(z) < -0.5, 1e308, -1e308)
-            return float(out) if out.ndim == 0 else out
+            return np.where(z < -0.5, 1e308, -1e308)
 
         F = LossSpec("cliff", evaluate, is_convex=False)
         with pytest.raises(ConfigError, match="chord slope -inf between z=0.0 and z=-1.0"):
@@ -100,9 +99,7 @@ class TestInitialize:
         # (z + 0.5)^2 is flat on the h0 = 0 chord (F(-1) == F(0)), so h0 = 0.1
         # wins and the negatives' first margin, -0.1, lands in the NaN hole.
         def evaluate(z):
-            z = np.asarray(z, dtype=np.float64)
-            out = np.where(np.abs(z + 0.1) < 0.05, np.nan, (z + 0.5) ** 2)
-            return float(out) if out.ndim == 0 else out
+            return np.where(np.abs(z + 0.1) < 0.05, np.nan, (z + 0.5) ** 2)
 
         F = LossSpec("holed_square", evaluate, is_convex=False)
         with pytest.raises(ConfigError, match="loss 'holed_square' returned nan at z=-0.1;"):

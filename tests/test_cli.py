@@ -22,6 +22,7 @@ from secantboost.cli import (
     RunConfig,
     _config_from_args,
     build_boost_config,
+    build_loss,
     build_parser,
     load_model,
     main,
@@ -189,6 +190,20 @@ MALFORMED_MODELS = {
     "feature_index_too_large": _edit("terms", 0, "tree", "feature", value=2),
     "feature_index_negative": _edit("terms", 0, "tree", "feature", value=-1),
     "h0_not_a_number": _edit("h0", value="x"),
+    "h0_nan": _edit("h0", value=math.nan),
+    "h0_bool": _edit("h0", value=True),
+    "h0_too_large": _edit("h0", value=10**400),
+    "alpha_inf": _edit("terms", 0, "alpha", value=math.inf),
+    "alpha_bool": _edit("terms", 0, "alpha", value=False),
+    "value_nan": _edit("terms", 0, "tree", "left", "value", value=math.nan),
+    "value_bool": _edit("terms", 0, "tree", "right", "value", value=True),
+    "threshold_inf": _edit("terms", 0, "tree", "threshold", value=-math.inf),
+    "threshold_bool": _edit("terms", 0, "tree", "threshold", value=True),
+    "no_threshold_nor_category": _edit("terms", 0, "tree", "threshold"),
+    "threshold_and_category": _edit("terms", 0, "tree", "category", value="x"),
+    "category_not_a_string": lambda payload: _edit("terms", 0, "tree", "category", value=5)(
+        _edit("terms", 0, "tree", "threshold")(payload)
+    ),
 }
 
 # Models whose config a RunConfig does not accept: eval exits 2.
@@ -369,6 +384,24 @@ class TestLossesCommand:
         assert main(["losses", "--lo", "1", "--hi", "0"]) == EXIT_CONFIG
         assert main(["losses", "--steps", "1"]) == EXIT_CONFIG
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "bounds",
+        [
+            ["--lo=-inf"],
+            ["--hi=inf"],
+            ["--lo=nan"],
+            ["--loss", "square", "--lo=-1e308", "--hi=1e308"],
+        ],
+        ids=["lo_inf", "hi_inf", "lo_nan", "span_overflows"],
+    )
+    def test_non_finite_range_exits_2(self, capsys, bounds):
+        # The range is at fault, not the loss: no grid point is evaluated.
+        assert main(["losses", *bounds]) == EXIT_CONFIG
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "config error: need finite --lo < --hi with a finite span hi - lo" in err
+
     def test_broken_pipe_is_not_an_error(self, monkeypatch):
         import sys
 
@@ -424,6 +457,10 @@ class TestConfigResolution:
 
     def test_booster_defaults_come_from_boost_config(self):
         assert build_boost_config(RunConfig()) == BoostConfig()
+
+    def test_table_loss_is_named_table(self, flat_loss_csv):
+        # RunConfig.loss defaults to "logistic"; a table loss must not take that name.
+        assert build_loss(RunConfig(loss_table=flat_loss_csv)).name == "table"
 
     def test_runconfig_validation(self):
         with pytest.raises(ConfigError):

@@ -8,7 +8,8 @@ recorded vectors and certificate fields.  The stored digests were written by
 an earlier build, so a refactor that claims to leave outputs unchanged must
 reproduce them bit for bit.  Float results depend on the numpy build and the
 CPU, so the test skips, saying why, when either differs from the ones the
-digests were written with.
+digests were written with.  The 1-Lipschitz runs also check that every
+refreshed weight stays within the loss's slope bound, up to rounding.
 
 Regenerate (only when an output change is intended and argued for):
 
@@ -17,6 +18,7 @@ Regenerate (only when an output change is intended and argued for):
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import io
 import json
@@ -31,6 +33,7 @@ import pytest
 import secantboost as sb
 from conftest import board_dataset
 from secantboost.cli import _node_to_json
+from secantboost.vderiv import secant_slopes
 
 DIGESTS = Path(__file__).parent / "golden" / "digests.json"
 
@@ -121,14 +124,20 @@ def _rows_digest(rows) -> str:
     return digest.hexdigest()
 
 
-def run_digests(name: str) -> dict:
+@functools.lru_cache(maxsize=None)
+def _run(name: str):
+    """(ensemble, rows) of a grid run, computed once per process."""
     loss, make_data, max_nodes, seed, precision_Z = grid()[name]
     cfg = sb.BoostConfig(
         max_nodes=max_nodes, seed=seed, precision_Z=precision_Z, record_vectors=True
     )
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # zero-edge stops are part of the output
-        ens, rows = sb.run(LOSSES[loss](), make_data(seed), T, cfg)
+        return sb.run(LOSSES[loss](), make_data(seed), T, cfg)
+
+
+def run_digests(name: str) -> dict:
+    ens, rows = _run(name)
     csv = io.StringIO()
     sb.telemetry_to_csv(rows, csv)
     return {
@@ -158,6 +167,39 @@ def test_grid_matches_stored_runs(stored):
 @pytest.mark.parametrize("name", sorted(grid()))
 def test_outputs_match_golden_digests(stored, name):
     assert run_digests(name) == stored[name]
+
+
+# Losses whose secant slopes are bounded by 1 in magnitude.
+ONE_LIPSCHITZ = ("logistic", "clipped_logistic", "hinge")
+
+
+@pytest.mark.parametrize(
+    "name", sorted(name for name, run in grid().items() if run[0] in ONE_LIPSCHITZ)
+)
+def test_refreshed_weights_within_lipschitz_bound(name):
+    """|w| <= 1 + 4*eps*(|z| + max(|F(z)|, |F(z+v)|))/|v| for every refreshed weight.
+
+    A refreshed weight is the secant slope -(F(z+v) - F(z))/v, at most 1 in
+    magnitude for these losses in exact arithmetic.  Rounding z+v and the two
+    loss values moves the numerator by a few ulps of |z| and of F, so the
+    slack grows as v shrinks; a fixed relative slack such as 1e-9 does not
+    hold (hinge-stumps-seed2 reaches |w| - 1 = 3.8e-8 at v = 1.5e-9).
+    """
+    F = LOSSES[grid()[name][0]]()
+    _, rows = _run(name)
+    eps = np.finfo(np.float64).eps
+    checked = 0
+    for row, after in zip(rows, rows[1:] + [None]):
+        if row.offsets_new is None:
+            continue
+        z, v = row.edges_new, row.offsets_new
+        w = -secant_slopes(F, z, v)
+        assert after is None or np.array_equal(after.weights, w)
+        slack = 4 * eps * (np.abs(z) + np.maximum(np.abs(F(z)), np.abs(F(z + v)))) / np.abs(v)
+        bad = np.flatnonzero(np.abs(w) > 1.0 + slack)
+        assert bad.size == 0, (row.t, w[bad], z[bad], v[bad])
+        checked += w.size
+    assert checked > 0
 
 
 if __name__ == "__main__":

@@ -60,6 +60,24 @@ class TestBuiltinValues:
         assert isinstance(out, np.ndarray)
         assert out.shape == (7,)
 
+    def test_evaluate_receives_float64_arrays(self):
+        # Calling the spec adapts every query, for user losses as for builtins.
+        seen = []
+
+        def evaluate(z):
+            seen.append((type(z), z.dtype, z.shape))
+            return np.abs(z)
+
+        F = LossSpec("abs", evaluate, is_convex=True)
+        for z in (2, -0.5, np.float32(1.5)):
+            out = F(z)
+            assert type(out) is float and out == abs(float(z))
+        out = F([1, -2, 3])
+        assert out.dtype == np.float64 and out.tolist() == [1.0, 2.0, 3.0]
+        assert seen == [(np.ndarray, np.float64, ())] * 3 + [(np.ndarray, np.float64, (3,))]
+        step = LossSpec("step", lambda z: (z <= 0.0).astype(np.int64), is_convex=False)
+        assert type(step(0.0)) is float and step(np.array([-1.0, 1.0])).dtype == np.float64
+
 
 class TestSmoothnessConstants:
     def test_logistic_curvature_peak(self):

@@ -417,7 +417,7 @@ def _certified(F, new_log, ref_log) -> bool:
     assert F.is_convex and F.smoothness_beta is not None, F.name
     assert new_log == ref_log[:-1], F.name
     assert ref_log[-1][:3] == ("array", "<f8", (DEFAULT_GRID + 1,)), F.name
-    assert [kind for kind, *_ in ref_log[-3:-1]] == ["float", "float"], F.name
+    assert [shape for _, _, shape, _ in ref_log[-3:-1]] == [(), ()], F.name
     return True
 
 
