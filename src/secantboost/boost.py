@@ -259,8 +259,9 @@ def run(F, S, T: int, config: BoostConfig | None = None):
     says how the run ended (completed / zero_weights / offsets_infeasible, or
     none after a zero-edge warning).  A constant loss yields a single t=1 row
     with all-zero weights.  A loss value that is not finite at a candidate
-    margin, a chord distortion that is not finite, or a non-finite refreshed
-    weight raises ConfigError.
+    margin, a chord distortion that is not finite, a non-finite refreshed
+    weight, or an offset budget that under- or overflows (an extreme epsilon
+    or delta_init) raises ConfigError.
     """
     if T < 1:
         raise ValueError(f"T must be >= 1, got {T}")
@@ -343,6 +344,13 @@ def run(F, S, T: int, config: BoostConfig | None = None):
         ens.terms.append((lev.alpha, h))
         w2_measured = second_order_mean(F, margins, lev.alpha * y * hv, v_prev, hv, M)
         z_limit = lev.epsilon * lev.alpha**2 * M * M * lev.w2_bar
+        if not 0.0 < z_limit < np.inf:
+            knob = "epsilon" if lev.route == "smoothness" else "delta_init"
+            raise ConfigError(
+                f"offset budget z_limit={z_limit!r} at t={t} is not positive and finite "
+                f"(alpha={lev.alpha!r}, epsilon={lev.epsilon!r}): "
+                f"{knob}={getattr(cfg, knob)!r} is out of range"
+            )
 
         row = BoostIterState(
             t=t,

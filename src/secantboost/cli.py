@@ -120,28 +120,32 @@ def _node_to_json(node: TreeNode) -> dict:
     return out
 
 
-def _finite(x, what: str) -> float:
-    """x as a float; ValueError unless it is a finite JSON number (not a bool)."""
-    if not (_num(x) and math.isfinite(x)):
-        raise ValueError(f"{what} must be a finite number, got {x!r}")
-    return float(x)
+def _finite(x, what: str, integer: bool = False):
+    """x as a float, or as an int if integer; ValueError unless it is a finite
+    JSON number (not a bool), and an integer if integer (not 1.0)."""
+    if not (_num(x) and math.isfinite(x) and (isinstance(x, int) or not integer)):
+        raise ValueError(f"{what} must be a finite {'integer' if integer else 'number'}, got {x!r}")
+    return x if integer else float(x)
 
 
-def _node_from_json(obj: dict, n_features: int) -> TreeNode:
+def _node_from_json(obj: dict, kinds: list) -> TreeNode:
+    """The tree at obj; each test must suit its feature's declared type in kinds."""
     if "value" in obj:
         return TreeNode(value=_finite(obj["value"], "leaf value"))
-    feature = int(obj["feature"])
-    if not 0 <= feature < n_features:
-        raise IndexError(f"feature {feature} outside [0, {n_features})")
-    numeric = "threshold" in obj
-    if numeric == ("category" in obj) or not (numeric or isinstance(obj["category"], str)):
-        raise ValueError("an internal node needs exactly one of a threshold and a string category")
+    feature = _finite(obj["feature"], "feature", integer=True)
+    if not 0 <= feature < len(kinds):
+        raise IndexError(f"feature {feature} outside [0, {len(kinds)})")
+    numeric = kinds[feature] == "numeric"
+    test = "threshold" if numeric else "category"
+    tests = {key: obj[key] for key in ("threshold", "category") if key in obj}
+    if tests.keys() != {test} or not (numeric or isinstance(tests[test], str)):
+        raise ValueError(f"a node on {kinds[feature]} feature {feature} needs a {test}: {tests}")
     return TreeNode(
         feature=feature,
         threshold=_finite(obj["threshold"], "threshold") if numeric else None,
         category=obj.get("category"),
-        left=_node_from_json(obj["left"], n_features),
-        right=_node_from_json(obj["right"], n_features),
+        left=_node_from_json(obj["left"], kinds),
+        right=_node_from_json(obj["right"], kinds),
     )
 
 
@@ -182,10 +186,17 @@ def load_model(path: str):
         raise ConfigError(f"unsupported model version {payload.get('version')!r}")
     try:
         schema = [(f["name"], f["type"]) for f in payload["features"]]
+        kinds = [kind for _, kind in schema]
+        if not set(kinds) <= {"numeric", "categorical"}:
+            raise ValueError(f"feature types must be numeric or categorical, got {kinds}")
         ens = boost.Ensemble(h0=_finite(payload["h0"], "h0"))
         for term in payload["terms"]:
-            tree = _node_from_json(term["tree"], len(schema))
-            h = WeakHypothesis(tree, int(term["node_count"]), len(schema))
+            tree = _node_from_json(term["tree"], kinds)
+            node_count = _finite(term["node_count"], "node_count", integer=True)
+            h = WeakHypothesis(tree, node_count, len(kinds))
+            internal = sum(1 for _ in h.iter_leaves()) - 1  # each internal node has two children
+            if h.node_count != internal:
+                raise ValueError(f"node_count {h.node_count} != {internal} internal nodes")
             ens.terms.append((_finite(term["alpha"], "alpha"), h))
     except (KeyError, IndexError, TypeError, ValueError, OverflowError) as exc:
         raise DataError(f"model {path} is malformed: {type(exc).__name__}: {exc}") from None

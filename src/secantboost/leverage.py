@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DiscontinuityCollisionError
 from .offsets import sanitize_offset
-from .vderiv import secant_slopes
+from .vderiv import MIN_OFFSET, V_derivative_expansion, secant_slopes
 
 __all__ = [
     "HALVING_CAP",
@@ -135,19 +135,15 @@ def second_order_mean(F, margins_prev, e, v_prev, h_values, M: float) -> float:
     """Signed mean of (h(x_i)/M)^2 times the order-2 nested slope.
 
     The nested slope sits at the previous edge with offsets (e_i, v_prev_i);
-    e entries that underflowed to exact zero are replaced by a tiny seeded
-    value so no term degenerates into a derivative.
+    e entries below MIN_OFFSET in magnitude (a step that underflowed) are
+    replaced by a tiny seeded value so no term degenerates into a derivative.
     """
+    e = np.array(e, dtype=np.float64)
+    for i in np.flatnonzero(np.abs(e) < MIN_OFFSET).tolist():
+        e[i] = sanitize_offset(0.0, 1e-12, seed=i)
     z = np.asarray(margins_prev, dtype=np.float64)
-    e = np.asarray(e, dtype=np.float64)
-    v_prev = np.asarray(v_prev, dtype=np.float64)
+    second = V_derivative_expansion(F, z, [e, np.asarray(v_prev, dtype=np.float64)])
     hv = np.asarray(h_values, dtype=np.float64)
-    if np.any(e == 0.0):
-        e = e.copy()
-        for i in np.nonzero(e == 0.0)[0]:
-            e[i] = sanitize_offset(0.0, 1e-12, seed=int(i))
-    # Order-2 expansion, same term order as V_derivative_expansion.
-    second = (F(z) - F(z + v_prev) - F(z + e) + F(z + e + v_prev)) / (e * v_prev)
     return float(np.mean((hv / M) ** 2 * second))
 
 

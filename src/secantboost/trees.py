@@ -119,6 +119,8 @@ def _leaf_value(w_pos: float, w_tot: float, n_examples: int) -> float:
 class _Leaf:
     idx: np.ndarray  # positive-weight example indices at this leaf
     node: TreeNode
+    w_tot: float  # the leaf's total weight
+    w_pos: float  # and its positive examples' weight
     impurity: float  # of the leaf as it stands, unsplit
     best: tuple | None = None  # (impurity, feature, kind, cut) for its best split
 
@@ -206,7 +208,7 @@ def _first_min(wl, pl, wr, pr):
     return int(ok[j]), imp[j]
 
 
-def _best_split(cols: _Columns, y, w, idx: np.ndarray):
+def _best_split(cols: _Columns, y, w, idx: np.ndarray, w_tot: float, w_pos: float):
     """Best (impurity, feature, kind, cut) over all candidate splits at idx.
 
     kind is "num" (threshold midpoint) or "cat" (one-vs-rest category); ties
@@ -214,8 +216,9 @@ def _best_split(cols: _Columns, y, w, idx: np.ndarray):
     lexicographically first category.  Each numeric column scores all its
     thresholds at once, and all categorical columns score their categories
     together, exactly as a scan over the candidates in that order would.
-    idx lists the leaf's examples in ascending order.  Returns None when no
-    split separates the examples.
+    idx lists the leaf's examples in ascending order; w_tot and w_pos are
+    their total and positive weight.  Returns None when no split separates
+    the examples.
     """
     wi = w[idx]
     pos = y[idx] > 0
@@ -251,9 +254,7 @@ def _best_split(cols: _Columns, y, w, idx: np.ndarray):
         n_present = np.add.reduceat(present, cols.first_code[:-1], dtype=np.intp)
         at = np.flatnonzero(present & (n_present >= 2)[cols.code_row])
         wl, pl = wl[at], pl[at]
-        total_w = float(np.sum(wi))
-        total_p = float(np.sum(np.where(pos, wi, 0.0)))
-        hit = _first_min(wl, pl, total_w - wl, total_p - pl)
+        hit = _first_min(wl, pl, w_tot - wl, w_pos - pl)
         if hit is not None:
             i, imp = hit
             cands.append((imp, cols.code_feature[at[i]], "cat", cols.labels[at[i]]))
@@ -289,7 +290,7 @@ def train_tree(S_signed, weights, max_nodes: int, seed: int = 0) -> WeakHypothes
         w_tot = float(np.sum(wi))
         w_pos = float(np.sum(np.where(y[idx] > 0, wi, 0.0)))
         node = TreeNode(value=_leaf_value(w_pos, w_tot, int(idx.size)))
-        return _Leaf(idx, node, _branch_impurity(w_pos, w_tot - w_pos))
+        return _Leaf(idx, node, w_tot, w_pos, _branch_impurity(w_pos, w_tot - w_pos))
 
     leaves = [make_leaf(active)]
     root = leaves[0].node
@@ -302,7 +303,7 @@ def train_tree(S_signed, weights, max_nodes: int, seed: int = 0) -> WeakHypothes
         best_gain = 0.0
         for leaf in leaves:
             if leaf.best is None:
-                leaf.best = _best_split(cols, y, w, leaf.idx) or ()
+                leaf.best = _best_split(cols, y, w, leaf.idx, leaf.w_tot, leaf.w_pos) or ()
             if leaf.best == ():
                 continue
             gain = leaf.impurity - leaf.best[0]

@@ -4,7 +4,9 @@ Everything in this module is built from secant slopes: the loss is only ever
 *evaluated*, never differentiated, and zero offsets are rejected everywhere so
 no quantity can silently degenerate into a true derivative.  Nested slopes
 (one offset per nesting level) play the role that higher derivatives play in
-smooth analysis.
+smooth analysis.  One evaluator, V_derivative_expansion, computes the nested
+slope of every order, elementwise on floats or arrays; the other entry points
+only convert their inputs and result.
 """
 
 from __future__ import annotations
@@ -38,40 +40,29 @@ class ZeroOffsetError(ValueError):
     """An offset was zero, denormal-tiny, or non-finite."""
 
 
-def _checked_offset(v: float) -> float:
-    v = float(v)
-    if not math.isfinite(v) or abs(v) < MIN_OFFSET:
-        raise ZeroOffsetError(f"offset must be finite and nonzero, got {v!r}")
+def _checked_offset(v):
+    """v as a float, or as a float64 array if it is an array, once every entry
+    is finite and at least MIN_OFFSET in magnitude."""
+    v = v.astype(np.float64, copy=False) if isinstance(v, np.ndarray) else float(v)
+    mag = np.abs(v)
+    if not (mag.min(initial=np.inf) >= MIN_OFFSET and mag.max(initial=0.0) < np.inf):
+        bad = np.ravel(v)[np.argmin((mag >= MIN_OFFSET) & (mag < np.inf))]
+        raise ZeroOffsetError(f"offset must be finite and nonzero, got {float(bad)!r}")
     return v
 
 
 def v_derivative(F: Callable[[float], float], z: float, v: float) -> float:
     """Secant slope of F through z and z+v: (F(z+v) - F(z)) / v."""
-    v = _checked_offset(v)
-    z = float(z)
-    return (float(F(z + v)) - float(F(z))) / v
+    return float(V_derivative_expansion(F, float(z), [v]))
 
 
 def V_derivative(F: Callable[[float], float], z: float, V: Sequence[float]) -> float:
     """Nested secant slope of F at z with one offset per nesting level.
 
     An empty offset collection returns F(z) itself; a singleton returns the
-    plain secant slope.  Higher orders peel the last offset and difference the
-    lower-order slope across it.  The value does not depend on the order of
-    the offsets.  Orders 1 and 2 are evaluated through the closed-form
-    expansion (same value, fewer loss queries and less cancellation).
+    plain secant slope.  The value does not depend on the order of the offsets.
     """
-    offsets = [_checked_offset(v) for v in V]
-    n = len(offsets)
-    if n > MAX_ORDER:
-        raise ValueError(f"nested slope order {n} exceeds cap {MAX_ORDER}")
-    if n == 0:
-        return float(F(float(z)))
-    if n <= 2:
-        return V_derivative_expansion(F, z, offsets)
-    vn = offsets[-1]
-    rest = offsets[:-1]
-    return (V_derivative(F, z + vn, rest) - V_derivative(F, z, rest)) / vn
+    return float(V_derivative_expansion(F, float(z), V))
 
 
 def _recursive_v_derivative(F, z, V) -> float:
@@ -87,42 +78,34 @@ def _recursive_v_derivative(F, z, V) -> float:
     ) / vn
 
 
-def V_derivative_expansion(
-    F: Callable[[float], float], z: float, V: Sequence[float]
-) -> float:
-    """Closed-form expansion of the nested slope as a signed 2**n-point sum.
+def V_derivative_expansion(F: Callable, z, V: Sequence):
+    """The nested slope as a signed 2**n-point sum, elementwise on floats or arrays.
 
     Each subset sigma of the offsets contributes (-1)**(n - |sigma|) times the
-    loss at z plus the subset sum, and the whole thing is divided by the
-    product of the offsets.
+    loss at z plus the offsets in sigma, added to z from left to right.  The
+    terms are summed in itertools.product order, starting from the first term,
+    and the sum is divided by the product of the offsets.  Order 1 is therefore
+    (-F(z) + F(z+v)) / v, which rounds as (F(z+v) - F(z)) / v.
     """
     offsets = [_checked_offset(v) for v in V]
     n = len(offsets)
     if n > MAX_ORDER:
         raise ValueError(f"nested slope order {n} exceeds cap {MAX_ORDER}")
-    z = float(z)
-    if n == 0:
-        return float(F(z))
-    total = 0.0
-    for picks in itertools.product((0, 1), repeat=n):
-        point = z + sum(v for v, b in zip(offsets, picks) if b)
-        sign = 1.0 if (n - sum(picks)) % 2 == 0 else -1.0
-        total += sign * float(F(point))
-    denom = 1.0
-    for v in offsets:
-        denom *= v
-    return total / denom
+    total = None
+    for picks in itertools.product((False, True), repeat=n):
+        point = z
+        for v in itertools.compress(offsets, picks):
+            point = point + v
+        term = F(point) if (n - sum(picks)) % 2 == 0 else -F(point)
+        total = term if total is None else total + term
+    return total / math.prod(offsets)
 
 
 def secant_slopes(F, z: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Elementwise secant slopes (F(z+v) - F(z)) / v for array inputs.
 
-    Offsets must all be finite and nonzero; the arithmetic is the same as
-    v_derivative applied per element (bit-for-bit, assuming F is a numpy
-    ufunc-style callable).
+    Offsets must all be finite and nonzero; each element rounds as
+    v_derivative does on it.
     """
-    z = np.asarray(z, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    if np.any(~np.isfinite(v)) or np.any(np.abs(v) < MIN_OFFSET):
-        raise ZeroOffsetError("all offsets must be finite and nonzero")
-    return (np.asarray(F(z + v), dtype=np.float64) - np.asarray(F(z), dtype=np.float64)) / v
+    z, v = np.asarray(z, dtype=np.float64), np.asarray(v, dtype=np.float64)
+    return np.asarray(V_derivative_expansion(F, z, [v]), dtype=np.float64)

@@ -4,8 +4,14 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 import secantboost as sb
+
+# Property tests draw the same examples on every run and keep no example
+# database, so tier-1 is deterministic; each test keeps its max_examples.
+settings.register_profile("deterministic", derandomize=True, database=None)
+settings.load_profile("deterministic")
 
 
 def separable_dataset(m: int = 200, margin: float = 0.6, seed: int = 23) -> sb.Dataset:

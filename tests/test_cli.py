@@ -26,7 +26,9 @@ from secantboost.cli import (
     build_parser,
     load_model,
     main,
+    save_model,
 )
+from secantboost.data import load_csv
 from secantboost.errors import ConfigError
 
 
@@ -39,6 +41,19 @@ def train_csv(tmp_path):
         y = 1 if x[0] + 0.5 * x[1] > 0 else 0
         lines.append(f"{x[0]:.6f},{x[1]:.6f},{y}")
     path = tmp_path / "train.csv"
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
+
+
+@pytest.fixture()
+def mixed_csv(tmp_path):
+    """Numeric a and categorical c; the label is a > 0.1 or c == x, and a stump splits on a."""
+    rng = np.random.default_rng(13)
+    lines = ["a,c,label"]
+    for _ in range(40):
+        a, c = rng.normal(), rng.choice(["x", "y", "z"])
+        lines.append(f"{a:.6f},{c},{int(a > 0.1 or c == 'x')}")
+    path = tmp_path / "mixed.csv"
     path.write_text("\n".join(lines) + "\n")
     return str(path)
 
@@ -153,12 +168,46 @@ class TestTrain:
         assert 0.40 < float(err.split("z=")[1].split(";")[0]) < 0.41
 
 
+class TestOffsetBudget:
+    """A knob whose offset budget epsilon*alpha^2*M^2*w2_bar under- or
+    overflows exits 2 naming alpha, epsilon and the knob."""
+
+    @pytest.mark.parametrize(
+        "flags, knob",
+        [
+            (["--epsilon", "1e200"], "epsilon=1e+200"),  # alpha^2 underflows
+            (["--loss", "hinge", "--delta-init", "1e-200"], "delta_init=1e-200"),  # likewise
+            (["--loss", "hinge", "--delta-init", "1e-310"], "delta_init=1e-310"),  # epsilon = inf
+            (["--loss", "hinge", "--delta-init", "5e-324"], "delta_init=5e-324"),  # no edge moves
+        ],
+        ids=["epsilon_1e200", "delta_init_1e-200", "delta_init_1e-310", "delta_init_5e-324"],
+    )
+    def test_out_of_range_budget_exits_2(self, tmp_path, train_csv, capsys, flags, knob):
+        code = main(["train", "-T", "5", *flags, train_csv, str(tmp_path / "run")])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "config error: offset budget z_limit=" in err
+        assert "alpha=" in err and "epsilon=" in err and knob in err
+
+
 @pytest.fixture()
 def trained_model(tmp_path, train_csv, capsys):
     out = tmp_path / "run"
     assert main(["train", "-T", "2", train_csv, str(out)]) == EXIT_OK
     capsys.readouterr()
     return out / "model.json"
+
+
+@pytest.fixture()
+def mixed_model(tmp_path, mixed_csv, capsys):
+    """A stump model on mixed_csv; its first root tests numeric feature 0."""
+    out = tmp_path / "mixed_run"
+    assert main(["train", "-T", "2", mixed_csv, str(out)]) == EXIT_OK
+    capsys.readouterr()
+    model = out / "model.json"
+    root = json.loads(model.read_text())["terms"][0]["tree"]
+    assert root["feature"] == 0 and "threshold" in root
+    return model
 
 
 _DROP = object()
@@ -204,6 +253,18 @@ MALFORMED_MODELS = {
     "category_not_a_string": lambda payload: _edit("terms", 0, "tree", "category", value=5)(
         _edit("terms", 0, "tree", "threshold")(payload)
     ),
+    # Feature 1 (c) is categorical, feature 0 (a) numeric.
+    "threshold_on_categorical": _edit("terms", 0, "tree", "feature", value=1),
+    "category_on_numeric": lambda payload: _edit("terms", 0, "tree", "category", value="y")(
+        _edit("terms", 0, "tree", "threshold")(payload)
+    ),
+    "feature_type_unknown": _edit("features", 0, "type", value="text"),
+    "feature_float": _edit("terms", 0, "tree", "feature", value=0.9),
+    "feature_bool": _edit("terms", 0, "tree", "feature", value=False),
+    "node_count_string": _edit("terms", 0, "node_count", value="1"),
+    "node_count_bool": _edit("terms", 0, "node_count", value=True),
+    "node_count_float": _edit("terms", 0, "node_count", value=1.0),
+    "node_count_wrong": _edit("terms", 0, "node_count", value=5),
 }
 
 # Models whose config a RunConfig does not accept: eval exits 2.
@@ -217,9 +278,9 @@ BAD_MODEL_CONFIGS = {
 
 class TestEval:
     @pytest.mark.parametrize("edit", MALFORMED_MODELS.values(), ids=MALFORMED_MODELS)
-    def test_malformed_model_exits_3(self, trained_model, train_csv, capsys, edit):
-        trained_model.write_text(json.dumps(edit(json.loads(trained_model.read_text()))))
-        assert main(["eval", str(trained_model), train_csv]) == EXIT_DATA
+    def test_malformed_model_exits_3(self, mixed_model, mixed_csv, capsys, edit):
+        mixed_model.write_text(json.dumps(edit(json.loads(mixed_model.read_text()))))
+        assert main(["eval", str(mixed_model), mixed_csv]) == EXIT_DATA
         assert "data error: model" in capsys.readouterr().err
 
     def test_too_deeply_nested_model_exits_3(self, tmp_path, train_csv, capsys):
@@ -292,6 +353,17 @@ class TestLoadModel:
             assert alpha == term["alpha"]
             assert h.node_count == term["node_count"]
             assert h.n_features == 2
+
+    def test_save_load_save_is_byte_identical(self, tmp_path, mixed_csv, capsys):
+        out = tmp_path / "run"
+        assert main(["train", "-T", "4", "--max-nodes", "3", mixed_csv, str(out)]) == EXIT_OK
+        capsys.readouterr()
+        saved = (out / "model.json").read_bytes()
+        assert b'"category"' in saved and b'"threshold"' in saved
+        ens, payload = load_model(str(out / "model.json"))
+        cfg = RunConfig(**payload["config"])
+        save_model(str(tmp_path / "again.json"), ens, cfg, load_csv(mixed_csv))
+        assert (tmp_path / "again.json").read_bytes() == saved
 
 
 class TestCv:

@@ -20,6 +20,7 @@ from secantboost import (
     w2_from_alpha,
 )
 from secantboost.leverage import HALVING_CAP
+from secantboost.offsets import sanitize_offset
 from secantboost.vderiv import secant_slopes
 
 
@@ -156,6 +157,31 @@ class TestSecondOrderMean:
             for i in range(S.m)
         ]
         assert got == pytest.approx(np.mean(per_example), rel=1e-9)
+
+    @pytest.mark.parametrize("name", ["logistic", "square", "spring"])
+    def test_equals_four_term_mean_bit_for_bit(self, name):
+        # The order-2 sum written out by hand, with e's zero entry replaced
+        # as second_order_mean replaces it.
+        F = make_builtin(name)
+        S, z, v, hv = _state(m=64, seed=17)
+        e = 0.3 * S.labels * hv
+        e[5] = 0.0
+        M = float(np.max(np.abs(hv)))
+        got = second_order_mean(F, z, e, v, hv, M)
+        e[5] = sanitize_offset(0.0, 1e-12, seed=5)
+        second = (F(z) - F(z + v) - F(z + e) + F(z + e + v)) / (e * v)
+        assert got == float(np.mean((hv / M) ** 2 * second))
+
+    def test_sub_min_offset_entries_are_sanitized(self):
+        # A step that underflows below MIN_OFFSET without reaching zero is
+        # replaced like a zero, not rejected as a zero offset.
+        F = make_builtin("logistic")
+        S, margins, v_prev, hv = _state(seed=2)
+        e = 0.1 * np.ones(S.m)
+        e[3] = 1e-310
+        got = second_order_mean(F, margins, e, v_prev, hv, 1.0)
+        e[3] = 0.0
+        assert got == second_order_mean(F, margins, e, v_prev, hv, 1.0)
 
     def test_zero_entries_are_sanitized(self):
         F = make_builtin("logistic")

@@ -318,6 +318,13 @@ class TestNonzeroShift:
 # be compared for exact equality.
 
 
+def _split(cols, y, w, idx: np.ndarray):
+    """_best_split given the leaf's sums as train_tree's make_leaf forms them."""
+    wi = w[idx]
+    w_pos = float(np.sum(np.where(y[idx] > 0, wi, 0.0)))
+    return _best_split(cols, y, w, idx, float(np.sum(wi)), w_pos)
+
+
 def _loop_branch_impurity(w_pos: float, w_neg: float) -> float:
     return 2.0 * math.sqrt(max(0.0, w_pos * w_neg))
 
@@ -512,7 +519,7 @@ class TestLoopReference:
             half = np.sort(rng.choice(active, size=max(1, active.size // 2), replace=False))
             for idx in (active, half):
                 want = _loop_best_split(S, y, w, idx)
-                assert _best_split(_Columns(S), y, w, idx) == want, f"case {seed}"
+                assert _split(_Columns(S), y, w, idx) == want, f"case {seed}"
                 if want is not None:
                     n_features, threshold_tie = _tie_counts(S, y, w, idx, want)
                     n_cross_ties += n_features > 1
@@ -530,7 +537,7 @@ class TestLoopReference:
             rng = np.random.default_rng(20_000 + seed)
             w[rng.random(S.m) < 0.3] = rng.choice([1e308, np.inf])
             idx = np.nonzero(w > 0.0)[0]
-            got = _best_split(_Columns(S), S.labels, w, idx)
+            got = _split(_Columns(S), S.labels, w, idx)
             want = _loop_best_split(S, S.labels, w, idx)
             assert (got is None) == (want is None), f"case {seed}"
             if want is not None:
@@ -559,7 +566,7 @@ class TestLoopReference:
             idx = np.sort(rng.choice(active, size=size, replace=False))
             want = _loop_best_split(S, S.labels, w, idx)
             assert want[2] == "cat"
-            assert _best_split(cols, S.labels, w, idx) == want, f"subset {k}"
+            assert _split(cols, S.labels, w, idx) == want, f"subset {k}"
 
     def test_trees_match_loop(self):
         for seed in range(N_REFERENCE_CASES):

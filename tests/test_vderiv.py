@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from secantboost import make_builtin
 from secantboost.vderiv import (
     MAX_ORDER,
     MIN_OFFSET,
@@ -36,6 +37,11 @@ def logistic(z):
 def cubic(z):
     z = np.asarray(z, dtype=np.float64)
     return z**3 - 2.0 * z + 0.5
+
+
+def _bits(x) -> bytes:
+    # Bit-for-bit comparison: unlike ==, it tells -0.0 from 0.0.
+    return np.asarray(x, dtype=np.float64).tobytes()
 
 
 def _noise_floor(F, z, V):
@@ -81,6 +87,14 @@ class TestVDerivative:
         with pytest.raises(ZeroOffsetError):
             v_derivative(lambda z: z, 0.0, math.nan)
 
+    @pytest.mark.parametrize("name", ["logistic", "exponential", "hinge", "spring"])
+    def test_equals_float_expression_bit_for_bit(self, name):
+        F = make_builtin(name)
+        rng = np.random.default_rng(3)
+        for z, v in zip(rng.uniform(-3, 3, size=200), rng.uniform(-2, 2, size=200)):
+            z, v = float(z), float(v)
+            assert _bits(v_derivative(F, z, v)) == _bits((F(z + v) - F(z)) / v)
+
 
 class TestNestedSlope:
     def test_empty_offsets_is_evaluation(self):
@@ -119,6 +133,32 @@ class TestNestedSlope:
         # zero up to cancellation dust: each slope drops the degree by one.
         got = V_derivative(cubic, 0.4, [1.0, -0.5, 2.0, 0.25])
         assert got == pytest.approx(0.0, abs=1e-9)
+
+    @pytest.mark.parametrize("order", [3, 4])
+    def test_high_orders_match_recursion(self, order):
+        rng = np.random.default_rng(order)
+        for _ in range(200):
+            z = float(rng.uniform(-3.0, 3.0))
+            V = list(rng.uniform(1e-3, 10.0, size=order) * rng.choice([-1.0, 1.0], size=order))
+            np.testing.assert_allclose(
+                V_derivative(logistic, z, V),
+                _recursive_v_derivative(logistic, z, V),
+                rtol=1e-8,
+                atol=_noise_floor(logistic, z, V),
+            )
+
+    @pytest.mark.parametrize("order", [0, 1, 2, 3])
+    def test_arrays_match_floats_elementwise(self, order):
+        # One evaluator: on arrays each element rounds as the float call does.
+        F = make_builtin("logistic")
+        rng = np.random.default_rng(10 + order)
+        z = rng.uniform(-3, 3, size=32)
+        V = [rng.uniform(0.01, 2.0, size=32) * rng.choice([-1.0, 1.0], size=32)
+             for _ in range(order)]
+        got = V_derivative_expansion(F, z, V)
+        for i in range(32):
+            one = V_derivative_expansion(F, float(z[i]), [float(v[i]) for v in V])
+            assert _bits(got[i]) == _bits(one)
 
     @given(
         z=abscissas,
@@ -193,11 +233,24 @@ class TestSecantSlopes:
             scalar = v_derivative(lambda t: float(logistic(t)), z[i], v[i])
             np.testing.assert_allclose(vec[i], scalar, rtol=1e-12)
 
+    @pytest.mark.parametrize("name", ["logistic", "exponential", "hinge", "spring"])
+    def test_equals_array_expression_bit_for_bit(self, name):
+        F = make_builtin(name)
+        rng = np.random.default_rng(4)
+        z = rng.uniform(-3, 3, size=500)
+        v = rng.uniform(1e-9, 2.0, size=500) * rng.choice([-1.0, 1.0], size=500)
+        assert _bits(secant_slopes(F, z, v)) == _bits((F(z + v) - F(z)) / v)
+
     def test_rejects_any_zero_offset(self):
         z = np.zeros(3)
         v = np.array([1.0, 0.0, 1.0])
         with pytest.raises(ZeroOffsetError):
             secant_slopes(logistic, z, v)
+
+    def test_rejects_denormal_offset_naming_it(self):
+        v = np.array([1.0, -MIN_OFFSET / 2.0, 1.0])
+        with pytest.raises(ZeroOffsetError, match=repr(-MIN_OFFSET / 2.0)):
+            secant_slopes(logistic, np.zeros(3), v)
 
     def test_rejects_nonfinite_offset(self):
         with pytest.raises(ZeroOffsetError):
