@@ -176,7 +176,7 @@ def load_model(path: str):
     try:
         with open(path, encoding="utf-8") as fh:
             payload = json.load(fh)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read model {path}: {exc}") from None
     except (json.JSONDecodeError, RecursionError) as exc:
         raise DataError(f"model {path} is not valid JSON: {exc}") from None
@@ -377,7 +377,7 @@ def _config_from_args(args) -> RunConfig:
         try:
             with open(args.config, encoding="utf-8") as fh:
                 payload = json.load(fh)
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config {args.config}: {exc}") from None
         except (json.JSONDecodeError, RecursionError) as exc:
             raise ConfigError(f"config {args.config} is not valid JSON: {exc}") from None

@@ -100,12 +100,13 @@ def dataset_from_columns(columns, labels, names=None, types=None) -> Dataset:
     return Dataset(tuple(cols), labels, tuple(names), tuple(kinds))
 
 
-def _parse_number(token: str) -> float | None:
+def _numbers(cells) -> list[float] | None:
+    """cells as floats if every one parses as a finite number, else None."""
     try:
-        value = float(token)
+        values = list(map(float, cells))
     except ValueError:
         return None
-    return value if math.isfinite(value) else None
+    return values if all(map(math.isfinite, values)) else None
 
 
 def load_csv(path, label_column="label", force_categorical: Sequence[str] = ()) -> Dataset:
@@ -114,13 +115,21 @@ def load_csv(path, label_column="label", force_categorical: Sequence[str] = ()) 
     label_column may be a header name or an integer index.  A feature column
     is numeric iff every value parses as a finite number; names or indices in
     force_categorical stay categorical (DataError if one matches no column).
-    Missing values (empty cells) and short rows are rejected.
+    Missing values (empty cells) and short rows are rejected, naming the
+    first offending line of the file.
     """
+    rows, lines = [], []  # the non-blank rows and the file line each ends on
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
-            rows = [row for row in reader if row]
-    except OSError as exc:
+            try:
+                for row in reader:
+                    if row:
+                        rows.append(row)
+                        lines.append(reader.line_num)
+            except csv.Error as exc:
+                raise DataError(f"{path}:{reader.line_num}: {exc}") from None
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read {path}: {exc}") from None
     if len(rows) < 2:
         raise DataError(f"{path}: need a header and at least one data row")
@@ -138,18 +147,20 @@ def load_csv(path, label_column="label", force_categorical: Sequence[str] = ()) 
             raise DataError(f"label column {label_column!r} not in header {header}")
         label_idx = header.index(label_column)
 
-    raw_cols: list[list[str]] = [[] for _ in range(width)]
-    for lineno, row in enumerate(rows[1:], start=2):
-        if len(row) != width:
-            raise DataError(f"{path}:{lineno}: expected {width} cells, got {len(row)}")
-        for j, cell in enumerate(row):
-            cell = cell.strip()
-            if cell == "":
-                raise DataError(f"{path}:{lineno}: missing value in column {header[j]!r}")
-            raw_cols[j].append(cell)
+    # The first bad row in file order is reported: the rows before the first
+    # one of the wrong width are checked for empty cells first (zip would
+    # silently cut a short row).
+    n_ok = next((i for i, row in enumerate(rows) if len(row) != width), len(rows))
+    raw_cols = [list(map(str.strip, col)) for col in zip(*rows[1:n_ok])]
+    empty = min(((col.index(""), j) for j, col in enumerate(raw_cols) if "" in col), default=None)
+    if empty is not None:
+        i, j = empty
+        raise DataError(f"{path}:{lines[i + 1]}: missing value in column {header[j]!r}")
+    if n_ok < len(rows):
+        raise DataError(f"{path}:{lines[n_ok]}: expected {width} cells, got {len(rows[n_ok])}")
 
-    label_values = [_parse_number(cell) for cell in raw_cols[label_idx]]
-    if any(v is None for v in label_values):
+    label_values = _numbers(raw_cols[label_idx])
+    if label_values is None:
         raise DataError(f"{path}: labels must be numeric (-1/+1 or 0/1)")
     distinct = set(label_values)
     if distinct <= {-1.0, 1.0}:
@@ -168,9 +179,8 @@ def load_csv(path, label_column="label", force_categorical: Sequence[str] = ()) 
     for j in range(width):
         if j == label_idx:
             continue
-        parsed = [_parse_number(cell) for cell in raw_cols[j]]
-        numeric = all(v is not None for v in parsed)
-        if numeric and header[j] not in forced and str(j) not in forced:
+        parsed = None if header[j] in forced or str(j) in forced else _numbers(raw_cols[j])
+        if parsed is not None:
             columns.append(np.asarray(parsed, dtype=np.float64))
             kinds.append("numeric")
         else:

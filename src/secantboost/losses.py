@@ -222,18 +222,20 @@ def load_table_loss(path: str, name: str | None = None) -> LossSpec:
     """Read a two-column CSV (z, value) into a piecewise-linear loss."""
     zs: list[float] = []
     vals: list[float] = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        for lineno, row in enumerate(reader):
-            if not row or (lineno == 0 and not _is_number(row[0])):
-                continue  # header or blank line
-            if len(row) < 2:
-                raise ConfigError(f"{path}:{lineno + 1}: expected two columns")
-            try:
-                zs.append(float(row[0]))
-                vals.append(float(row[1]))
-            except ValueError as exc:
-                raise ConfigError(f"{path}:{lineno + 1}: {exc}") from None
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            for lineno, row in enumerate(csv.reader(fh)):
+                if not row or (lineno == 0 and not _is_number(row[0])):
+                    continue  # header or blank line
+                if len(row) < 2:
+                    raise ConfigError(f"{path}:{lineno + 1}: expected two columns")
+                try:
+                    zs.append(float(row[0]))
+                    vals.append(float(row[1]))
+                except ValueError as exc:
+                    raise ConfigError(f"{path}:{lineno + 1}: {exc}") from None
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise ConfigError(f"cannot read {path}: {exc}") from None
     return table_loss(name or "table", zs, vals)
 
 

@@ -117,11 +117,15 @@ def _leaf_value(w_pos: float, w_tot: float, n_examples: int) -> float:
 
 @dataclass(eq=False)  # identity equality: lists of leaves remove by object
 class _Leaf:
-    idx: np.ndarray  # positive-weight example indices at this leaf
+    idx: np.ndarray  # positive-weight example indices at this leaf, ascending
     node: TreeNode
     w_tot: float  # the leaf's total weight
     w_pos: float  # and its positive examples' weight
     impurity: float  # of the leaf as it stands, unsplit
+    # Per-row example orders (see _Columns.restrict): the parent's, a
+    # superset, until the leaf is searched; its own from then on.  A leaf
+    # that is never searched never pays for cutting them down.
+    orders: np.ndarray
     best: tuple | None = None  # (impurity, feature, kind, cut) for its best split
 
 
@@ -139,9 +143,11 @@ class _Columns:
     Numeric columns are float64 values.  Categorical columns become rows of
     integer codes, sorted by category label within a column and numbered on
     across columns in feature order, so each (column, category) pair has its
-    own code and code order is scan order.  Each row's stable code order
-    (order) and its codes in that order (sorted_codes) are computed here once,
-    so a leaf finds its examples grouped by code without sorting again.
+    own code and code order is scan order.  order holds one stable order of
+    all examples per feature row, numeric rows (by value) first, then
+    categorical rows (by code); ties keep example order.  A leaf's examples
+    are these orders restricted to its members (see restrict), so split
+    search never sorts again.
     """
 
     def __init__(self, S):
@@ -163,8 +169,23 @@ class _Columns:
         n_labels = np.diff(first_code)
         self.code_feature = [f for f, n in zip(cat, n_labels) for _ in range(n)]
         self.code_row = np.repeat(np.arange(len(cat)), n_labels)  # each code's row of codes
-        self.order = self.codes.argsort(axis=1, kind="stable")
-        self.sorted_codes = np.sort(self.codes, axis=1)
+        self.order = np.empty((len(self.kinds), S.m), dtype=np.intp)
+        for r, col in enumerate(self.values + list(self.codes)):
+            self.order[r] = np.argsort(col, kind="stable")
+
+    def restrict(self, orders: np.ndarray, idx: np.ndarray) -> np.ndarray:
+        """orders with each row cut down to the examples of idx, stably.
+
+        orders holds a superset of idx in every row (order itself, or a
+        parent leaf's orders).  A stable filter of a stable sort is the stable
+        sort of the subset, so each row of the result lists idx's examples by
+        value or code with ties in example order, as sorting them would.
+        """
+        if idx.size == orders.shape[1]:
+            return orders  # no example to drop
+        member = np.zeros(self.order.shape[1], dtype=bool)
+        member[idx] = True
+        return orders[member[orders]].reshape(orders.shape[0], idx.size)
 
     def goes_left(self, f: int, cut, idx: np.ndarray) -> np.ndarray:
         """Which examples of idx a split on feature f at cut sends left."""
@@ -208,28 +229,26 @@ def _first_min(wl, pl, wr, pr):
     return int(ok[j]), imp[j]
 
 
-def _best_split(cols: _Columns, y, w, idx: np.ndarray, w_tot: float, w_pos: float):
-    """Best (impurity, feature, kind, cut) over all candidate splits at idx.
+def _best_split(cols: _Columns, y, w, orders: np.ndarray, w_tot: float, w_pos: float):
+    """Best (impurity, feature, kind, cut) over all candidate splits at a leaf.
 
     kind is "num" (threshold midpoint) or "cat" (one-vs-rest category); ties
     resolve to the lowest feature index, then the lowest threshold /
     lexicographically first category.  Each numeric column scores all its
     thresholds at once, and all categorical columns score their categories
     together, exactly as a scan over the candidates in that order would.
-    idx lists the leaf's examples in ascending order; w_tot and w_pos are
-    their total and positive weight.  Returns None when no split separates
-    the examples.
+    orders lists the leaf's examples once per row of cols.order: by value in
+    numeric rows and by code in categorical rows, ties in example order
+    (cols.restrict builds it).  w_tot and w_pos are the leaf's total and
+    positive weight.  Returns None when no split separates the examples.
     """
-    wi = w[idx]
-    pos = y[idx] > 0
+    n_num = len(cols.values)
     cands = []  # each numeric column's best, then the best categorical split
-    for f, col in zip(cols.num_feature, cols.values):
-        vals = col[idx]
-        order = np.argsort(vals, kind="stable")
-        sv = vals[order]
-        sw = wi[order]
+    for f, col, order in zip(cols.num_feature, cols.values, orders):
+        sv = col[order]
+        sw = w[order]
         cum_w = np.cumsum(sw)
-        cum_p = np.cumsum(np.where(pos[order], sw, 0.0))
+        cum_p = np.cumsum(np.where(y[order] > 0, sw, 0.0))
         k = np.nonzero(sv[1:] > sv[:-1])[0]  # split after sorted position k
         wl = cum_w[k]
         pl = cum_p[k]
@@ -238,13 +257,11 @@ def _best_split(cols: _Columns, y, w, idx: np.ndarray, w_tot: float, w_pos: floa
             i, imp = hit
             cands.append((imp, f, "num", 0.5 * (sv[k[i]] + sv[k[i] + 1])))
     if cols.codes.size:
-        # The leaf's examples in each row's code order, which is example order
-        # within a code because the order is stable and idx ascending.
-        member = np.zeros(cols.codes.shape[1], dtype=bool)
-        member[idx] = True
-        sel = member[cols.order]
-        ex = cols.order[sel]
-        codes = cols.sorted_codes[sel]
+        # Every categorical row's examples in code order, row after row: codes
+        # ascend throughout, and within a code the examples keep example order.
+        ex = orders[n_num:]
+        codes = cols.codes[np.arange(len(ex))[:, None], ex].ravel()
+        ex = ex.ravel()
         n_codes = len(cols.labels)
         on = y[ex] > 0
         wl, counts = _code_sums(codes, w[ex], n_codes)
@@ -285,14 +302,14 @@ def train_tree(S_signed, weights, max_nodes: int, seed: int = 0) -> WeakHypothes
     y = np.asarray(S_signed.labels, dtype=np.float64)
     cols = _Columns(S_signed)
 
-    def make_leaf(idx: np.ndarray) -> _Leaf:
+    def make_leaf(idx: np.ndarray, orders: np.ndarray) -> _Leaf:
         wi = w[idx]
         w_tot = float(np.sum(wi))
         w_pos = float(np.sum(np.where(y[idx] > 0, wi, 0.0)))
         node = TreeNode(value=_leaf_value(w_pos, w_tot, int(idx.size)))
-        return _Leaf(idx, node, w_tot, w_pos, _branch_impurity(w_pos, w_tot - w_pos))
+        return _Leaf(idx, node, w_tot, w_pos, _branch_impurity(w_pos, w_tot - w_pos), orders)
 
-    leaves = [make_leaf(active)]
+    leaves = [make_leaf(active, cols.order)]
     root = leaves[0].node
     n_internal = 0
     while n_internal < max_nodes:
@@ -303,7 +320,8 @@ def train_tree(S_signed, weights, max_nodes: int, seed: int = 0) -> WeakHypothes
         best_gain = 0.0
         for leaf in leaves:
             if leaf.best is None:
-                leaf.best = _best_split(cols, y, w, leaf.idx, leaf.w_tot, leaf.w_pos) or ()
+                leaf.orders = cols.restrict(leaf.orders, leaf.idx)
+                leaf.best = _best_split(cols, y, w, leaf.orders, leaf.w_tot, leaf.w_pos) or ()
             if leaf.best == ():
                 continue
             gain = leaf.impurity - leaf.best[0]
@@ -314,8 +332,8 @@ def train_tree(S_signed, weights, max_nodes: int, seed: int = 0) -> WeakHypothes
             break
         _, f, kind, cut = best_leaf.best
         mask = cols.goes_left(f, cut, best_leaf.idx)
-        left = make_leaf(best_leaf.idx[mask])
-        right = make_leaf(best_leaf.idx[~mask])
+        left = make_leaf(best_leaf.idx[mask], best_leaf.orders)
+        right = make_leaf(best_leaf.idx[~mask], best_leaf.orders)
         node = best_leaf.node
         node.feature = f
         node.threshold = cut if kind == "num" else None

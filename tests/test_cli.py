@@ -563,6 +563,56 @@ MISTYPED = [
 ]
 
 
+class TestUnreadableInput:
+    """A file that is not UTF-8, or a CSV field past the csv module's limit,
+    is reported as the reader's usual error with a one-line message."""
+
+    @staticmethod
+    def _one_line_error(capsys, prefix):
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(prefix) and err.count("\n") == 1, err
+
+    @pytest.mark.parametrize("command", ["train", "cv", "eval"])
+    def test_non_utf8_data_exits_3(self, tmp_path, trained_model, command, capsys):
+        data = tmp_path / "bad.csv"
+        data.write_bytes(b"a,b,label\n1,2,1\n\xff,3,-1\n")
+        first = str(trained_model) if command == "eval" else str(data)
+        second = str(data) if command == "eval" else str(tmp_path / "out")
+        assert main([command, first, second]) == EXIT_DATA
+        self._one_line_error(capsys, "data error: cannot read")
+
+    @pytest.mark.parametrize("command", ["train", "cv"])
+    def test_oversized_data_field_exits_3(self, tmp_path, command, capsys):
+        data = tmp_path / "long.csv"
+        data.write_text("a,label\n1,1\n" + "x" * 140_000 + ",-1\n")
+        assert main([command, str(data), str(tmp_path / "out")]) == EXIT_DATA
+        self._one_line_error(capsys, f"data error: {data}:3: field larger than field limit")
+
+    @pytest.mark.parametrize(
+        "content", [b"z,F\n0,1\n\xff,2\n", b"z,F\n0,1\n" + b"1" * 140_000 + b",2\n"],
+        ids=["non_utf8", "oversized_field"],
+    )
+    def test_unreadable_loss_table_exits_2(self, tmp_path, train_csv, content, capsys):
+        table = tmp_path / "table.csv"
+        table.write_bytes(content)
+        argv = ["train", "--loss-table", str(table), train_csv, str(tmp_path / "out")]
+        assert main(argv) == EXIT_CONFIG
+        self._one_line_error(capsys, f"config error: cannot read {table}")
+
+    def test_non_utf8_config_exits_2(self, tmp_path, train_csv, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_bytes(b'{"T": 2, "loss": "\xff"}')
+        argv = ["train", "--config", str(cfg_path), train_csv, str(tmp_path / "out")]
+        assert main(argv) == EXIT_CONFIG
+        self._one_line_error(capsys, f"config error: cannot read config {cfg_path}")
+
+    def test_non_utf8_model_exits_3(self, trained_model, train_csv, capsys):
+        trained_model.write_bytes(trained_model.read_bytes().replace(b'"h0"', b'"h0\xff"', 1))
+        assert main(["eval", str(trained_model), train_csv]) == EXIT_DATA
+        self._one_line_error(capsys, f"data error: cannot read model {trained_model}")
+
+
 class TestConfigTypes:
     @pytest.mark.parametrize("key,value", MISTYPED)
     def test_mistyped_config_value_exits_2(self, tmp_path, train_csv, capsys, key, value):

@@ -79,6 +79,31 @@ class TestLoadCsv:
         with pytest.raises(DataError, match="missing value"):
             load_csv(path)
 
+    @pytest.mark.parametrize(
+        "text, where",
+        [
+            ("a,label\n1,1\n\n2,-1\n,1\n", ":5: missing value in column 'a'"),
+            ("a,label\n\n\n1,1\n2\n", ":5: expected 2 cells, got 1"),
+            ('a,label\n"x\ny",1\n,1\n', ":4: missing value in column 'a'"),
+        ],
+        ids=["after_blank_line", "after_two_blank_lines", "after_quoted_newline"],
+    )
+    def test_error_names_the_file_line(self, tmp_path, text, where):
+        path = _write(tmp_path, text)
+        with pytest.raises(DataError) as info:
+            load_csv(path)
+        assert str(info.value) == path + where
+
+    def test_first_bad_row_in_file_order_is_reported(self, tmp_path):
+        # An empty cell above a short row is reported first, and on one row a
+        # short row is reported before its empty cell.
+        path = _write(tmp_path, "a,b,label\n1,2,1\n3,,1\n4,1\n")
+        with pytest.raises(DataError, match=r":3: missing value in column 'b'"):
+            load_csv(path)
+        path = _write(tmp_path, "a,b,label\n1,2,1\n,1\n3,,1\n")
+        with pytest.raises(DataError, match=r":3: expected 3 cells, got 2"):
+            load_csv(path)
+
     def test_short_row_rejected(self, tmp_path):
         path = _write(tmp_path, "a,b,label\n1,2,1\n2,-1\n")
         with pytest.raises(DataError, match="expected 3 cells"):

@@ -318,11 +318,22 @@ class TestNonzeroShift:
 # be compared for exact equality.
 
 
-def _split(cols, y, w, idx: np.ndarray):
-    """_best_split given the leaf's sums as train_tree's make_leaf forms them."""
+def _split(S, y, w, idx: np.ndarray):
+    """_best_split at the leaf idx (ascending), given its per-row orders and
+    its sums as train_tree forms them.
+
+    The orders are built here by sorting the leaf itself, not by
+    _Columns.restrict: numeric features first, then categorical ones, each
+    the stable argsort of the leaf's column (category labels sort as their
+    codes do).
+    """
+    rows = [f for f, kind in enumerate(S.feature_types) if kind == "numeric"]
+    rows += [f for f, kind in enumerate(S.feature_types) if kind != "numeric"]
+    orders = np.array([idx[np.argsort(S.columns[f][idx], kind="stable")] for f in rows],
+                      dtype=np.intp).reshape(len(rows), idx.size)
     wi = w[idx]
     w_pos = float(np.sum(np.where(y[idx] > 0, wi, 0.0)))
-    return _best_split(cols, y, w, idx, float(np.sum(wi)), w_pos)
+    return _best_split(_Columns(S), y, w, orders, float(np.sum(wi)), w_pos)
 
 
 def _loop_branch_impurity(w_pos: float, w_neg: float) -> float:
@@ -519,7 +530,7 @@ class TestLoopReference:
             half = np.sort(rng.choice(active, size=max(1, active.size // 2), replace=False))
             for idx in (active, half):
                 want = _loop_best_split(S, y, w, idx)
-                assert _split(_Columns(S), y, w, idx) == want, f"case {seed}"
+                assert _split(S, y, w, idx) == want, f"case {seed}"
                 if want is not None:
                     n_features, threshold_tie = _tie_counts(S, y, w, idx, want)
                     n_cross_ties += n_features > 1
@@ -537,7 +548,7 @@ class TestLoopReference:
             rng = np.random.default_rng(20_000 + seed)
             w[rng.random(S.m) < 0.3] = rng.choice([1e308, np.inf])
             idx = np.nonzero(w > 0.0)[0]
-            got = _split(_Columns(S), S.labels, w, idx)
+            got = _split(S, S.labels, w, idx)
             want = _loop_best_split(S, S.labels, w, idx)
             assert (got is None) == (want is None), f"case {seed}"
             if want is not None:
@@ -560,13 +571,12 @@ class TestLoopReference:
         )
         w = rng.uniform(0.0, 2.0, size=m) * (rng.random(m) < 0.95)
         active = np.nonzero(w > 0.0)[0]
-        cols = _Columns(S)
         for k in range(8):
             size = active.size - k * active.size // 10
             idx = np.sort(rng.choice(active, size=size, replace=False))
             want = _loop_best_split(S, S.labels, w, idx)
             assert want[2] == "cat"
-            assert _split(cols, S.labels, w, idx) == want, f"subset {k}"
+            assert _split(S, S.labels, w, idx) == want, f"subset {k}"
 
     def test_trees_match_loop(self):
         for seed in range(N_REFERENCE_CASES):
@@ -576,3 +586,34 @@ class TestLoopReference:
                 want = _loop_train_tree(S, w, max_nodes)
                 assert got.node_count == want.node_count, f"case {seed}"
                 assert got.root == want.root, f"case {seed}"
+
+    def test_deep_trees_match_loop(self):
+        # 20-node trees on a few hundred examples: leaves deep in the tree
+        # search orders partitioned through several splits.  Coarse and
+        # integer columns tie many values, a duplicated column ties whole
+        # features, integer weights tie branch sums, and a fifth to a
+        # quarter of the examples carry zero weight.
+        for seed in range(4):
+            rng = np.random.default_rng(40_000 + seed)
+            m = int(rng.integers(300, 601))
+            coarse = np.round(rng.normal(size=m), 1)
+            columns = [
+                coarse,
+                rng.choice(["b", "a", "c", "aa", "d"], size=m),
+                rng.integers(0, 6, size=m).astype(np.float64),
+                rng.normal(size=m),
+                np.where(rng.random(m) < 0.05, "r", rng.choice(["p", "q"], size=m)),
+                coarse.copy(),
+            ]
+            types = ("numeric", "categorical", "numeric", "numeric", "categorical", "numeric")
+            score = coarse + 0.5 * (columns[1] == "a") + rng.normal(scale=0.7, size=m)
+            S = dataset_from_columns(columns, np.where(score > 0, 1.0, -1.0), types=types)
+            if seed % 2:
+                w = rng.integers(0, 4, size=m).astype(np.float64)
+            else:
+                w = rng.uniform(0.0, 2.0, size=m) * (rng.random(m) < 0.8)
+            got = train_tree(S, w, 20)
+            want = _loop_train_tree(S, w, 20)
+            assert want.node_count == 20, f"case {seed}"
+            assert got.node_count == want.node_count, f"case {seed}"
+            assert got.root == want.root, f"case {seed}"
