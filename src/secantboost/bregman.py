@@ -3,9 +3,11 @@
 The booster never sees a gradient, so the usual Bregman divergence is replaced
 by a secant version anchored on a chord, and the price of non-convexity is
 measured by how far a chord's supporting line can rise above the loss over the
-segment it spans (the "optimal bound information", OBI).  All maxima here are
+segment it spans (the "optimal bound information", OBI).  Maxima here are
 grid maxima: grid_points counts uniform subintervals, so refining the grid by
 an integer factor reuses every coarse abscissa and the maximum can only grow.
+The exception is the certificate of a loss that declares a one-sided
+curvature bound: it bounds the maximum on the whole continuum.
 """
 
 from __future__ import annotations
@@ -35,6 +37,14 @@ DEFAULT_GRID = 512
 # REFINE_FACTOR times finer before committing.
 REFINE_FACTOR = 4
 REFINE_MARGIN = 1e-6
+
+# Subintervals of the coarse grid behind a curvature certificate on a
+# segment other than the chord's own.
+_CERT_GRID = 64
+
+# Rows per block of a 2-d (rows x grid or candidates) pass, so that each of
+# its temporaries stays near half a megabyte whatever the number of rows.
+_ROW_BLOCK = 1024
 
 
 def bregman_secant(F, zp: float, z: float, v: float) -> float:
@@ -70,22 +80,65 @@ def _grid(lo: float, hi: float, grid_points: int) -> np.ndarray:
     return xs
 
 
-def certifies(F) -> bool:
-    """Does F's declared curvature certify its chord gaps?  Convex and declaring beta."""
-    return F.is_convex and F.smoothness_beta is not None
+def _curvature(F) -> float | None:
+    """The beta with F - beta*z**2/2 concave that F declares, or None.
 
-
-def _certificate(beta: float, a, b, fa, fb, slope):
-    """beta*(b-a)**2/8 plus ~32 ulps of rounding, elementwise on floats or arrays.
-
-    On the chord's own segment of a convex loss declaring beta this bounds the
-    chord gap on the whole continuum.  The square is d*d, not d**2: numpy
-    squares arrays by multiplication, and Python's float pow is not always
-    correctly rounded, so only d*d gives floats and arrays the same bits.
+    A loss may declare it as curvature_bound; a convex loss's smoothness_beta
+    bounds its secant curvatures from above, which is the same promise.
     """
-    d = b - a
-    bound = beta * (d * d) / 8.0
-    scale = bound + np.maximum(abs(fa), abs(fb)) + abs(fb - fa) + abs(slope) * (abs(a) + abs(b))
+    if F.curvature_bound is not None:
+        return F.curvature_bound
+    return F.smoothness_beta if F.is_convex else None
+
+
+def certifies(F) -> bool:
+    """Does F's declared curvature certify its chord gaps?  Convex and declaring
+    smoothness_beta, or declaring curvature_bound."""
+    return _curvature(F) is not None
+
+
+def _grid_rows(lo: np.ndarray, hi: np.ndarray, grid_points: int) -> np.ndarray:
+    """_grid(lo[i], hi[i], grid_points) as row i, bit for bit."""
+    span = (hi - lo)[:, None]
+    step = span / grid_points
+    t = ticks(grid_points + 1)
+    xs = np.where(step == 0.0, t / grid_points * span, t * step)
+    xs += lo[:, None]
+    xs[:, -1] = hi
+    return xs
+
+
+def _certificate(F, beta: float, a, b, c, fa, fb, slope) -> np.ndarray:
+    """Per row, a bound on fa + slope*(x - a) - F(x) on the continuum between a and c.
+
+    F - beta*x**2/2 is concave, so the gap plus beta*x**2/2 is convex, and on
+    a grid of largest spacing h the continuum maximum exceeds the grid
+    maximum by at most beta*h**2/8.  On the chord's own segment (c == b) the
+    grid is {a, b}, where the gap is zero, and the bound is beta*(b-a)**2/8;
+    other rows read F on _CERT_GRID subintervals of the segment.  About 32
+    ulps of the terms' scale absorb the rounding of both this grid and any
+    grid it is compared with.  The square is h*h, not h**2: numpy squares
+    arrays by multiplication, and Python's float pow is not always correctly
+    rounded.  a, b, c, fa, fb, slope are 1-d arrays.
+    """
+    h = b - a
+    bound = beta * (h * h) / 8.0
+    f_max = np.maximum(abs(fa), abs(fb))
+    off_chord = np.flatnonzero(c != b)
+    for start in range(0, off_chord.size, _ROW_BLOCK):
+        rows = off_chord[start:start + _ROW_BLOCK]
+        a_r, c_r = a[rows], c[rows]
+        xs = _grid_rows(np.minimum(a_r, c_r), np.maximum(a_r, c_r), _CERT_GRID)
+        fx = F(xs)
+        # fa + slope * (xs - a) - F(xs), with _grid_gap's operations.
+        gap = xs - a_r[:, None]
+        gap *= slope[rows, None]
+        gap += fa[rows, None]
+        gap -= fx
+        h = np.diff(xs, axis=1).max(axis=1)
+        bound[rows] = gap.max(axis=1) + beta * (h * h) / 8.0
+        f_max[rows] = abs(fx).max(axis=1)
+    scale = bound + f_max + abs(fb - fa) + abs(slope) * (abs(a) + abs(c))
     return bound + 64 * 2.0**-53 * scale
 
 
@@ -107,15 +160,20 @@ def obi(
     """Grid maximum of (line through (a,F(a)) and (b,F(b))) - F over [min(a,c), max(a,c)].
 
     Always nonnegative: the segment includes a, where the line touches the loss.
-    Degenerate chords (a == b) return 0.  On the chord's own segment (c == b) of
-    a convex loss declaring beta, beta*(b-a)**2/8 plus ~32 ulps of rounding
-    bounds the gap on the whole continuum; that certificate is returned without
-    a grid when certify_below - cert >= REFINE_MARGIN (the default -inf: never).
-    A grid point where the loss is NaN or inf raises ConfigError (calling F checks).
+    Degenerate chords (a == b) return 0.  For a loss that declares a one-sided
+    curvature bound beta (see certifies), a certificate bounds the gap on the
+    whole continuum: beta*(b-a)**2/8 on the chord's own segment (c == b),
+    else the maximum on a 64-subinterval grid plus beta*h**2/8 for its spacing
+    h, each plus ~32 ulps of rounding.  The certificate is returned without
+    the grid when certify_below - cert >= REFINE_MARGIN (the default -inf:
+    never).  A grid point where the loss is NaN or inf raises ConfigError
+    (calling F checks); a certified value sees such a point only where one of
+    the coarse grid's points lands on it.
 
     Arrays a, b, c (one request per row) give an array, each row equal to the
-    float call's result bit for bit: F is queried once at all a and once at
-    all b, and rows the certificate does not decide take the float call's grid.
+    float call's result bit for bit: F is queried once at all a, once at all
+    b and once on every row's coarse grid, and rows the certificate does not
+    decide take the float call's grid.
     """
     if grid_points < 2:
         raise ValueError(f"grid_points must be >= 2, got {grid_points}")
@@ -126,8 +184,10 @@ def obi(
     fa = F(a)
     fb = F(b)
     slope = (fb - fa) / (b - a)
-    if certify_below > -math.inf and c == b and certifies(F):
-        cert = float(_certificate(F.smoothness_beta, a, b, fa, fb, slope))
+    beta = _curvature(F) if certify_below > -math.inf else None
+    if beta is not None:
+        row = (np.array([x]) for x in (a, b, c, fa, fb, slope))
+        cert = float(_certificate(F, beta, *row)[0])
         if certify_below - cert >= REFINE_MARGIN:  # no refine follows; NaN: to the grid
             return cert
     return _grid_gap(F, a, c, fa, slope, grid_points)
@@ -142,9 +202,10 @@ def _obi_rows(F, a, b, c, grid_points: int, certify_below) -> np.ndarray:
     fb = F(b)
     slope = (fb - fa) / (b - a)
     to_grid = np.ones(live.size, dtype=bool)
-    if certify_below > -math.inf and certifies(F):
-        cert = _certificate(F.smoothness_beta, a, b, fa, fb, slope)
-        to_grid = (c != b) | ~(certify_below - cert >= REFINE_MARGIN)
+    beta = _curvature(F) if certify_below > -math.inf else None
+    if beta is not None:
+        cert = _certificate(F, beta, a, b, c, fa, fb, slope)
+        to_grid = ~(certify_below - cert >= REFINE_MARGIN)
         out[live[~to_grid]] = cert[~to_grid]
     for i in np.flatnonzero(to_grid).tolist():
         gap = _grid_gap(F, float(a[i]), float(c[i]), float(fa[i]), float(slope[i]), grid_points)
@@ -161,7 +222,9 @@ def q_star(
     endpoints, so the segment is [z, z+v] regardless of zp; otherwise the
     segment runs from z to zp.  Together with bregman_secant this gives the
     guarantee B(zp || z) >= -q_star(z, zp, v), also when a certificate at least
-    REFINE_MARGIN below certify_below stands in for the grid maximum (see obi).
+    REFINE_MARGIN below certify_below stands in for the grid maximum (see obi):
+    beta*v**2/8 for a convex loss declaring smoothness_beta, and for a loss
+    declaring curvature_bound a 64-subinterval grid of [z, zp] plus beta*h**2/8.
     A loss value that is not finite on the grid raises ConfigError (see obi).
     Arrays z, zp, v give an array, row by row equal to the float calls.
     """

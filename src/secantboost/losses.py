@@ -35,7 +35,8 @@ __all__ = [
 # Largest secant curvature of the logistic loss.  The analytic second
 # derivative tops out at 1/4 at the origin and secant curvatures can only
 # average it; the dense numeric maximization in the test suite re-derives
-# this constant to 1e-5.
+# this constant to 1e-5.  It also bounds clipped_logistic from one side:
+# logistic - z^2/8 and cap - z^2/8 are concave, and so is their minimum.
 LOGISTIC_BETA = 0.25
 
 # (1 - z)^2 has constant curvature 2 at every scale.
@@ -53,10 +54,15 @@ class LossSpec:
     paths share evaluate's arithmetic.  It checks every value: a NaN or inf
     raises ConfigError naming its abscissa.
     A declared smoothness_beta (finite, > 0) promises that every secant
-    curvature is <= beta: the smoothness route and the chord-gap certificate rely on it.
-    A certified chord-gap decision trusts beta on the segment's interior and
-    never evaluates the loss there; decisions for non-convex or beta-less
-    losses are grid estimates.
+    curvature is <= beta: the smoothness route relies on it, and for a convex
+    loss so does the chord-gap certificate.  A declared curvature_bound
+    (finite, > 0) promises only that F - beta*z**2/2 is concave, which a
+    non-convex loss can meet; it certifies chord gaps and leaves the route
+    alone.  A certified chord-gap decision trusts the bound between the points
+    where it reads the loss: both chord endpoints, plus, off the chord's own
+    segment, a 64-subinterval grid.  Decisions for losses that declare
+    neither (a non-convex loss with smoothness_beta alone included) are grid
+    estimates.
     discontinuities lists (abscissa, jump magnitude) pairs for declared jump
     points; continuous losses leave it empty.
     """
@@ -67,10 +73,13 @@ class LossSpec:
     smoothness_beta: float | None = None
     discontinuities: tuple[tuple[float, float], ...] = ()
     params: Mapping[str, float] = field(default_factory=dict)
+    curvature_bound: float | None = None
 
     def __post_init__(self):
-        if (beta := self.smoothness_beta) is not None and not 0.0 < beta < np.inf:
-            raise ConfigError(f"loss {self.name!r}: need 0 < smoothness_beta < inf, got {beta}")
+        for key in ("smoothness_beta", "curvature_bound"):
+            beta = getattr(self, key)
+            if beta is not None and not 0.0 < beta < np.inf:
+                raise ConfigError(f"loss {self.name!r}: need 0 < {key} < inf, got {beta}")
 
     def __call__(self, z):
         z = np.asarray(z, dtype=np.float64)
@@ -127,7 +136,10 @@ def _clipped_logistic(q: float = -2.0) -> LossSpec:
     def clipped(z):
         return np.minimum(np.logaddexp(0.0, -z), cap)
 
-    return LossSpec("clipped_logistic", clipped, is_convex=False, params={"q": q})
+    return LossSpec(
+        "clipped_logistic", clipped, is_convex=False, params={"q": q},
+        curvature_bound=LOGISTIC_BETA,
+    )
 
 
 def _spring(Q: float = 1.0) -> LossSpec:
@@ -234,7 +246,7 @@ def load_table_loss(path: str, name: str | None = None) -> LossSpec:
                     vals.append(float(row[1]))
                 except ValueError as exc:
                     raise ConfigError(f"{path}:{lineno + 1}: {exc}") from None
-    except (UnicodeDecodeError, csv.Error) as exc:
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from None
     return table_loss(name or "table", zs, vals)
 

@@ -113,6 +113,31 @@ def logistic_hole(
     return sb.LossSpec(f"logistic_{bad}_between_{lo}_{hi}", evaluate, is_convex=is_convex)
 
 
+def wavy_logistic(amplitude: float = 0.2, frequency: float = 2.0) -> sb.LossSpec:
+    """Logistic loss plus amplitude * sin(frequency * z).
+
+    Not convex, and F - beta*z^2/2 is concave for beta = 1/4 +
+    amplitude * frequency^2, which it declares as its curvature_bound.
+    """
+
+    def evaluate(z):
+        return np.logaddexp(0.0, -z) + amplitude * np.sin(frequency * z)
+
+    beta = 0.25 + amplitude * frequency * frequency
+    return sb.LossSpec("wavy", evaluate, is_convex=False, curvature_bound=beta)
+
+
+@pytest.fixture
+def bounded_losses(monkeypatch) -> tuple[sb.LossSpec, ...]:
+    """The losses that declare curvature_bound: clipped_logistic, and a
+    non-convex wavy_logistic resolved through register_loss."""
+    import secantboost.losses as losses_module
+
+    monkeypatch.setattr(losses_module, "_REGISTRY", {})
+    sb.register_loss("wavy", wavy_logistic)
+    return sb.make_builtin("clipped_logistic", q=-2.0), sb.make_builtin("wavy")
+
+
 @pytest.fixture(scope="session")
 def separable200() -> sb.Dataset:
     return separable_dataset(200)

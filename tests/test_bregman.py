@@ -265,6 +265,63 @@ class TestCurvatureCertificate:
             offset_feasible(F, 0.0, 1.0, 0.5, z_limit=1.0)
 
 
+def _bounded_segments():
+    """Seeded (z, zp, v) non-convex segments: across the clip point q = -2 of
+    clipped_logistic, spans of 1e-9 and spans of 10 to 30, both directions,
+    with v a uniform fraction of zp - z and every tenth v the whole gap (the
+    chord's own segment)."""
+    rng = np.random.default_rng(4242)
+    for i in range(240):
+        sign = float(rng.choice([-1.0, 1.0]))
+        kind = i % 3
+        if kind == 0:
+            z = -2.0 - sign * float(rng.uniform(1e-6, 1.5))
+            zp = -2.0 + sign * float(rng.uniform(1e-6, 1.5))
+        elif kind == 1:
+            z = float(rng.uniform(-5.0, 5.0))
+            zp = z + sign * 1e-9
+        else:
+            z = float(rng.uniform(-15.0, 5.0))
+            zp = z + sign * float(rng.uniform(10.0, 30.0))
+        v = zp - z if i % 10 == 0 else (zp - z) * float(rng.uniform(0.0, 1.0))
+        yield z, zp, v
+
+
+class TestOneSidedCertificate:
+    """For a loss with F - beta*z^2/2 concave, the coarse grid's maximum plus
+    beta*h^2/8 plus rounding bounds the chord gap on the whole segment."""
+
+    def test_certificate_bounds_fine_grids(self, bounded_losses):
+        seen = {"own_segment": 0, "coarse": 0, "tight": 0}
+        for F in bounded_losses:
+            for z, zp, v in _bounded_segments():
+                cert = q_star(F, z, zp, v, certify_below=math.inf)
+                assert math.isfinite(cert), (F.name, z, zp, v)
+                fine = q_star(F, z, zp, v, 1 << 14)
+                assert q_star(F, z, zp, v) <= cert and fine <= cert, (F.name, z, zp, v)
+                h = abs(zp - z) / (1 if z + v == zp else 64)
+                # Not vacuous: the 64-subinterval grid is part of the fine one.
+                assert cert - fine <= F.curvature_bound * h * h / 8.0 + 1e-12, (F.name, z, zp, v)
+                seen["own_segment" if z + v == zp else "coarse"] += 1
+                seen["tight"] += cert - fine < 1e-6
+        assert min(seen.values()) >= 40, seen
+
+    def test_array_calls_equal_the_float_calls(self, bounded_losses):
+        rows = list(_bounded_segments())
+        z, zp, v = (np.array(col) for col in zip(*rows))
+        for F in bounded_losses:
+            grid = q_star(F, z, zp, v)
+            certified = 0
+            for z_limit in (1e-7, 1e-4, 1e-2):
+                want = [q_star(F, *row, certify_below=z_limit) for row in rows]
+                assert _same_bytes(q_star(F, z, zp, v, certify_below=z_limit), want)
+                certified += int(np.count_nonzero(np.array(want) != grid))
+                want = [offset_feasible(F, *row, z_limit) for row in rows]
+                got = offset_feasible(F, z, zp, v, z_limit)
+                assert _same_bytes(got, want) and 0 < got.sum() < got.size, F.name
+            assert 100 <= certified <= 400, (F.name, certified)
+
+
 def _offset_at(F, e_t: float, sign: float, target: float) -> float:
     """The offset (sign's direction) whose 512-point distortion at e_t is
     target, to bisection precision: the chord gap grows with |v|."""

@@ -600,6 +600,13 @@ class TestUnreadableInput:
         assert main(argv) == EXIT_CONFIG
         self._one_line_error(capsys, f"config error: cannot read {table}")
 
+    @pytest.mark.parametrize("command", ["train", "cv"])
+    def test_missing_loss_table_exits_2(self, tmp_path, train_csv, command, capsys):
+        table = tmp_path / "nope.csv"
+        argv = [command, "--loss-table", str(table), train_csv, str(tmp_path / "out")]
+        assert main(argv) == EXIT_CONFIG
+        self._one_line_error(capsys, f"config error: cannot read {table}: [Errno 2]")
+
     def test_non_utf8_config_exits_2(self, tmp_path, train_csv, capsys):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_bytes(b'{"T": 2, "loss": "\xff"}')

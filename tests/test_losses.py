@@ -102,6 +102,22 @@ class TestSmoothnessConstants:
             assert second == pytest.approx(SQUARE_BETA, rel=1e-9)
         assert F.smoothness_beta == SQUARE_BETA == 2.0
 
+    @pytest.mark.parametrize("q", [-2.0, -0.5, 0.7])
+    def test_clipped_logistic_curvature_bounded_above(self, q):
+        """Dense second slopes of clipped_logistic never exceed 1/4, so
+        F - z^2/8 is concave.  At the clip point they plunge: the loss is not
+        convex, and no two-sided smoothness constant holds."""
+        F = make_builtin("clipped_logistic", q=q)
+        h = 1e-3
+        z = np.arange(-10.0, 10.0 + h, h)
+        second = (F(z - h) - 2.0 * F(z) + F(z + h)) / (h * h)
+        assert second.max() <= LOGISTIC_BETA + 1e-9
+        if q < 0.0:
+            assert second.max() == pytest.approx(LOGISTIC_BETA, abs=1e-5)
+        assert second.min() < -10.0
+        assert F.curvature_bound == LOGISTIC_BETA
+        assert F.smoothness_beta is None and not F.is_convex
+
     def test_nonsmooth_losses_declare_none(self):
         for name in ("hinge", "zero_one", "exponential"):
             assert make_builtin(name).smoothness_beta is None
@@ -164,6 +180,17 @@ class TestDeclaredBeta:
     def test_invalid_beta_rejected_at_construction(self, beta):
         with pytest.raises(ConfigError, match="'bad': need 0 < smoothness_beta < inf"):
             LossSpec("bad", np.abs, is_convex=True, smoothness_beta=beta)
+
+    @pytest.mark.parametrize("beta", [-1.0, 0.0, math.nan, math.inf, -math.inf])
+    def test_invalid_curvature_bound_rejected_at_construction(self, beta):
+        with pytest.raises(ConfigError, match="'bad': need 0 < curvature_bound < inf"):
+            LossSpec("bad", np.abs, is_convex=False, curvature_bound=beta)
+
+    def test_only_clipped_logistic_declares_a_curvature_bound(self):
+        for name in BUILTIN_NAMES:
+            bound = make_builtin(name).curvature_bound
+            assert bound == (LOGISTIC_BETA if name == "clipped_logistic" else None), name
+        assert LossSpec("ok", np.abs, is_convex=False, curvature_bound=2.0).curvature_bound == 2.0
 
     def test_valid_or_absent_beta_accepted(self):
         assert LossSpec("ok", np.abs, is_convex=True, smoothness_beta=0.25).smoothness_beta == 0.25

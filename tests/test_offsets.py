@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import inspect
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -18,7 +19,7 @@ from secantboost import (
     sanitize_offset,
     table_loss,
 )
-from secantboost.bregman import DEFAULT_GRID, REFINE_FACTOR, REFINE_MARGIN, _grid
+from secantboost.bregman import _CERT_GRID, DEFAULT_GRID, REFINE_FACTOR, REFINE_MARGIN, _grid
 from secantboost.offsets import DEFAULT_PRECISION_Z, MAX_RETRIES
 
 
@@ -204,6 +205,117 @@ class TestArrayFindOffset:
         z = e_t + (e_prev - e_t) / Z * np.arange(1, Z)
         gaps = np.abs(z - e_t)[(z - e_t) * (z - e_prev) < 0.0]
         assert abs(v1) == gaps.min() < abs(scanned)
+
+
+def _bounded_scan_requests(seed: int, n: int = 40):
+    """Seeded edge pairs for losses declaring curvature_bound, in both
+    directions: across the clip point q = -2 of clipped_logistic, inside its
+    flat clip (every slope ties at 0), 1e-9 apart (slopes tie up to
+    rounding), a few ulps apart (candidates absorbed), and leftward over the
+    clip, where the first pass overshoots small budgets and retries."""
+    rng = np.random.default_rng(seed)
+    rows = []
+    for i in range(n):
+        sign = float(rng.choice([-1.0, 1.0]))
+        kind = i % 5
+        if kind == 0:
+            e_t = -2.0 - sign * float(rng.uniform(0.01, 1.5))
+            e_prev = -2.0 + sign * float(rng.uniform(0.01, 1.5))
+        elif kind == 1:
+            e_t, e_prev = (float(x) for x in rng.uniform(-8.0, -2.5, 2))
+        elif kind == 2:
+            e_t = float(rng.uniform(-4.0, 4.0))
+            e_prev = e_t + sign * 1e-9
+        elif kind == 3:
+            e_t = e_prev = float(rng.uniform(-4.0, 4.0))
+            for _ in range((1, 2, 3, 5, 17, 40)[i // 5 % 6]):
+                e_prev = float(np.nextafter(e_prev, sign * np.inf))
+        else:
+            e_t = float(rng.uniform(-1.9, -1.2))
+            e_prev = float(rng.uniform(-3.0, -2.3))
+        rows.append((e_t, e_prev))
+    return tuple(np.array(col) for col in zip(*rows))
+
+
+def _first_pass(F, e_t: float, e_prev: float, Z: int):
+    """The float scan's first pass, written out: (inside count, tied, pick)."""
+    z = e_t + (e_prev - e_t) / Z * np.arange(1, Z)
+    z = z[(z - e_t) * (z - e_prev) < 0.0]
+    if not z.size:
+        return 0, False, None
+    slopes = (F(z) - F(e_t)) / (z - e_t)
+    best = slopes.min() if e_prev > e_t else slopes.max()
+    return z.size, np.count_nonzero(slopes == best) > 1, float(z[slopes == best][0] - e_t)
+
+
+class TestArrayScanMatchesFloatScan:
+    """For a loss declaring curvature_bound, each row of an array call equals
+    the float call bit for bit: the same offset, or None for the batch when
+    some row has none."""
+
+    def test_rows_equal_the_float_scan(self, bounded_losses):
+        e_t, e_prev = _bounded_scan_requests(seed=77)
+        edges = list(zip(e_t.tolist(), e_prev.tolist()))
+        seen = dict.fromkeys(
+            ("part_absorbed", "all_absorbed", "tied", "retried", "infeasible", "near_cert"), 0
+        )
+        for F in bounded_losses:
+            first = {Z: [_first_pass(F, a, b, Z) for a, b in edges] for Z in (4, 64)}
+            for Z, passes in first.items():
+                for size, tied, _ in passes:
+                    seen["part_absorbed"] += 0 < size < Z - 1
+                    seen["all_absorbed"] += size == 0
+                    seen["tied"] += tied
+            budgets = [(1e-2, 4), (1e-4, 64), (1e-8, 64)]
+            # Budgets an ulp either side of cert + REFINE_MARGIN for a row's
+            # first-pass pick, and within REFINE_MARGIN of its grid maximum.
+            for i in (0, 4):
+                v = first[64][i][2]
+                cert = q_star(F, e_t[i], e_prev[i], v, certify_below=math.inf)
+                grid = q_star(F, e_t[i], e_prev[i], v)
+                for z_limit in (cert + REFINE_MARGIN, grid + 0.5 * REFINE_MARGIN):
+                    budgets += [(z_limit, 64), (float(np.nextafter(z_limit, 0.0)), 64)]
+                    seen["near_cert"] += 1
+            for z_limit, Z in budgets:
+                want = [find_offset(F, a, b, z_limit, Z) for a, b in edges]
+                got = find_offset(F, e_t, e_prev, z_limit, Z)
+                keep = np.array([w is not None for w in want])
+                if not keep.all():
+                    assert got is None
+                    got = find_offset(F, e_t[keep], e_prev[keep], z_limit, Z)
+                assert got.tobytes() == np.array([w for w in want if w is not None]).tobytes()
+                seen["infeasible"] += int(np.count_nonzero(~keep))
+                seen["retried"] += sum(
+                    w is not None and w != pick for w, (_, _, pick) in zip(want, first[Z])
+                )
+        assert min(seen.values()) >= 8, seen
+
+    def test_row_blocks_change_nothing(self, bounded_losses, monkeypatch):
+        import secantboost.bregman as bregman
+        import secantboost.offsets as offsets
+
+        e_t, e_prev = _bounded_scan_requests(seed=80)
+        wide = np.arange(e_t.size) % 5 != 3  # rows an ulp wide have no candidate
+        e_t, e_prev = e_t[wide], e_prev[wide]
+        v = (e_prev - e_t) / 3.0
+        want = [(find_offset(F, e_t, e_prev, 1e-2), q_star(F, e_t, e_prev, v, certify_below=1e-2))
+                for F in bounded_losses]
+        monkeypatch.setattr(bregman, "_ROW_BLOCK", 7)
+        monkeypatch.setattr(offsets, "_ROW_BLOCK", 7)
+        for F, (offset, q) in zip(bounded_losses, want):
+            assert find_offset(F, e_t, e_prev, 1e-2).tobytes() == offset.tobytes()
+            assert q_star(F, e_t, e_prev, v, certify_below=1e-2).tobytes() == q.tobytes()
+
+    def test_feasibility_rows_equal_the_float_calls(self, bounded_losses):
+        e_t, e_prev = _bounded_scan_requests(seed=78)
+        rng = np.random.default_rng(79)
+        v = (e_prev - e_t) * rng.uniform(0.0, 1.0, e_t.size)
+        v[::7] = 0.0
+        rows = list(zip(e_t.tolist(), e_prev.tolist(), v.tolist()))
+        for F in bounded_losses:
+            for z_limit in (1e-8, 1e-4, 1e-2):
+                want = [offset_feasible(F, *row, z_limit) for row in rows]
+                assert offset_feasible(F, e_t, e_prev, v, z_limit).tolist() == want
 
 
 def find_offset_convex_dichotomic(F, e_t: float, e_prev: float, z_limit: float) -> float | None:
@@ -407,17 +519,40 @@ def _oracle_requests():
 def _certified(F, new_log, ref_log) -> bool:
     """Compare the library's loss queries with the reference's.
 
-    False when they are identical.  True when the library's are the
-    reference's less the final grid array: the accepting decision was
-    certified from F(a) and F(b) alone, which only a convex loss declaring
-    beta allows.  Any other difference fails.
+    False when every decision took the reference's grid.  True when the
+    accepting decision, the last one, was certified instead and skipped its
+    grid array.  A convex loss declaring beta certifies from F(a) and F(b)
+    alone, so its queries are the reference's, less the final grid when
+    certified.  A loss declaring curvature_bound also reads a 64-subinterval
+    grid of the segment, as a one-row array, right after F(a) and F(b) in
+    each first pass whose segment is not the chord's own (refines never
+    certify), so its queries are the reference's with that coarse grid
+    inserted, less the final grid when certified.  Any other difference
+    fails.
     """
-    if new_log == ref_log:
+    if F.curvature_bound is None:
+        if new_log == ref_log:
+            return False
+        assert F.is_convex and F.smoothness_beta is not None, F.name
+        assert new_log == ref_log[:-1], F.name
+        assert ref_log[-1][:3] == ("array", "<f8", (DEFAULT_GRID + 1,)), F.name
+        assert [shape for _, _, shape, _ in ref_log[-3:-1]] == [(), ()], F.name
+        return True
+    expected = []
+    for entry in ref_log:
+        ends = expected[-2:]
+        if entry[2] == (DEFAULT_GRID + 1,) and [e[2] for e in ends] == [(), ()]:
+            a, b = (float(np.frombuffer(e[3])[0]) for e in ends)
+            xs = np.frombuffer(entry[3])
+            c = xs[-1] if a == xs[0] else xs[0]
+            if c != b:
+                coarse = _grid(float(xs[0]), float(xs[-1]), _CERT_GRID)
+                expected.append(("array", "<f8", (1, coarse.size), coarse.tobytes()))
+        expected.append(entry)
+    if new_log == expected:
         return False
-    assert F.is_convex and F.smoothness_beta is not None, F.name
-    assert new_log == ref_log[:-1], F.name
-    assert ref_log[-1][:3] == ("array", "<f8", (DEFAULT_GRID + 1,)), F.name
-    assert [shape for _, _, shape, _ in ref_log[-3:-1]] == [(), ()], F.name
+    assert new_log == expected[:-1], F.name
+    assert expected[-1][:3] == ("array", "<f8", (DEFAULT_GRID + 1,)), F.name
     return True
 
 
