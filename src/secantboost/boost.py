@@ -242,6 +242,10 @@ def _refresh_offsets(F, margins, margins_new, v_prev, z_limit: float, cfg: Boost
             return None
         v_new[moved] = v
     else:
+        # One float call per example: the benchmark's oracle counters pin one
+        # find_offset call per moved example of these losses (until ROADMAP
+        # item 2 derives them from a run trace), and the float scan decides a
+        # row in about half the time of a 1-row array request.
         for i, e_t_i, e_p_i in zip(moved.tolist(), e_t.tolist(), e_p.tolist()):
             v = find_offset(F, e_t_i, e_p_i, z_limit, cfg.precision_Z)
             if v is None:

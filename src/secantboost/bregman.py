@@ -42,9 +42,9 @@ REFINE_MARGIN = 1e-6
 # segment other than the chord's own.
 _CERT_GRID = 64
 
-# Rows per block of a 2-d (rows x grid or candidates) pass, so that each of
-# its temporaries stays near half a megabyte whatever the number of rows.
-_ROW_BLOCK = 1024
+# Points per block of a 2-d (rows x grid or candidates) pass, so that each of
+# its temporaries stays near half a megabyte whatever the rows and their width.
+_BLOCK_POINTS = 1 << 16
 
 
 def bregman_secant(F, zp: float, z: float, v: float) -> float:
@@ -97,6 +97,12 @@ def certifies(F) -> bool:
     return _curvature(F) is not None
 
 
+def _row_blocks(n: int, width: int):
+    """Slices of n rows, width points each, into blocks of _BLOCK_POINTS points or one row."""
+    step = max(1, _BLOCK_POINTS // width)
+    return (slice(start, start + step) for start in range(0, n, step))
+
+
 def _grid_rows(lo: np.ndarray, hi: np.ndarray, grid_points: int) -> np.ndarray:
     """_grid(lo[i], hi[i], grid_points) as row i, bit for bit."""
     span = (hi - lo)[:, None]
@@ -125,8 +131,8 @@ def _certificate(F, beta: float, a, b, c, fa, fb, slope) -> np.ndarray:
     bound = beta * (h * h) / 8.0
     f_max = np.maximum(abs(fa), abs(fb))
     off_chord = np.flatnonzero(c != b)
-    for start in range(0, off_chord.size, _ROW_BLOCK):
-        rows = off_chord[start:start + _ROW_BLOCK]
+    for block in _row_blocks(off_chord.size, _CERT_GRID + 1):
+        rows = off_chord[block]
         a_r, c_r = a[rows], c[rows]
         xs = _grid_rows(np.minimum(a_r, c_r), np.maximum(a_r, c_r), _CERT_GRID)
         fx = F(xs)

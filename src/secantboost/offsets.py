@@ -4,16 +4,16 @@ Each boosting iteration needs, per example, an offset v pointing from the new
 edge toward the previous one such that the worst chord distortion (q_star)
 stays within the iteration's budget.  The oracle scans interior candidates at
 a fixed resolution, keeps the secant with extremal slope, and retries at 4x
-the resolution when that candidate is infeasible.  For a loss whose chord
-gaps certify (see bregman.certifies) a whole iteration's requests are decided
-in one array pass, and only the rows it rejects are scanned one by one.
+the resolution when that candidate is infeasible.  An array of requests, for
+any loss, is decided in array passes: each scans every row still open and
+decides its picks with one feasibility call.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .bregman import _ROW_BLOCK, certifies, offset_feasible, ticks
+from .bregman import _row_blocks, offset_feasible, ticks
 
 __all__ = [
     "DEFAULT_PRECISION_Z",
@@ -42,37 +42,28 @@ def find_offset(
     budget; otherwise the scan restarts at 4x resolution, up to MAX_RETRIES
     restarts.  Returned offsets are nonzero and carry the sign of e_prev - e_t.
 
-    Arrays e_t and e_prev (one request per row) give an array of offsets, or
-    None when some row has none; F's chord gaps must certify (a convex loss
-    declaring smoothness_beta, or any loss declaring curvature_bound).  The
-    first pass picks one candidate per row and decides all picks with one
-    offset_feasible call; the rows it rejects take the float scan.
-    - A loss with a curvature_bound: the pick is the float scan's, bit for
-      bit, from one scan of all rows' candidates, so every row's offset
-      equals the float call's.  A rejected row resumes the float scan at 4Z.
-    - A convex loss declaring smoothness_beta: its chord slope is
-      nondecreasing, so in exact arithmetic the extremal-slope candidate is
-      the first one (k=1), and the pick is v = (e_t + (e_prev - e_t)/Z) - e_t
-      bit for bit when it lies strictly between the edges.  Where rounding
-      makes the float scan pick another candidate (spans below about 1e-5)
-      the array call still returns k=1, the exact answer and the shortest
-      candidate.  A rejected row takes the whole float scan.
+    Arrays e_t and e_prev (one request per row), for any loss, give an array
+    of offsets, or None when some row has none: passes at Z, 4Z, 16Z, ...
+    scan all rows still open by the float scan's rules, in row blocks sized
+    by points (see bregman), and decide their picks with one offset_feasible
+    call, so each row equals the float call bit for bit.  One exception: a
+    convex loss declaring smoothness_beta has a nondecreasing chord slope, so
+    its extremal-slope candidate is k=1 in exact arithmetic, and each row
+    first tries k=1 where it lies strictly between the edges.  At spans below
+    about 1e-5, where rounding decides the float scan's pick, the array call
+    may return k=1, the exact answer and the shortest candidate.
     """
     if not z_limit > 0.0:
         raise ValueError(f"z_limit must be positive, got {z_limit}")
     if precision_Z < 2:
         raise ValueError(f"precision_Z must be >= 2, got {precision_Z}")
+    Z = int(precision_Z)
     if isinstance(e_t, np.ndarray):
-        return _find_offsets(F, e_t, e_prev, z_limit, int(precision_Z))
+        return _find_offsets(F, e_t, e_prev, z_limit, Z)
     if e_t == e_prev:
         raise ValueError("equal edges: caller must fall back to the previous offset")
-    return _scan(F, e_t, e_prev, z_limit, int(precision_Z), MAX_RETRIES + 1)
-
-
-def _scan(F, e_t: float, e_prev: float, z_limit: float, Z: int, passes: int) -> float | None:
-    """The float scan of find_offset, in passes at resolutions Z, 4Z, 16Z, ..."""
     f_et = F(e_t)
-    for _ in range(passes):
+    for _ in range(MAX_RETRIES + 1):
         delta = (e_prev - e_t) / Z
         z_cand = e_t + delta * ticks(Z)[1:]
         gap = z_cand - e_t
@@ -96,64 +87,62 @@ def _scan(F, e_t: float, e_prev: float, z_limit: float, Z: int, passes: int) -> 
 
 def _find_offsets(F, e_t: np.ndarray, e_prev: np.ndarray, z_limit: float, Z: int):
     """find_offset on arrays of requests (see find_offset)."""
-    if not certifies(F):
-        raise ValueError(
-            f"loss {F.name!r}: array requests need a convex loss that declares beta, "
-            "or a loss that declares curvature_bound"
-        )
     if np.any(e_t == e_prev):
         raise ValueError("equal edges: caller must fall back to the previous offset")
+    v = np.empty(e_t.shape)
+    rows = np.arange(e_t.size)
     if F.is_convex and F.smoothness_beta is not None:
         z1 = e_t + (e_prev - e_t) / Z
         v = z1 - e_t
-        picked = v * (z1 - e_prev) < 0.0
-        scans_own_pick = False  # k=1, which the float scan may not pick
-    else:
-        v = np.empty(e_t.shape)
-        picked = np.zeros(e_t.shape, dtype=bool)
-        for start in range(0, e_t.size, _ROW_BLOCK):
-            rows = slice(start, start + _ROW_BLOCK)
-            v[rows], picked[rows] = _first_pass_picks(F, e_t[rows], e_prev[rows], Z)
-        scans_own_pick = True
+        rows = rows[~_accept(F, e_t, e_prev, v, v * (z1 - e_prev) < 0.0, z_limit)]
+    f_et = F(e_t[rows]) if rows.size else None
+    for _ in range(MAX_RETRIES + 1):
+        if not rows.size:
+            break
+        a, b = e_t[rows], e_prev[rows]
+        pick, picked = _scan_pass(F, a, b, f_et, Z)
+        done = _accept(F, a, b, pick, picked, z_limit)
+        v[rows[done]] = pick[done]
+        rows, f_et = rows[~done], f_et[~done]
+        Z *= 4
+    return None if rows.size else v
+
+
+def _accept(F, e_t, e_prev, v, picked, z_limit: float) -> np.ndarray:
+    """picked, narrowed in place to the rows whose offset v fits the budget."""
     rows = np.flatnonzero(picked)
-    rejected = ~picked
-    rejected[rows] = ~offset_feasible(F, e_t[rows], e_prev[rows], v[rows], z_limit)
-    for i in np.flatnonzero(rejected).tolist():
-        if scans_own_pick and picked[i]:  # the float scan's first pass, rejected
-            v_i = _scan(F, float(e_t[i]), float(e_prev[i]), z_limit, 4 * Z, MAX_RETRIES)
-        else:
-            v_i = _scan(F, float(e_t[i]), float(e_prev[i]), z_limit, Z, MAX_RETRIES + 1)
-        if v_i is None:
-            return None
-        v[i] = v_i
-    return v
+    if rows.size:
+        picked[rows] = offset_feasible(F, e_t[rows], e_prev[rows], v[rows], z_limit)
+    return picked
 
 
-def _first_pass_picks(F, e_t: np.ndarray, e_prev: np.ndarray, Z: int):
-    """The float scan's first-pass pick on every row at once: (offsets, picked).
+def _scan_pass(F, e_t: np.ndarray, e_prev: np.ndarray, f_et: np.ndarray, Z: int):
+    """One pass of the float scan at resolution Z on every row: (offsets, picked).
 
-    Candidates, absorption guard and slopes take the float scan's operations
-    elementwise, and F is asked only at candidates inside the gap.  Leftward
-    rows flip the sign of their slopes, which keeps ties, so a row's pick is
-    its first argmin, with +inf at absorbed candidates.  A pick inside the gap
-    is the float scan's pick.  A pick on an absorbed candidate (no candidate
-    inside, or every inside slope +inf) is not picked, and its row takes the
-    whole float scan.
+    The float scan's operations, elementwise, with F asked only inside the
+    gap.  Leftward rows flip the sign of their slopes, which keeps ties, so a
+    row's pick is its first argmin, with +inf at absorbed candidates.
     """
-    delta = (e_prev - e_t) / Z
-    z_cand = np.multiply.outer(delta, ticks(Z)[1:])
-    z_cand += e_t[:, None]
-    gap = z_cand - e_t[:, None]
-    inside = gap * (z_cand - e_prev[:, None]) < 0.0
-    rise = np.zeros(z_cand.shape)
-    rise[inside] = F(z_cand[inside])
-    rise -= F(e_t)[:, None]
-    rise *= np.where(delta > 0, 1.0, -1.0)[:, None]
-    key = np.full(z_cand.shape, np.inf)
-    np.divide(rise, gap, out=key, where=inside)
-    pick = key.argmin(axis=1)
-    rows = np.arange(e_t.size)
-    return gap[rows, pick], inside[rows, pick]
+    v = np.empty(e_t.shape)
+    picked = np.empty(e_t.shape, dtype=bool)
+    for rows in _row_blocks(e_t.size, Z - 1):
+        a, b = e_t[rows, None], e_prev[rows, None]
+        delta = (b - a) / Z
+        z_cand = delta * ticks(Z)[1:]
+        z_cand += a
+        gap = z_cand - a
+        inside = gap * (z_cand - b) < 0.0
+        rise = np.zeros(z_cand.shape)
+        rise[inside] = F(z_cand[inside])
+        rise -= f_et[rows, None]
+        rise *= np.where(delta > 0, 1.0, -1.0)
+        key = np.full(z_cand.shape, np.inf)
+        np.divide(rise, gap, out=key, where=inside)
+        # A row whose inside slopes are all +inf picks its first inside candidate.
+        pick = np.where(key.min(axis=1) < np.inf, key.argmin(axis=1), inside.argmax(axis=1))
+        at = np.arange(pick.size)
+        v[rows], picked[rows] = gap[at, pick], inside[at, pick]
+    return v, picked
 
 
 def sanitize_offset(v: float, scale: float, seed: int) -> float:

@@ -14,11 +14,13 @@ from secantboost import (
     BoostIterState,
     ConfigError,
     ConstantLossError,
+    DiscontinuityCollisionError,
     Ensemble,
     LossSpec,
     TELEMETRY_COLUMNS,
     convergence_certificate,
     dataset_from_numeric,
+    find_offset,
     guaranteed_decrease_bound,
     initialize,
     make_builtin,
@@ -272,6 +274,35 @@ class TestStops:
     def test_t_validation(self):
         with pytest.raises(ValueError, match="T must be"):
             run(make_builtin("logistic"), _blobs(8), T=0)
+
+    @pytest.mark.parametrize("name,route", [("logistic", "smoothness"), ("spring", "findalpha")])
+    def test_stalled_guard_raises_naming_the_route(self, monkeypatch, name, route):
+        import secantboost.boost as boost_module
+
+        monkeypatch.setattr(boost_module, "GUARD_CAP", 0)
+        with pytest.raises(DiscontinuityCollisionError, match=f"no {route} step met"):
+            run(make_builtin(name), _blobs(12, seed=2), T=3)
+
+
+class TestRefreshOffsets:
+    """Examples whose edge does not move at the scan's resolution reuse their
+    previous offset; the others get find_offset's, batched or per row."""
+
+    @pytest.mark.parametrize("name", ["logistic", "spring"])
+    def test_reused_and_moved_rows(self, name):
+        from secantboost.boost import _refresh_offsets
+
+        F = make_builtin(name)
+        cfg = BoostConfig(precision_Z=64)
+        one_ulp = float(np.nextafter(1.0, 2.0))
+        margins_new = np.array([0.5, -1.0, 2.0, 1.0, 0.3, 1.0, -0.7])
+        margins = np.array([0.8, -1.4, 2.0, one_ulp, 0.1, 1.0 + 1e-18, -0.2])
+        v_prev = np.array([0.01, -0.02, 3e-5, -4e-6, 0.05, 7e-7, -0.1])
+        v, reused = _refresh_offsets(F, margins, margins_new, v_prev, 1e-3, cfg, t=2)
+        assert reused.tolist() == [False, False, True, True, False, True, False]
+        assert v[reused].tobytes() == v_prev[reused].tobytes()
+        for i in np.flatnonzero(~reused).tolist():
+            assert v[i] == find_offset(F, margins_new[i], margins[i], 1e-3, cfg.precision_Z)
 
 
 class TestNonFiniteLoss:

@@ -17,6 +17,7 @@ from secantboost.cli import (
     EXIT_CONFIG,
     EXIT_CONSTANT_LOSS,
     EXIT_DATA,
+    EXIT_DISCONTINUITY,
     EXIT_OK,
     SEED_ENV_VAR,
     RunConfig,
@@ -113,6 +114,33 @@ class TestTrain:
         assert (
             main(["train", "--loss", "unknown_loss", train_csv, str(tmp_path / "o")])
             == EXIT_CONFIG
+        )
+
+    @pytest.mark.parametrize(
+        "flag",
+        [
+            ["--max-nodes", "0"],
+            ["--delta-init", "0"],
+            ["--epsilon", "0"],
+            ["--precision-Z", "1"],
+            ["--loss-param", "Q"],
+            ["--loss-param", "Q=abc"],
+        ],
+        ids=lambda flag: " ".join(flag),
+    )
+    def test_out_of_range_flag_exits_2(self, tmp_path, train_csv, capsys, flag):
+        assert main(["train", *flag, train_csv, str(tmp_path / "o")]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1, err
+
+    def test_stalled_guard_exits_5(self, tmp_path, train_csv, capsys, monkeypatch):
+        import secantboost.boost as boost_module
+
+        monkeypatch.setattr(boost_module, "GUARD_CAP", 0)
+        assert main(["train", "-T", "3", train_csv, str(tmp_path / "o")]) == EXIT_DISCONTINUITY
+        err = capsys.readouterr().err
+        assert err == (
+            "discontinuity collision: no smoothness step met its decrease bound after 0 halvings\n"
         )
 
     def test_non_finite_loss_exits_2(self, tmp_path, train_csv, capsys, monkeypatch):

@@ -5,12 +5,15 @@ from __future__ import annotations
 import dataclasses
 import inspect
 import math
+import tracemalloc
 from typing import NamedTuple
 
 import numpy as np
 import pytest
 
 from secantboost import (
+    ConfigError,
+    LossSpec,
     find_offset,
     make_builtin,
     obi,
@@ -139,8 +142,9 @@ def _find_requests(seed: int, n: int = 300):
 
 
 class TestArrayFindOffset:
-    """Arrays of requests (convex losses declaring beta) take the scan's first
-    candidate where it is inside the gap and feasible, else the float scan."""
+    """Arrays of requests on a convex loss declaring beta take the scan's
+    first candidate where it is inside the gap and feasible, else the array
+    passes of the float scan."""
 
     @pytest.mark.parametrize("name", ["logistic", "square"])
     @pytest.mark.parametrize("z_limit,Z", [(1e-6, 64), (1e-8, 64), (1e-5, 4), (1e-9, 4)])
@@ -174,13 +178,11 @@ class TestArrayFindOffset:
         assert find_offset(F, e_t, e_prev, z_limit=1e-12) is not None
         assert find_offset(F, np.append(e_t, 0.0), np.append(e_prev, 1.0), z_limit=1e-12) is None
 
-    def test_rejects_losses_without_certified_chords_and_equal_edges(self):
-        e_t, e_prev = np.array([0.0, 0.5]), np.array([1.0, 0.7])
-        for F in (make_builtin("spring", Q=40.0), make_builtin("exponential")):
-            with pytest.raises(ValueError, match="convex loss that declares beta"):
-                find_offset(F, e_t, e_prev, z_limit=0.1)
-        with pytest.raises(ValueError, match="equal edges"):
-            find_offset(make_builtin("logistic"), e_t, np.array([1.0, 0.5]), z_limit=0.1)
+    def test_rejects_equal_edges(self):
+        e_t, e_prev = np.array([0.0, 0.5]), np.array([1.0, 0.5])
+        for name, params in (("logistic", {}), ("spring", {"Q": 40.0}), ("exponential", {})):
+            with pytest.raises(ValueError, match="equal edges"):
+                find_offset(make_builtin(name, **params), e_t, e_prev, z_limit=0.1)
 
     def test_k1_where_the_float_scan_picks_by_rounding(self):
         """At a span of 1e-9 the candidates' chord slopes differ from the
@@ -292,7 +294,6 @@ class TestArrayScanMatchesFloatScan:
 
     def test_row_blocks_change_nothing(self, bounded_losses, monkeypatch):
         import secantboost.bregman as bregman
-        import secantboost.offsets as offsets
 
         e_t, e_prev = _bounded_scan_requests(seed=80)
         wide = np.arange(e_t.size) % 5 != 3  # rows an ulp wide have no candidate
@@ -300,11 +301,12 @@ class TestArrayScanMatchesFloatScan:
         v = (e_prev - e_t) / 3.0
         want = [(find_offset(F, e_t, e_prev, 1e-2), q_star(F, e_t, e_prev, v, certify_below=1e-2))
                 for F in bounded_losses]
-        monkeypatch.setattr(bregman, "_ROW_BLOCK", 7)
-        monkeypatch.setattr(offsets, "_ROW_BLOCK", 7)
-        for F, (offset, q) in zip(bounded_losses, want):
-            assert find_offset(F, e_t, e_prev, 1e-2).tobytes() == offset.tobytes()
-            assert q_star(F, e_t, e_prev, v, certify_below=1e-2).tobytes() == q.tobytes()
+        # Seven rows per block, then a budget below one row's width.
+        for points in (7 * (_CERT_GRID + 1), 5):
+            monkeypatch.setattr(bregman, "_BLOCK_POINTS", points)
+            for F, (offset, q) in zip(bounded_losses, want):
+                assert find_offset(F, e_t, e_prev, 1e-2).tobytes() == offset.tobytes()
+                assert q_star(F, e_t, e_prev, v, certify_below=1e-2).tobytes() == q.tobytes()
 
     def test_feasibility_rows_equal_the_float_calls(self, bounded_losses):
         e_t, e_prev = _bounded_scan_requests(seed=78)
@@ -640,3 +642,136 @@ class TestOracleMatchesReference:
             assert got.tobytes() == want.tobytes(), (lo, hi, grid_points)
             n_zero_step += (hi - lo) / grid_points == 0.0
         assert n_zero_step >= 5
+
+
+def _step_at(z0: float) -> LossSpec:
+    """0 below z0 and 1e300 from z0 on: a chord from below z0 to any point at
+    or above it has a slope that overflows to +inf when it is short enough."""
+
+    def evaluate(z):
+        return np.where(z >= z0, 1e300, 0.0)
+
+    return LossSpec(f"step_at_{z0}", evaluate, is_convex=False)
+
+
+class TestArrayRowsEqualFloatCalls:
+    """Every row of an array request equals the float call bit for bit, for
+    every loss, except the documented k=1 rows of a convex loss declaring
+    beta; the array call is None exactly when some float call is."""
+
+    @pytest.mark.parametrize(
+        "F", _ORACLE_LOSSES + (make_builtin("zero_one"),), ids=lambda F: F.name
+    )
+    def test_rows_equal_the_float_calls(self, F, monkeypatch):
+        import secantboost.offsets as offsets
+
+        feasible = offsets.offset_feasible
+        calls, passes = [], []
+
+        def counting(*args):
+            calls.append(args)
+            return feasible(*args)
+
+        monkeypatch.setattr(offsets, "offset_feasible", counting)
+        e_t, e_prev = _find_requests(seed=31, n=120)
+        # Rows from just before hinge's kink and zero_one's jump to past
+        # them, and back: their first candidates overshoot, so they retry.
+        e_t = np.append(e_t, [0.999, 2.0, -0.001, 2.0])
+        e_prev = np.append(e_prev, [2.0, 0.999, 2.0, -0.001])
+        rows = list(zip(e_t.tolist(), e_prev.tolist()))
+        seen = {"none": 0, "k1": 0, "ulps": 0}
+        for Z in (4, 64):
+            for z_limit in (1e-2, 1e-5, 1e-8, 1e-11):
+                want = [find_offset(F, *row, z_limit, Z) for row in rows]
+                keep = np.array([w is not None for w in want])
+                calls.clear()
+                got = find_offset(F, e_t, e_prev, z_limit, Z)
+                passes.append(len(calls))
+                a, b = e_t[keep], e_prev[keep]
+                if not keep.all():
+                    seen["none"] += 1
+                    assert got is None
+                    got = find_offset(F, a, b, z_limit, Z)
+                v1 = _first_candidate(a, b, Z)
+                for i, (g, w) in enumerate(zip(got.tolist(), [w for w in want if w is not None])):
+                    span = abs(b[i] - a[i])
+                    if g != w:  # k=1 where rounding decides the float scan's pick
+                        assert F.smoothness_beta is not None and g == v1[i] and span < 1e-5
+                        seen["k1"] += 1
+                    seen["ulps"] += bool(span < 100 * np.spacing(abs(a[i])))
+        # Some request retried twice; every row is feasible only on hinge and zero_one.
+        assert max(passes) >= 3, passes
+        assert seen["ulps"] >= 10 and (seen["none"] or F.name in ("hinge", "zero_one")), seen
+
+    def test_tied_slopes_keep_the_first_candidate(self):
+        """Hinge rows on its flat part, zero_one rows off its jump: every
+        candidate slope ties, and the first (shortest) candidate is kept."""
+        rng = np.random.default_rng(4)
+        e_t = rng.uniform(1.5, 3.0, 20)
+        e_prev = e_t + rng.choice([-1.0, 1.0], 20) * rng.uniform(0.1, 0.4, 20)
+        for F in (make_builtin("hinge"), make_builtin("zero_one")):
+            got = find_offset(F, e_t, e_prev, 1e-3, 16)
+            want = [find_offset(F, a, b, 1e-3, 16) for a, b in zip(e_t.tolist(), e_prev.tolist())]
+            assert got.tolist() == want == _first_candidate(e_t, e_prev, 16).tolist()
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+    def test_infinite_slopes_pick_the_first_inside_candidate(self):
+        """A row whose inside slopes all overflow to +inf picks its first
+        inside candidate, also after candidates absorbed into e_t.  Its chord
+        then overflows, and the array call raises the float call's error."""
+        below_one = float(np.nextafter(1.0, 0.0))
+        above_one = float(np.nextafter(np.nextafter(1.0, 2.0), 2.0))
+        rows = [(-5e-324, 1e-12, _step_at(0.0), False), (below_one, above_one, _step_at(1.0), True)]
+        for e_t, e_prev, F, absorbed in rows:
+            z = e_t + (e_prev - e_t) / 64 * np.arange(1, 64)
+            inside = (z - e_t) * (z - e_prev) < 0.0
+            assert inside[0] != absorbed
+            first = float(z[inside][0] - e_t)
+            assert np.isinf((F(z[inside]) - F(e_t)) / (z[inside] - e_t)).all()
+            with pytest.raises(ConfigError) as scalar:
+                find_offset(F, e_t, e_prev, 1e-3)
+            assert f"for the offset {first!r} at z={e_t!r}" in str(scalar.value)
+            a, b = np.array([e_t, e_t - 1.0]), np.array([e_prev, e_t - 0.5])
+            with pytest.raises(ConfigError) as array:
+                find_offset(F, a, b, 1e-3)
+            assert str(array.value) == str(scalar.value)
+
+
+class TestArrayRequestMemory:
+    """Both 2-d passes of an array request, the scan and the certificate's
+    coarse grid, hold at most _BLOCK_POINTS points per block (one row where a
+    single row is wider), so memory does not grow with precision_Z."""
+
+    @staticmethod
+    def _requests(n: int, seed: int):
+        rng = np.random.default_rng(seed)
+        e_t = rng.uniform(-4.0, 4.0, n)
+        return e_t, e_t + rng.choice([-1.0, 1.0], n) * rng.uniform(0.01, 1.0, n)
+
+    def test_no_loss_query_exceeds_the_point_budget(self, monkeypatch):
+        import secantboost.bregman as bregman
+
+        F = _Recorder(make_builtin("clipped_logistic", q=-2.0))
+        e_t, e_prev = self._requests(300, seed=6)
+        points = 4096  # above every single-row grid (513, and 2049 on a refine)
+        monkeypatch.setattr(bregman, "_BLOCK_POINTS", points)
+        for Z in (64, 8192):  # Z - 1 candidates per row: below the budget, then above
+            F.log.clear()
+            assert find_offset(F.loss, e_t, e_prev, 1.0, Z) is not None
+            sizes = [int(np.prod(shape)) for _, _, shape, _ in F.log]
+            assert max(sizes) == max(Z - 1, (points // (Z - 1)) * (Z - 1)), (Z, max(sizes))
+            grids = [shape for _, _, shape, _ in F.log if len(shape) == 2]
+            assert grids and all(rows * width <= points for rows, width in grids), grids
+
+    def test_memory_does_not_grow_with_precision(self):
+        F = make_builtin("clipped_logistic", q=-2.0)
+        e_t, e_prev = self._requests(3000, seed=7)
+        peaks = {}
+        for Z in (64, 4096):
+            tracemalloc.start()
+            try:
+                assert find_offset(F, e_t, e_prev, 1.0, Z) is not None
+                peaks[Z] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[4096] - peaks[64] < 2**20, peaks
