@@ -299,25 +299,23 @@ def run(F, S, T: int, config: BoostConfig | None = None):
         M = float(np.max(np.abs(hv)))
         eta = float(np.mean(w * y * hv))
         weight_mass = float(np.sum(np.abs(w)))
-        w1_bar = abs(float(np.mean(w)))
-        eta_tilde = float(np.sum((np.abs(w) / weight_mass) * np.sign(w) * y * hv / M))
+        row = BoostIterState(
+            t=t,
+            eta=eta,
+            eta_tilde=float(np.sum((np.abs(w) / weight_mass) * np.sign(w) * y * hv / M)),
+            weight_mass=weight_mass,
+            w1_bar=abs(float(np.mean(w))),
+            M=M,
+            train_loss=loss_prev,
+            train_err=float(np.mean(margins <= 0.0)),
+        )
+        rows.append(row)
+        if cfg.record_vectors:
+            row.weights, row.offsets, row.edges_tilde = w.copy(), v_prev.copy(), margins.copy()
 
         if eta == 0.0:
+            row.eta_tilde = 0.0
             warnings.warn("zero edge: weak learning assumption failed; stopping")
-            rows.append(
-                BoostIterState(
-                    t=t,
-                    eta=0.0,
-                    eta_tilde=0.0,
-                    weight_mass=weight_mass,
-                    w1_bar=w1_bar,
-                    M=M,
-                    train_loss=loss_prev,
-                    train_err=float(np.mean(margins <= 0.0)),
-                    stop_reason="none",
-                    weights=w.copy() if cfg.record_vectors else None,
-                )
-            )
             return ens, rows
 
         if F.smoothness_beta is not None:
@@ -346,8 +344,17 @@ def run(F, S, T: int, config: BoostConfig | None = None):
         )
 
         ens.terms.append((lev.alpha, h))
-        w2_measured = second_order_mean(F, margins, lev.alpha * y * hv, v_prev, hv, M)
-        z_limit = lev.epsilon * lev.alpha**2 * M * M * lev.w2_bar
+        row.alpha = lev.alpha
+        row.w2_bar = lev.w2_bar
+        row.epsilon = lev.epsilon
+        row.rho = row.w1_bar * row.w1_bar / lev.w2_bar
+        row.pi = lev.pi
+        row.route = lev.route
+        row.train_loss = loss
+        row.train_err = float(np.mean(margins_new <= 0.0))
+        row.w2_measured = second_order_mean(F, margins, lev.alpha * y * hv, v_prev, hv, M)
+        row.decrease_bound = bound
+        row.z_limit = z_limit = lev.epsilon * lev.alpha**2 * M * M * lev.w2_bar
         if not 0.0 < z_limit < np.inf:
             knob = "epsilon" if lev.route == "smoothness" else "delta_init"
             raise ConfigError(
@@ -355,34 +362,10 @@ def run(F, S, T: int, config: BoostConfig | None = None):
                 f"(alpha={lev.alpha!r}, epsilon={lev.epsilon!r}): "
                 f"{knob}={getattr(cfg, knob)!r} is out of range"
             )
-
-        row = BoostIterState(
-            t=t,
-            eta=eta,
-            eta_tilde=eta_tilde,
-            weight_mass=weight_mass,
-            w1_bar=w1_bar,
-            w2_bar=lev.w2_bar,
-            epsilon=lev.epsilon,
-            rho=w1_bar * w1_bar / lev.w2_bar,
-            M=M,
-            alpha=lev.alpha,
-            train_loss=loss,
-            train_err=float(np.mean(margins_new <= 0.0)),
-            pi=lev.pi,
-            route=lev.route,
-            z_limit=z_limit,
-            w2_measured=w2_measured,
-            decrease_bound=bound,
-        )
         if cfg.record_vectors:
-            row.weights = w.copy()
-            row.offsets = v_prev.copy()
-            row.edges_tilde = margins.copy()
             row.edges_new = margins_new.copy()
 
         refreshed = _refresh_offsets(F, margins, margins_new, v_prev, z_limit, cfg, t)
-        rows.append(row)
         if refreshed is None:
             row.stop_reason = "offsets_infeasible"
             return ens, rows

@@ -2,8 +2,9 @@
 
 Configuration comes from an optional JSON file plus flag overrides; the seed
 default can also arrive through the SECANTBOOST_SEED environment variable.
-Exit codes: 0 ok, 2 config, 3 data/I-O, 4 constant loss, 5 discontinuity
-collision (a jump point not avoided, or no step after 200 halvings).
+Exit codes: 0 ok, 2 config (also a size too large to allocate), 3 data/I-O,
+4 constant loss, 5 discontinuity collision (a jump point not avoided, or no
+step after 200 halvings).
 """
 
 from __future__ import annotations
@@ -37,12 +38,16 @@ def _num(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
+def _int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 # The values each RunConfig annotation admits.
 _FIELD_TYPES = {
     "str": lambda x: isinstance(x, str),
     "str | None": lambda x: x is None or isinstance(x, str),
-    "str | int": lambda x: isinstance(x, str) or _num(x) and isinstance(x, int),
-    "int": lambda x: _num(x) and isinstance(x, int),
+    "str | int": lambda x: isinstance(x, str) or _int(x),
+    "int": _int,
     "float": _num,
     "dict[str, float]": lambda x: (
         isinstance(x, dict) and all(isinstance(k, str) and _num(v) for k, v in x.items())
@@ -86,6 +91,8 @@ class RunConfig:
             raise ConfigError(f"noise_eta must be in [0, 1), got {self.noise_eta}")
         if self.folds < 2:
             raise ConfigError(f"folds must be >= 2, got {self.folds}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         return self
 
 
@@ -172,19 +179,30 @@ def save_model(path: str, ens: boost.Ensemble, cfg: RunConfig, S: data.Dataset) 
         fh.write("\n")
 
 
-def load_model(path: str):
+def _read_json(path: str, what: str, error: type[Exception]):
+    """The JSON value in the file at path; error, naming what and path, when
+    the file cannot be read or decoded or is not valid JSON."""
     try:
         with open(path, encoding="utf-8") as fh:
-            payload = json.load(fh)
+            return json.load(fh)
     except (OSError, UnicodeDecodeError) as exc:
-        raise DataError(f"cannot read model {path}: {exc}") from None
+        raise error(f"cannot read {what} {path}: {exc}") from None
     except (json.JSONDecodeError, RecursionError) as exc:
-        raise DataError(f"model {path} is not valid JSON: {exc}") from None
+        raise error(f"{what} {path} is not valid JSON: {exc}") from None
+
+
+def load_model(path: str):
+    payload = _read_json(path, "model", DataError)
     if not isinstance(payload, dict):
         raise DataError(f"model {path} must hold a JSON object")
-    if payload.get("version") != MODEL_VERSION:
-        raise ConfigError(f"unsupported model version {payload.get('version')!r}")
+    version = payload.get("version")
+    if not _int(version) or version != MODEL_VERSION:
+        raise ConfigError(f"unsupported model version {version!r}")
     try:
+        for key in ("terms", "features"):
+            if not isinstance(payload[key], list):
+                raise TypeError(f"{key} must be an array, got {payload[key]!r}")
+        _finite(payload["seed"], "seed", integer=True)
         schema = [(f["name"], f["type"]) for f in payload["features"]]
         kinds = [kind for _, kind in schema]
         if not set(kinds) <= {"numeric", "categorical"}:
@@ -374,14 +392,7 @@ def _config_from_args(args) -> RunConfig:
         except ValueError:
             raise ConfigError(f"{SEED_ENV_VAR} must be an integer, got {env_seed!r}") from None
     if getattr(args, "config", None):
-        try:
-            with open(args.config, encoding="utf-8") as fh:
-                payload = json.load(fh)
-        except (OSError, UnicodeDecodeError) as exc:
-            raise ConfigError(f"cannot read config {args.config}: {exc}") from None
-        except (json.JSONDecodeError, RecursionError) as exc:
-            raise ConfigError(f"config {args.config} is not valid JSON: {exc}") from None
-        cfg = _merged(cfg, payload, f"config {args.config}")
+        cfg = _merged(cfg, _read_json(args.config, "config", ConfigError), f"config {args.config}")
     for f in dataclasses.fields(RunConfig):
         value = getattr(args, f.name, None)
         if value is not None:
@@ -482,6 +493,10 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_DATA
+    except MemoryError as exc:
+        # A size flag too large to allocate (e.g. --steps, --precision-Z).
+        print(f"out of memory: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     return EXIT_OK
 
 

@@ -91,16 +91,23 @@ def _find_offsets(F, e_t: np.ndarray, e_prev: np.ndarray, z_limit: float, Z: int
         raise ValueError("equal edges: caller must fall back to the previous offset")
     v = np.empty(e_t.shape)
     rows = np.arange(e_t.size)
+    rejected = None
     if F.is_convex and F.smoothness_beta is not None:
         z1 = e_t + (e_prev - e_t) / Z
         v = z1 - e_t
         rows = rows[~_accept(F, e_t, e_prev, v, v * (z1 - e_prev) < 0.0, z_limit)]
+        rejected = v[rows]
     f_et = F(e_t[rows]) if rows.size else None
     for _ in range(MAX_RETRIES + 1):
         if not rows.size:
             break
         a, b = e_t[rows], e_prev[rows]
         pick, picked = _scan_pass(F, a, b, f_et, Z)
+        if rejected is not None:
+            # A pick equal to the k=1 offset just rejected (or not inside) is
+            # rejected again: the decision is deterministic, so go on to 4Z.
+            picked &= pick != rejected
+            rejected = None
         done = _accept(F, a, b, pick, picked, z_limit)
         v[rows[done]] = pick[done]
         rows, f_et = rows[~done], f_et[~done]

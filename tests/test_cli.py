@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import copy
 import dataclasses
 import json
 import math
@@ -132,6 +133,15 @@ class TestTrain:
         assert main(["train", *flag, train_csv, str(tmp_path / "o")]) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and err.count("\n") == 1, err
+
+    def test_unallocatable_precision_exits_2(self, tmp_path, train_csv, capsys):
+        # spring's offsets are scanned per example on a grid of precision_Z
+        # points; 10**15 of them exceed a 47-bit address space, so the
+        # allocation fails at once without touching memory.
+        flags = ["--loss", "spring", "--loss-param", "Q=500", "--precision-Z", str(10**15)]
+        assert main(["train", *flags, train_csv, str(tmp_path / "o")]) == EXIT_CONFIG
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("out of memory: ") and err.count("\n") == 1, err
 
     def test_stalled_guard_exits_5(self, tmp_path, train_csv, capsys, monkeypatch):
         import secantboost.boost as boost_module
@@ -293,14 +303,27 @@ MALFORMED_MODELS = {
     "node_count_bool": _edit("terms", 0, "node_count", value=True),
     "node_count_float": _edit("terms", 0, "node_count", value=1.0),
     "node_count_wrong": _edit("terms", 0, "node_count", value=5),
+    "terms_object": _edit("terms", value={}),
+    "terms_string": _edit("terms", value=""),
+    "features_object": _edit("features", value={}),
+    "no_seed": _edit("seed"),
+    "seed_null": _edit("seed", value=None),
+    "seed_float": _edit("seed", value=0.9),
+    "seed_bool": _edit("seed", value=True),
+    "seed_string": _edit("seed", value="x"),
+    "seed_array": _edit("seed", value=[]),
+    "seed_object": _edit("seed", value={}),
 }
 
-# Models whose config a RunConfig does not accept: eval exits 2.
+# Models whose version or config eval does not accept: eval exits 2.
 BAD_MODEL_CONFIGS = {
+    "version_bool": _edit("version", value=True),  # True == 1
+    "version_float": _edit("version", value=1.0),
     "unknown_key": _edit("config", "extra", value=1),
     "mistyped_T": _edit("config", "T", value="2"),
     "mistyped_loss_params": _edit("config", "loss_params", value=[1]),
     "not_an_object": _edit("config", value=5),
+    "negative_seed": _edit("config", "seed", value=-1),
 }
 
 
@@ -480,6 +503,13 @@ class TestLossesCommand:
         assert out == ""
         assert "loss 'exponential' returned inf at z=-800.0;" in err
 
+    def test_unallocatable_steps_exits_2(self, capsys):
+        # 10**15 float64 points exceed a 47-bit address space, so the
+        # allocation fails at once without touching memory.
+        assert main(["losses", "--steps", str(10**15)]) == EXIT_CONFIG
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("out of memory: ") and err.count("\n") == 1, err
+
     def test_bad_range_exits_2(self):
         assert main(["losses", "--lo", "1", "--hi", "0"]) == EXIT_CONFIG
         assert main(["losses", "--steps", "1"]) == EXIT_CONFIG
@@ -550,6 +580,19 @@ class TestConfigResolution:
         assert main(["train", "-T", "2", "--seed", "4", train_csv, str(out2)]) == EXIT_OK
         assert json.loads((out2 / "model.json").read_text())["seed"] == 4
 
+    @pytest.mark.parametrize("command", ["train", "cv", "losses"])
+    def test_negative_seed_exits_2(self, tmp_path, train_csv, capsys, monkeypatch, command):
+        """numpy rejects a negative seed where the folds are drawn; the config
+        check rejects it first, from the flag or the environment."""
+        args = [] if command == "losses" else ["-T", "2", train_csv, str(tmp_path / "o")]
+        monkeypatch.setenv(SEED_ENV_VAR, "-5")
+        assert main([command, *args]) == EXIT_CONFIG
+        assert capsys.readouterr().err == "config error: seed must be >= 0, got -5\n"
+        if command != "losses":  # which has no --seed flag
+            monkeypatch.setenv(SEED_ENV_VAR, "3")
+            assert main([command, "--seed", "-1", *args]) == EXIT_CONFIG
+            assert capsys.readouterr().err == "config error: seed must be >= 0, got -1\n"
+
     def test_bad_env_seed_exits_2(self, tmp_path, train_csv, monkeypatch):
         monkeypatch.setenv(SEED_ENV_VAR, "not-a-number")
         assert main(["train", train_csv, str(tmp_path / "o")]) == EXIT_CONFIG
@@ -569,6 +612,8 @@ class TestConfigResolution:
             RunConfig(folds=1).validate()
         with pytest.raises(ConfigError):
             RunConfig(noise_eta=-0.5).validate()
+        with pytest.raises(ConfigError):
+            RunConfig(seed=-1).validate()
         assert RunConfig().validate() is not None
 
 
@@ -740,3 +785,92 @@ class TestFlagOverrides:
         cfg = _config_from_args(build_parser().parse_args(argv))
         assert cfg.loss_params == {"Q": 7.0, "q": -1.0}
         assert cfg.loss == "spring"
+
+
+# The values set into each field of a JSON input, one at a time.
+SUBSTITUTES = (None, True, -1, 0, 2, 0.5, "", "x", [], {})
+_NUMBER = {"int", "float"}
+_JSON_KINDS = {
+    type(None): "null", bool: "bool", int: "int", float: "float",
+    str: "string", list: "array", dict: "object",
+}
+# The JSON kinds each model.json member admits, by key (tree nodes at every
+# depth share keys); the members of "config" admit their RunConfig type.
+MODEL_KINDS = {
+    "version": {"int"}, "h0": _NUMBER, "terms": {"array"}, "features": {"array"},
+    "config": {"object"}, "seed": {"int"}, "alpha": _NUMBER, "node_count": {"int"},
+    "tree": {"object"}, "left": {"object"}, "right": {"object"}, "feature": {"int"},
+    "threshold": _NUMBER, "category": {"string"}, "value": _NUMBER,
+    "name": {"string"}, "type": {"string"},
+}
+CONFIG_KINDS = {
+    f.name: {
+        "str": {"string"}, "str | None": {"string", "null"}, "str | int": {"string", "int"},
+        "int": {"int"}, "float": _NUMBER, "dict[str, float]": {"object"}, "list[str]": {"array"},
+    }[f.type]
+    for f in dataclasses.fields(RunConfig)
+}
+
+
+def _member_paths(node, path=()):
+    """The key path of every object member in a JSON value, at every depth."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield path + (key,)
+            yield from _member_paths(value, path + (key,))
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            yield from _member_paths(value, path + (i,))
+
+
+class TestGeneratedMalformedJson:
+    """Every member of a trained model.json and of a --config file, set to
+    each of SUBSTITUTES or deleted: the CLI returns 0, or 2 or 3 with a
+    one-line message, and never raises.  A value of a kind the member does
+    not admit, or a deleted model key outside "config", never returns 0."""
+
+    @staticmethod
+    def _failures(path, payload, kinds_of, argv, capsys):
+        failures = []
+        for member in _member_paths(payload):
+            kinds, required = kinds_of(member)
+            for value in SUBSTITUTES + (_DROP,):
+                path.write_text(json.dumps(_edit(*member, value=value)(copy.deepcopy(payload))))
+                try:
+                    code = main(argv)
+                except Exception as exc:  # listed with the other failures
+                    code = type(exc).__name__
+                out, err = capsys.readouterr()
+                rejected = required if value is _DROP else _JSON_KINDS[type(value)] not in kinds
+                allowed = (EXIT_CONFIG, EXIT_DATA) + (() if rejected else (EXIT_OK,))
+                if code not in allowed or code != EXIT_OK and (out or err.count("\n") != 1):
+                    failures.append((member, "deleted" if value is _DROP else value, code, err))
+        return failures
+
+    def test_model_members(self, tmp_path, mixed_csv, capsys):
+        # One two-node tree: a threshold on numeric a, then a category of c.
+        assert main(["train", "-T", "1", "--max-nodes", "2", mixed_csv, str(tmp_path)]) == EXIT_OK
+        capsys.readouterr()
+        model = tmp_path / "model.json"
+        payload = json.loads(model.read_text())
+        assert {"threshold", "category"} <= {member[-1] for member in _member_paths(payload)}
+
+        def kinds_of(member):
+            if member[0] == "config" and len(member) == 2:
+                return CONFIG_KINDS[member[1]], False
+            return MODEL_KINDS[member[-1]], True
+
+        argv = ["eval", str(model), mixed_csv]
+        assert self._failures(model, payload, kinds_of, argv, capsys) == []
+
+    def test_config_members(self, tmp_path, mixed_csv, capsys):
+        # --folds is a flag here, and a flag overrides the file, so the file leaves it out.
+        payload = dataclasses.asdict(RunConfig(T=2))
+        del payload["folds"]
+        cfg_path = tmp_path / "cfg.json"
+        argv = ["cv", "--config", str(cfg_path), "--folds", "2", mixed_csv, str(tmp_path / "cv")]
+
+        def kinds_of(member):
+            return CONFIG_KINDS[member[0]], False
+
+        assert self._failures(cfg_path, payload, kinds_of, argv, capsys) == []

@@ -171,6 +171,31 @@ class TestArrayFindOffset:
             seen["ulps"] += bool(abs(e_prev[i] - e_t[i]) < 100 * np.spacing(abs(e_t[i])))
         assert seen["k1"] >= 100 and seen["scanned"] >= 10 and seen["ulps"] >= 5, seen
 
+    @pytest.mark.parametrize("z_limit", [1e-5, 1e-8])
+    def test_no_offset_is_decided_twice(self, z_limit, monkeypatch):
+        """A row whose k=1 offset is rejected, and whose scan at Z picks k=1
+        again, goes on to 4Z without deciding that offset a second time."""
+        import secantboost.offsets as offsets
+
+        feasible = offsets.offset_feasible
+        decided = []
+
+        def recording(F, e_t, e_prev, v, z_limit):
+            decided.extend(zip(e_t.tolist(), e_prev.tolist(), v.tolist()))
+            return feasible(F, e_t, e_prev, v, z_limit)
+
+        monkeypatch.setattr(offsets, "offset_feasible", recording)
+        F, Z = make_builtin("logistic"), 64
+        e_t, e_prev = _find_requests(seed=31)
+        v1 = _first_candidate(e_t, e_prev, Z)
+        repeats = sum(
+            _first_pass(F, a, b, Z)[2] == v and not feasible(F, a, b, v, z_limit)
+            for a, b, v in zip(e_t.tolist(), e_prev.tolist(), v1.tolist())
+        )
+        assert repeats >= 5, repeats
+        find_offset(F, e_t, e_prev, z_limit, Z)
+        assert decided and len(decided) == len(set(decided))
+
     def test_none_when_one_row_is_unreachable(self):
         F = make_builtin("square")
         e_t = np.array([0.0, 0.3, -1.0])
