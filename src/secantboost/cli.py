@@ -192,6 +192,11 @@ def _read_json(path: str, what: str, error: type[Exception]):
 
 
 def load_model(path: str):
+    """(ensemble, its RunConfig, the JSON payload) from a model.json.
+
+    DataError for a malformed model or a top-level seed other than the
+    config's; ConfigError for an unsupported version or an invalid config.
+    """
     payload = _read_json(path, "model", DataError)
     if not isinstance(payload, dict):
         raise DataError(f"model {path} must hold a JSON object")
@@ -218,7 +223,12 @@ def load_model(path: str):
             ens.terms.append((_finite(term["alpha"], "alpha"), h))
     except (KeyError, IndexError, TypeError, ValueError, OverflowError) as exc:
         raise DataError(f"model {path} is malformed: {type(exc).__name__}: {exc}") from None
-    return ens, payload
+    cfg = _merged(RunConfig(), payload.get("config"), f"model {path} config").validate()
+    if payload["seed"] != cfg.seed:
+        raise DataError(
+            f"model {path} is malformed: seed {payload['seed']} differs from config seed {cfg.seed}"
+        )
+    return ens, cfg, payload
 
 
 # ---------------------------------------------------------------------------
@@ -254,8 +264,7 @@ def cmd_train(cfg: RunConfig, data_path: str, out_dir: str) -> int:
 
 
 def cmd_eval(model_path: str, data_path: str) -> int:
-    ens, payload = load_model(model_path)
-    cfg = _merged(RunConfig(), payload.get("config"), f"model {model_path} config").validate()
+    ens, cfg, payload = load_model(model_path)
     S = _load_dataset(cfg, data_path)
     expected = [(f["name"], f["type"]) for f in payload["features"]]
     actual = list(zip(S.feature_names, S.feature_types))
@@ -392,7 +401,10 @@ def _config_from_args(args) -> RunConfig:
         except ValueError:
             raise ConfigError(f"{SEED_ENV_VAR} must be an integer, got {env_seed!r}") from None
     if getattr(args, "config", None):
-        cfg = _merged(cfg, _read_json(args.config, "config", ConfigError), f"config {args.config}")
+        payload = _read_json(args.config, "config", ConfigError)
+        where = f"config {args.config}"
+        _merged(RunConfig(), payload, where).validate()  # before a flag overrides a file value
+        cfg = _merged(cfg, payload, where)
     for f in dataclasses.fields(RunConfig):
         value = getattr(args, f.name, None)
         if value is not None:

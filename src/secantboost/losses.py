@@ -58,11 +58,17 @@ class LossSpec:
     loss so does the chord-gap certificate.  A declared curvature_bound
     (finite, > 0) promises only that F - beta*z**2/2 is concave, which a
     non-convex loss can meet; it certifies chord gaps and leaves the route
-    alone.  A certified chord-gap decision trusts the bound between the points
-    where it reads the loss: both chord endpoints, plus, off the chord's own
-    segment, a 64-subinterval grid.  Decisions for losses that declare
-    neither (a non-convex loss with smoothness_beta alone included) are grid
-    estimates.
+    alone.  A declared minorant is a loss G <= F on all of R whose own
+    curvature certifies (curvature_bound, or convex with smoothness_beta);
+    any other minorant raises ConfigError.  It certifies F's chord gaps
+    when F's own curvature does not: spring declares logistic, which lies
+    below it.  A certified chord-gap decision trusts what it reads between
+    the points where it reads: with F's own curvature, the bound between
+    both chord endpoints plus, off the chord's own segment, a 64-subinterval
+    grid of F; with a minorant, F at both chord endpoints, G <= F everywhere
+    and G's bound between the points of a 64-subinterval grid of G.
+    Decisions for losses that declare none of these (a non-convex loss with
+    smoothness_beta alone included) are grid estimates.
     discontinuities lists (abscissa, jump magnitude) pairs for declared jump
     points; continuous losses leave it empty.
     """
@@ -74,12 +80,19 @@ class LossSpec:
     discontinuities: tuple[tuple[float, float], ...] = ()
     params: Mapping[str, float] = field(default_factory=dict)
     curvature_bound: float | None = None
+    minorant: LossSpec | None = None
 
     def __post_init__(self):
         for key in ("smoothness_beta", "curvature_bound"):
             beta = getattr(self, key)
             if beta is not None and not 0.0 < beta < np.inf:
                 raise ConfigError(f"loss {self.name!r}: need 0 < {key} < inf, got {beta}")
+        G = self.minorant
+        if G is not None and not (isinstance(G, LossSpec) and _curvature(G) is not None):
+            raise ConfigError(
+                f"loss {self.name!r}: a minorant must be a LossSpec declaring curvature_bound, "
+                f"or convex with smoothness_beta, got {getattr(G, 'name', G)!r}"
+            )
 
     def __call__(self, z):
         z = np.asarray(z, dtype=np.float64)
@@ -105,6 +118,17 @@ class LossSpec:
         if not self.discontinuities:
             return 0.0
         return max(j for _, j in self.discontinuities)
+
+
+def _curvature(F: LossSpec) -> float | None:
+    """The beta with F - beta*z**2/2 concave that F itself declares, or None.
+
+    A loss may declare it as curvature_bound; a convex loss's smoothness_beta
+    bounds its secant curvatures from above, which is the same promise.
+    """
+    if F.curvature_bound is not None:
+        return F.curvature_bound
+    return F.smoothness_beta if F.is_convex else None
 
 
 def _logistic(z):
@@ -149,14 +173,19 @@ def _spring(Q: float = 1.0) -> LossSpec:
 
     # Logistic plus a train of circular-arc bumps of period 1/Q.  The bump
     # argument u = Q z - [Q z] (nearest-integer bracket, ties to even) lives
-    # in [-1/2, 1/2], so 1 - 4 u^2 >= 0 up to rounding at the seams.
+    # in [-1/2, 1/2], so 1 - 4 u^2 >= 0 up to rounding at the seams.  The
+    # square root is at most 1, so the computed bump is >= +0 and adding it
+    # to the computed logistic value cannot go below it: logistic is spring's
+    # minorant on computed values too.
     def spring(z):
         qz = Q * z
         u = qz - np.rint(qz)
         bump = (1.0 - np.sqrt(np.maximum(0.0, 1.0 - 4.0 * u * u))) / Q
         return np.logaddexp(0.0, -z) + bump
 
-    return LossSpec("spring", spring, is_convex=False, params={"Q": Q})
+    return LossSpec(
+        "spring", spring, is_convex=False, params={"Q": Q}, minorant=make_builtin("logistic")
+    )
 
 
 # Builtin loss factories: name -> callable(**params) -> LossSpec.  A factory's

@@ -62,24 +62,28 @@ def find_offset(
         return _find_offsets(F, e_t, e_prev, z_limit, Z)
     if e_t == e_prev:
         raise ValueError("equal edges: caller must fall back to the previous offset")
-    f_et = F(e_t)
     for _ in range(MAX_RETRIES + 1):
         delta = (e_prev - e_t) / Z
-        z_cand = e_t + delta * ticks(Z)[1:]
+        # One loss query per pass: point 0 is e_t itself.  Checked: a +inf
+        # candidate never wins the pick, so an unchecked scan would pass a
+        # hole that the chosen chord stops short of.
+        z_cand = e_t + delta * ticks(Z)
+        f_cand = F(z_cand)
+        f_et = float(f_cand[0])
+        z_cand, f_cand = z_cand[1:], f_cand[1:]
         gap = z_cand - e_t
         # Guard against float absorption: keep only candidates strictly
         # between the edges and distinct from both.
         inside = gap * (z_cand - e_prev) < 0.0
         if np.count_nonzero(inside) < inside.size:
-            z_cand = z_cand[inside]
-            gap = gap[inside]
+            z_cand, f_cand, gap = z_cand[inside], f_cand[inside], gap[inside]
         if z_cand.size:
-            # Checked: a +inf candidate never wins the pick, so an unchecked
-            # scan would pass a hole that the chosen chord stops short of.
-            slopes = (F(z_cand) - f_et) / gap
+            slopes = (f_cand - f_et) / gap
             pick = int(slopes.argmin()) if delta > 0 else int(slopes.argmax())
             v = float(gap[pick])
-            if v != 0.0 and offset_feasible(F, e_t, e_prev, v, z_limit):
+            # The decision reuses F(e_t), and F(e_t + v) where that sum is the candidate.
+            f_b = float(f_cand[pick]) if e_t + v == z_cand[pick] else None
+            if v != 0.0 and offset_feasible(F, e_t, e_prev, v, z_limit, fa=f_et, fb=f_b):
                 return v
         Z *= 4
     return None

@@ -21,6 +21,7 @@ from secantboost import (
     q_star,
 )
 from secantboost.bregman import DEFAULT_GRID, REFINE_MARGIN
+from secantboost.losses import LOGISTIC_BETA
 from secantboost.vderiv import v_derivative
 from test_offsets import _certified, _Recorder, _ref_offset_feasible
 
@@ -244,13 +245,18 @@ class TestCurvatureCertificate:
         assert min(decided.values()) >= 1000, decided
 
     def test_only_convex_losses_declaring_beta_certify(self):
+        """Of the losses that declare no curvature_bound: spring certifies
+        only through its minorant."""
+        spring = make_builtin("spring", Q=40.0)
         for F in (
             make_builtin("exponential"),  # convex, no beta
-            make_builtin("spring", Q=40.0),  # no beta, not convex
+            dataclasses.replace(spring, minorant=None),  # no beta, not convex
             logistic_then(5.0, smoothness_beta=0.25),  # beta, not convex
         ):
             q = q_star(F, 0.1, 0.2, 0.05, certify_below=math.inf)
             assert q == q_star(F, 0.1, 0.2, 0.05), F.name
+        q = q_star(spring, 0.1, 0.2, 0.05, certify_below=math.inf)
+        assert q > q_star(spring, 0.1, 0.2, 0.05)
 
     def test_without_the_keyword_the_grid_maximum_is_returned(self):
         F = make_builtin("square")
@@ -320,6 +326,53 @@ class TestOneSidedCertificate:
                 got = offset_feasible(F, z, zp, v, z_limit)
                 assert _same_bytes(got, want) and 0 < got.sum() < got.size, F.name
             assert 100 <= certified <= 400, (F.name, certified)
+
+
+def _spring_segments():
+    """Seeded (z, zp, v) spring segments: spans log-uniform in [1e-9, 3],
+    both directions, v a uniform fraction of zp - z and every tenth v the
+    whole gap."""
+    rng = np.random.default_rng(2121)
+    for i in range(300):
+        z = float(rng.uniform(-3.0, 3.0))
+        zp = z + float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-9.0, 0.5))
+        v = zp - z if i % 10 == 0 else (zp - z) * float(rng.uniform(0.0, 1.0))
+        yield z, zp, v
+
+
+class TestMinorantCertificate:
+    """spring declares logistic (beta = 1/4) as its minorant: the grid
+    maximum of the line minus logistic on 64 subintervals, plus beta*h^2/8
+    plus rounding, bounds spring's chord gap on the whole segment."""
+
+    @pytest.mark.parametrize("Q", [40.0, 500.0])
+    def test_certificate_bounds_fine_grids(self, Q):
+        F = make_builtin("spring", Q=Q)
+        for z, zp, v in _spring_segments():
+            cert = q_star(F, z, zp, v, certify_below=math.inf)
+            assert math.isfinite(cert), (z, zp, v)
+            fine = q_star(F, z, zp, v, 8192)
+            assert q_star(F, z, zp, v) <= cert and fine <= cert, (z, zp, v)
+            # Not vacuous: line - logistic exceeds line - spring by at most
+            # the bump's height 1/Q.
+            h = abs(zp - z) / 64
+            assert cert - fine <= 1.0 / Q + LOGISTIC_BETA * h * h / 8.0 + 1e-5, (z, zp, v)
+
+    @pytest.mark.parametrize("Q", [40.0, 500.0])
+    def test_array_calls_equal_the_float_calls(self, Q):
+        F = make_builtin("spring", Q=Q)
+        rows = list(_spring_segments())
+        z, zp, v = (np.array(col) for col in zip(*rows))
+        grid = q_star(F, z, zp, v)
+        certified = 0
+        for z_limit in (1e-7, 1e-4, 1e-2):
+            want = [q_star(F, *row, certify_below=z_limit) for row in rows]
+            assert _same_bytes(q_star(F, z, zp, v, certify_below=z_limit), want)
+            certified += int(np.count_nonzero(np.array(want) != grid))
+            want = [offset_feasible(F, *row, z_limit) for row in rows]
+            got = offset_feasible(F, z, zp, v, z_limit)
+            assert _same_bytes(got, want) and 0 < got.sum() < got.size, Q
+        assert 100 <= certified <= 800, (Q, certified)
 
 
 def _offset_at(F, e_t: float, sign: float, target: float) -> float:

@@ -313,6 +313,9 @@ MALFORMED_MODELS = {
     "seed_string": _edit("seed", value="x"),
     "seed_array": _edit("seed", value=[]),
     "seed_object": _edit("seed", value={}),
+    "seed_not_the_config_seed": lambda payload: _edit("seed", value=-7)(
+        _edit("config", "seed", value=3)(payload)
+    ),
 }
 
 # Models whose version or config eval does not accept: eval exits 2.
@@ -398,7 +401,7 @@ class TestLoadModel:
             == EXIT_OK
         )
         capsys.readouterr()
-        ens, payload = load_model(str(out / "model.json"))
+        ens, _, payload = load_model(str(out / "model.json"))
         assert len(ens.terms) == len(payload["terms"])
         for (alpha, h), term in zip(ens.terms, payload["terms"]):
             assert alpha == term["alpha"]
@@ -411,8 +414,7 @@ class TestLoadModel:
         capsys.readouterr()
         saved = (out / "model.json").read_bytes()
         assert b'"category"' in saved and b'"threshold"' in saved
-        ens, payload = load_model(str(out / "model.json"))
-        cfg = RunConfig(**payload["config"])
+        ens, cfg, _ = load_model(str(out / "model.json"))
         save_model(str(tmp_path / "again.json"), ens, cfg, load_csv(mixed_csv))
         assert (tmp_path / "again.json").read_bytes() == saved
 
@@ -561,6 +563,13 @@ class TestConfigResolution:
         payload = json.loads((out1 / "model.json").read_text())
         assert payload["config"]["T"] == 3  # flag wins
         assert payload["config"]["seed"] == 7  # file value kept
+
+    def test_config_value_that_a_flag_overrides_is_checked(self, tmp_path, train_csv, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"folds": "x"}))
+        argv = ["cv", "--config", str(cfg_path), "--folds", "2", "-T", "1", train_csv]
+        assert main([*argv, str(tmp_path / "o")]) == EXIT_CONFIG
+        assert capsys.readouterr().err == "config error: folds must be int, got 'x'\n"
 
     def test_unknown_config_key_exits_2(self, tmp_path, train_csv):
         cfg_path = tmp_path / "cfg.json"
@@ -864,9 +873,8 @@ class TestGeneratedMalformedJson:
         assert self._failures(model, payload, kinds_of, argv, capsys) == []
 
     def test_config_members(self, tmp_path, mixed_csv, capsys):
-        # --folds is a flag here, and a flag overrides the file, so the file leaves it out.
+        # --folds is a flag here; the file's folds is checked before the flag overrides it.
         payload = dataclasses.asdict(RunConfig(T=2))
-        del payload["folds"]
         cfg_path = tmp_path / "cfg.json"
         argv = ["cv", "--config", str(cfg_path), "--folds", "2", mixed_csv, str(tmp_path / "cv")]
 

@@ -168,6 +168,20 @@ class TestSpring:
         assert bump.min() == pytest.approx(0.0, abs=1e-12)
         assert bump.max() == pytest.approx(1.0 / Q, rel=1e-6)
 
+    @pytest.mark.parametrize("Q", [1.0, 40.0, 500.0])
+    def test_logistic_minorant_holds_on_computed_values(self, Q):
+        """Spring's computed value is at least the computed logistic value
+        bit for bit, densely and at the bump seams (Q z = k + 1/2, where
+        1 - 4 u^2 rounds around 0) and one ulp either side of them."""
+        F = make_builtin("spring", Q=Q)
+        assert F.minorant.name == "logistic"
+        seams = (np.arange(-3 * Q, 3 * Q) + 0.5) / Q
+        z = np.concatenate([
+            np.linspace(-40.0, 40.0, 200001),
+            seams, np.nextafter(seams, -np.inf), np.nextafter(seams, np.inf),
+        ])
+        assert (F(z) >= F.minorant(z)).all()
+
     def test_rejects_nonpositive_period_count(self):
         with pytest.raises(ConfigError):
             make_builtin("spring", Q=0.0)
@@ -191,6 +205,28 @@ class TestDeclaredBeta:
             bound = make_builtin(name).curvature_bound
             assert bound == (LOGISTIC_BETA if name == "clipped_logistic" else None), name
         assert LossSpec("ok", np.abs, is_convex=False, curvature_bound=2.0).curvature_bound == 2.0
+
+    @pytest.mark.parametrize(
+        "minorant",
+        [
+            LossSpec("exponential", np.exp, is_convex=True),  # convex, no beta
+            LossSpec("wavy", np.sin, is_convex=False, smoothness_beta=1.0),  # beta, not convex
+            make_builtin("spring"),  # certified only through its own minorant
+            np.negative,  # not a LossSpec
+        ],
+        ids=lambda G: getattr(G, "name", "function"),
+    )
+    def test_minorant_whose_curvature_certifies_nothing_rejected(self, minorant):
+        with pytest.raises(ConfigError, match="'bad': a minorant must be a LossSpec declaring"):
+            LossSpec("bad", np.abs, is_convex=False, minorant=minorant)
+
+    def test_only_spring_declares_a_minorant(self):
+        for name in BUILTIN_NAMES:
+            minorant = make_builtin(name).minorant
+            assert (minorant and minorant.name) == ("logistic" if name == "spring" else None), name
+        G = make_builtin("clipped_logistic")  # clipped_logistic <= logistic + 1
+        F = LossSpec("ok", lambda z: np.logaddexp(0.0, -z) + 1.0, is_convex=False, minorant=G)
+        assert F.minorant is G
 
     def test_valid_or_absent_beta_accepted(self):
         assert LossSpec("ok", np.abs, is_convex=True, smoothness_beta=0.25).smoothness_beta == 0.25

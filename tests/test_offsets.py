@@ -22,7 +22,14 @@ from secantboost import (
     sanitize_offset,
     table_loss,
 )
-from secantboost.bregman import _CERT_GRID, DEFAULT_GRID, REFINE_FACTOR, REFINE_MARGIN, _grid
+from secantboost.bregman import (
+    _CERT_GRID,
+    DEFAULT_GRID,
+    REFINE_FACTOR,
+    REFINE_MARGIN,
+    _grid,
+    certifies,
+)
 from secantboost.offsets import DEFAULT_PRECISION_Z, MAX_RETRIES
 
 
@@ -415,9 +422,10 @@ class TestSanitizeOffset:
             sanitize_offset(0.0, scale=0.0, seed=0)
 
 
-# --- Reference oracle: the scan as first written, one np.linspace grid and one
-# ObiQuery per call.  The library's oracle must ask the loss the same queries
-# and return the same offsets.
+# --- Reference oracle: the scan as first written, one loss query per scan pass,
+# one np.linspace grid and one ObiQuery per call.  The library's oracle must
+# return the same offsets and ask the loss the same queries, less the ones
+# _certified lists.
 
 
 class ObiQuery(NamedTuple):
@@ -463,39 +471,57 @@ def _ref_offset_feasible(
 
 
 def _ref_find_offset(
-    F, e_t, e_prev, z_limit, precision_Z, max_retries, grid_points: int = DEFAULT_GRID
+    F, e_t, e_prev, z_limit, precision_Z, max_retries, grid_points: int = DEFAULT_GRID,
+    passes: list | None = None,
 ) -> float | None:
+    """The scan reads F at e_t and at its Z - 1 candidates in one query per
+    pass.  passes, when given, gets one (inside candidates, picked candidate
+    or None) pair per pass."""
     e_t = float(e_t)
     e_prev = float(e_prev)
-    f_et = float(F(e_t))
     Z = int(precision_Z)
     for _ in range(max_retries + 1):
         delta = (e_prev - e_t) / Z
-        z_cand = e_t + delta * np.arange(1, Z)
-        inside = (z_cand - e_t) * (z_cand - e_prev) < 0.0
-        z_cand = z_cand[inside]
+        z_all = e_t + delta * np.arange(Z)
+        f_all = np.asarray(F(z_all), dtype=np.float64)
+        f_et = float(f_all[0])
+        inside = (z_all[1:] - e_t) * (z_all[1:] - e_prev) < 0.0
+        z_cand, f_cand = z_all[1:][inside], f_all[1:][inside]
+        picked = None
         if z_cand.size:
-            slopes = (np.asarray(F(z_cand), dtype=np.float64) - f_et) / (z_cand - e_t)
-            pick = int(np.argmin(slopes)) if delta > 0 else int(np.argmax(slopes))
-            v = float(z_cand[pick] - e_t)
-            if v != 0.0 and _ref_offset_feasible(F, e_t, e_prev, v, z_limit, grid_points):
-                return v
+            slopes = (f_cand - f_et) / (z_cand - e_t)
+            picked = float(z_cand[int(np.argmin(slopes)) if delta > 0 else int(np.argmax(slopes))])
+        if passes is not None:
+            passes.append((z_cand.size, picked))
+        # An inside candidate differs from e_t, so v != 0.
+        if picked is not None and _ref_offset_feasible(
+            F, e_t, e_prev, picked - e_t, z_limit, grid_points
+        ):
+            return picked - e_t
         Z *= 4
     return None
 
 
 class _Recorder:
-    """Wrap a loss so that it logs every query: kind, dtype, shape and exact bytes."""
+    """Wrap a loss so that it logs every query: kind, dtype, shape and exact bytes.
 
-    def __init__(self, F):
-        self.log = []
+    A declared minorant's queries go to the same log, their kind prefixed
+    with "minorant ".
+    """
+
+    def __init__(self, F, log=None, prefix=""):
+        self.log = [] if log is None else log
         self._evaluate = F.evaluate
-        self.loss = dataclasses.replace(F, evaluate=self)
+        self._prefix = prefix
+        changes = {"evaluate": self}
+        if F.minorant is not None:
+            changes["minorant"] = _Recorder(F.minorant, self.log, "minorant ").loss
+        self.loss = dataclasses.replace(F, **changes)
 
     def __call__(self, z):
         arr = np.array(z, dtype=np.float64)
         kind = "array" if isinstance(z, np.ndarray) else type(z).__name__
-        self.log.append((kind, np.asarray(z).dtype.str, arr.shape, arr.tobytes()))
+        self.log.append((self._prefix + kind, np.asarray(z).dtype.str, arr.shape, arr.tobytes()))
         return self._evaluate(z)
 
 
@@ -543,39 +569,54 @@ def _oracle_requests():
         yield kind, F, (e_t, e_prev, z_limit, Z)
 
 
-def _certified(F, new_log, ref_log) -> bool:
+def _certified(F, new_log, ref_log, picks=None) -> bool:
     """Compare the library's loss queries with the reference's.
 
-    False when every decision took the reference's grid.  True when the
-    accepting decision, the last one, was certified instead and skipped its
-    grid array.  A convex loss declaring beta certifies from F(a) and F(b)
-    alone, so its queries are the reference's, less the final grid when
-    certified.  A loss declaring curvature_bound also reads a 64-subinterval
-    grid of the segment, as a one-row array, right after F(a) and F(b) in
-    each first pass whose segment is not the chord's own (refines never
-    certify), so its queries are the reference's with that coarse grid
-    inserted, less the final grid when certified.  Any other difference
-    fails.
+    Each decision of the reference reads F(a), F(b), then its grid; a first
+    decision's grid has DEFAULT_GRID + 1 points, a refine's more.  The
+    library asks the same queries, with exactly these differences:
+    - Called from find_offset (picks: the reference's picked candidate of
+      each first decision, in order), no decision reads F(a), which the
+      pass's scan read at its point 0, and none reads F(b) where b is the
+      picked candidate, which the scan also read.
+    - Right after where F(b) is read, a first decision of a loss declaring
+      curvature_bound reads a 64-subinterval grid of its segment, unless the
+      segment is the chord's own; one of a loss that certifies only through
+      its minorant reads that grid from the minorant, on every segment.  A
+      convex loss declaring beta reads no grid for its certificate.
+    - The accepting decision, the last, may be certified and skip its grid;
+      then True is returned, else False.  Refines never certify.
+    Any other difference fails.
     """
-    if F.curvature_bound is None:
-        if new_log == ref_log:
-            return False
-        assert F.is_convex and F.smoothness_beta is not None, F.name
-        assert new_log == ref_log[:-1], F.name
-        assert ref_log[-1][:3] == ("array", "<f8", (DEFAULT_GRID + 1,)), F.name
-        assert [shape for _, _, shape, _ in ref_log[-3:-1]] == [(), ()], F.name
-        return True
+    through_minorant = F.minorant is not None and not certifies(F)
+    picks = iter(picks) if picks is not None else None
     expected = []
-    for entry in ref_log:
-        ends = expected[-2:]
-        if entry[2] == (DEFAULT_GRID + 1,) and [e[2] for e in ends] == [(), ()]:
-            a, b = (float(np.frombuffer(e[3])[0]) for e in ends)
-            xs = np.frombuffer(entry[3])
+    i = 0
+    while i < len(ref_log):
+        if ref_log[i][2] != ():  # a scan pass
+            expected.append(ref_log[i])
+            i += 1
+            continue
+        fa, fb, grid = ref_log[i:i + 3]
+        i += 3
+        a, b = (float(np.frombuffer(e[3])[0]) for e in (fa, fb))
+        first = grid[2] == (DEFAULT_GRID + 1,)
+        if picks is None:
+            expected.append(fa)
+        elif first:
+            pick = next(picks)
+        if picks is None or b != pick:
+            expected.append(fb)
+        if first:
+            xs = np.frombuffer(grid[3])
             c = xs[-1] if a == xs[0] else xs[0]
-            if c != b:
-                coarse = _grid(float(xs[0]), float(xs[-1]), _CERT_GRID)
-                expected.append(("array", "<f8", (1, coarse.size), coarse.tobytes()))
-        expected.append(entry)
+            coarse = _grid(float(xs[0]), float(xs[-1]), _CERT_GRID)
+            if through_minorant:
+                expected.append(("minorant array", "<f8", coarse.shape, coarse.tobytes()))
+            elif F.curvature_bound is not None and c != b:
+                expected.append(("array", "<f8", coarse.shape, coarse.tobytes()))
+        expected.append(grid)
+    assert picks is None or next(picks, None) is None, F.name
     if new_log == expected:
         return False
     assert new_log == expected[:-1], F.name
@@ -585,32 +626,38 @@ def _certified(F, new_log, ref_log) -> bool:
 
 class TestOracleMatchesReference:
     """Same offsets as the reference oracle, and the same loss queries in the
-    same order, except the grid of a decision the curvature certificate took."""
+    same order, except those _certified lists."""
 
     def test_find_offset_queries_and_results(self):
         seen = dict.fromkeys(
-            ("none", "retried", "refined", "part_absorbed", "all_absorbed", "left", "right"), 0
+            ("none", "retried", "refined", "part_absorbed", "all_absorbed", "left", "right",
+             "b_reused"), 0
         )
-        decided = {"certified": 0, "grid": 0}
+        decided = {"certified": 0, "grid": 0, "minorant": 0}
         convexities = set()
         for kind, F, req in _oracle_requests():
             e_t, e_prev, z_limit, Z = req
             new, ref = _Recorder(F), _Recorder(F)
             got = find_offset(new.loss, *req)
-            want = _ref_find_offset(ref.loss, *req, MAX_RETRIES)
+            passes = []
+            want = _ref_find_offset(ref.loss, *req, MAX_RETRIES, passes=passes)
             assert (got is None and want is None) or got == want, (kind, req)
-            certified = _certified(F, new.log, ref.log)
+            picks = [picked for _, picked in passes if picked is not None]
+            certified = _certified(F, new.log, ref.log, picks)
             assert not certified or want is not None, (kind, req)
             if F.smoothness_beta is not None:
                 decided["certified"] += certified
                 decided["grid"] += sum(shape == (DEFAULT_GRID + 1,) for _, _, shape, _ in new.log)
+            elif F.minorant is not None:
+                decided["minorant"] += certified
             sizes = [shape[0] for _, _, shape, _ in ref.log if shape]
             seen["none"] += want is None
             seen["retried"] += sizes.count(DEFAULT_GRID + 1) >= 2
             seen["refined"] += DEFAULT_GRID * REFINE_FACTOR + 1 in sizes
-            seen["part_absorbed"] += bool(sizes) and sizes[0] < Z - 1
-            seen["all_absorbed"] += not sizes
+            seen["part_absorbed"] += 0 < passes[0][0] < Z - 1
+            seen["all_absorbed"] += not picks
             seen["left" if e_prev < e_t else "right"] += 1
+            seen["b_reused"] += sum(e_t + (p - e_t) == p for p in picks)
             convexities.add(F.is_convex)
         assert convexities == {True, False}
         assert min(seen.values()) >= 15, seen
@@ -693,9 +740,9 @@ class TestArrayRowsEqualFloatCalls:
         feasible = offsets.offset_feasible
         calls, passes = [], []
 
-        def counting(*args):
+        def counting(*args, **kwargs):
             calls.append(args)
-            return feasible(*args)
+            return feasible(*args, **kwargs)
 
         monkeypatch.setattr(offsets, "offset_feasible", counting)
         e_t, e_prev = _find_requests(seed=31, n=120)
