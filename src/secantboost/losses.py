@@ -268,8 +268,8 @@ def load_table_loss(path: str, name: str | None = None) -> LossSpec:
             for lineno, row in enumerate(csv.reader(fh)):
                 if not row or (lineno == 0 and not _is_number(row[0])):
                     continue  # header or blank line
-                if len(row) < 2:
-                    raise ConfigError(f"{path}:{lineno + 1}: expected two columns")
+                if len(row) != 2:
+                    raise ConfigError(f"{path}:{lineno + 1}: expected two columns, got {len(row)}")
                 try:
                     zs.append(float(row[0]))
                     vals.append(float(row[1]))

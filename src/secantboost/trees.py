@@ -122,9 +122,9 @@ class _Leaf:
     w_tot: float  # the leaf's total weight
     w_pos: float  # and its positive examples' weight
     impurity: float  # of the leaf as it stands, unsplit
-    # Per-row example orders (see _Columns.restrict): the parent's, a
-    # superset, until the leaf is searched; its own from then on.  A leaf
-    # that is never searched never pays for cutting them down.
+    # Per-row example orders (see _Columns.cut): the parent's, a superset,
+    # until the leaf is searched; its own from then on.  A leaf that is
+    # never searched never pays for cutting them down.
     orders: np.ndarray
     best: tuple | None = None  # (impurity, feature, kind, cut) for its best split
 
@@ -145,9 +145,11 @@ class _Columns:
     across columns in feature order, so each (column, category) pair has its
     own code and code order is scan order.  order holds one stable order of
     all examples per feature row, numeric rows (by value) first, then
-    categorical rows (by code); ties keep example order.  A leaf's examples
-    are these orders restricted to its members (see restrict), so split
-    search never sorts again.
+    categorical rows (by code); ties keep example order.  One stable sort of
+    a categorical column's labels gives both its order row and its codes:
+    each run of equal labels in sorted order is one code, and the run's
+    first label is that code's label.  A leaf's examples are these orders
+    restricted to its members (see cut), so split search never sorts again.
     """
 
     def __init__(self, S):
@@ -157,35 +159,41 @@ class _Columns:
         self.row = {f: r for rows in (num, cat) for r, f in enumerate(rows)}
         self.num_feature = num
         self.values = [np.asarray(S.columns[f], dtype=np.float64) for f in num]
-        codes, self.labels, first_code = [], [], [0]
-        for f in cat:
-            labels, inverse = np.unique(S.columns[f].astype(str), return_inverse=True)
-            codes.append(inverse + first_code[-1])
-            self.labels.extend(labels)
+        self.order = np.empty((len(self.kinds), S.m), dtype=np.intp)
+        for r, col in enumerate(self.values):
+            self.order[r] = np.argsort(col, kind="stable")
+        self.codes = np.empty((len(cat), S.m), dtype=np.intp)
+        self.labels, first_code = [], [0]
+        for r, f in enumerate(cat):
+            col = S.columns[f].astype(str)
+            order = self.order[len(num) + r]
+            order[:] = np.argsort(col, kind="stable")
+            sv = col[order]
+            head = np.concatenate(([True], sv[1:] != sv[:-1]))
+            self.codes[r, order] = np.cumsum(head) - 1 + first_code[-1]
+            self.labels.extend(sv[head])
             first_code.append(len(self.labels))
-        self.codes = np.array(codes, dtype=np.intp)
-        self.codes.shape = (len(cat), S.m)
         self.first_code = np.array(first_code, dtype=np.intp)
         n_labels = np.diff(first_code)
         self.code_feature = [f for f, n in zip(cat, n_labels) for _ in range(n)]
         self.code_row = np.repeat(np.arange(len(cat)), n_labels)  # each code's row of codes
-        self.order = np.empty((len(self.kinds), S.m), dtype=np.intp)
-        for r, col in enumerate(self.values + list(self.codes)):
-            self.order[r] = np.argsort(col, kind="stable")
 
-    def restrict(self, orders: np.ndarray, idx: np.ndarray) -> np.ndarray:
-        """orders with each row cut down to the examples of idx, stably.
+    def cut(self, orders: np.ndarray, parts: list) -> list:
+        """orders cut down to each part's examples, stably: one array per part.
 
-        orders holds a superset of idx in every row (order itself, or a
-        parent leaf's orders).  A stable filter of a stable sort is the stable
-        sort of the subset, so each row of the result lists idx's examples by
-        value or code with ties in example order, as sorting them would.
+        orders holds every part's examples in every row (order itself, or
+        the orders of the leaf the parts split).  A stable filter of a stable
+        sort is the stable sort of the subset, so each row of a part's array
+        lists its examples by value or code with ties in example order, as
+        sorting them would.
         """
-        if idx.size == orders.shape[1]:
-            return orders  # no example to drop
-        member = np.zeros(self.order.shape[1], dtype=bool)
-        member[idx] = True
-        return orders[member[orders]].reshape(orders.shape[0], idx.size)
+        if len(parts) == 1 and parts[0].size == orders.shape[1]:
+            return [orders]  # no example to drop
+        side = np.full(self.order.shape[1], -1, dtype=np.int8)
+        for j, idx in enumerate(parts):
+            side[idx] = j
+        side = side[orders]
+        return [orders[side == j].reshape(orders.shape[0], idx.size) for j, idx in enumerate(parts)]
 
     def goes_left(self, f: int, cut, idx: np.ndarray) -> np.ndarray:
         """Which examples of idx a split on feature f at cut sends left."""
@@ -220,62 +228,81 @@ def _first_min(wl, pl, wr, pr):
     The arrays hold each candidate's left/right total and positive weight, in
     scan order; the first minimum wins, as a strict-< scan would pick it.
     """
-    ok = np.flatnonzero(~((wl <= 0.0) | (wr <= 0.0)))
-    if ok.size == 0:
-        return None
-    wl, pl, wr, pr = wl[ok], pl[ok], wr[ok], pr[ok]
+    one_sided = (wl <= 0.0) | (wr <= 0.0)
+    ok = None
+    if one_sided.all():
+        return None  # no candidate, or none that splits
+    if one_sided.any():
+        ok = np.flatnonzero(~one_sided)
+        wl, pl, wr, pr = wl[ok], pl[ok], wr[ok], pr[ok]
     imp = _branch_impurity(pl, wl - pl) + _branch_impurity(pr, wr - pr)
-    j = int(np.argmin(imp))
-    return int(ok[j]), imp[j]
+    j = int(imp.argmin())
+    return (j if ok is None else int(ok[j])), imp[j]
 
 
-def _best_split(cols: _Columns, y, w, orders: np.ndarray, w_tot: float, w_pos: float):
-    """Best (impurity, feature, kind, cut) over all candidate splits at a leaf.
+def _best_split(cols: _Columns, w, wp, parts: list, w_tot, w_pos) -> list:
+    """Each leaf's best (impurity, feature, kind, cut) over its candidate
+    splits, or None when no split separates its examples.
 
-    kind is "num" (threshold midpoint) or "cat" (one-vs-rest category); ties
-    resolve to the lowest feature index, then the lowest threshold /
-    lexicographically first category.  Each numeric column scores all its
-    thresholds at once, and all categorical columns score their categories
-    together, exactly as a scan over the candidates in that order would.
-    orders lists the leaf's examples once per row of cols.order: by value in
-    numeric rows and by code in categorical rows, ties in example order
-    (cols.restrict builds it).  w_tot and w_pos are the leaf's total and
-    positive weight.  Returns None when no split separates the examples.
+    One call searches a batch of leaves: the root alone, then the two
+    children of the last split.  parts holds each leaf's orders, its
+    examples once per row of cols.order: by value in numeric rows and by
+    code in categorical rows, ties in example order (cols.cut builds them).
+    A leaf's examples carry positive weight.  w is the example weights, wp
+    the same with negative examples' weights zeroed, and w_tot and w_pos
+    the leaves' total and positive weights.  kind is "num" (threshold
+    midpoint) or "cat" (one-vs-rest category); ties resolve to the lowest
+    feature index, then the lowest threshold / lexicographically first
+    category, as a scan over the candidates in that order would pick.  Each
+    numeric column scores all its thresholds at once per leaf, and all
+    categorical columns of all the leaves score their categories together.
     """
     n_num = len(cols.values)
-    cands = []  # each numeric column's best, then the best categorical split
-    for f, col, order in zip(cols.num_feature, cols.values, orders):
-        sv = col[order]
-        sw = w[order]
-        cum_w = np.cumsum(sw)
-        cum_p = np.cumsum(np.where(y[order] > 0, sw, 0.0))
-        k = np.nonzero(sv[1:] > sv[:-1])[0]  # split after sorted position k
-        wl = cum_w[k]
-        pl = cum_p[k]
-        hit = _first_min(wl, pl, cum_w[-1] - wl, cum_p[-1] - pl)
-        if hit is not None:
-            i, imp = hit
-            cands.append((imp, f, "num", 0.5 * (sv[k[i]] + sv[k[i] + 1])))
+    cands = [[] for _ in parts]  # per leaf: each numeric column's best, then the categorical best
+    for found, orders in zip(cands, parts):
+        for f, col, order in zip(cols.num_feature, cols.values, orders):
+            sv = col[order]
+            cum_w = w[order].cumsum()
+            cum_p = wp[order].cumsum()
+            k = (sv[1:] > sv[:-1]).nonzero()[0]  # split after sorted position k
+            wl = cum_w[k]
+            pl = cum_p[k]
+            hit = _first_min(wl, pl, cum_w[-1] - wl, cum_p[-1] - pl)
+            if hit is not None:
+                i, imp = hit
+                found.append((imp, f, "num", 0.5 * (sv[k[i]] + sv[k[i] + 1])))
     if cols.codes.size:
-        # Every categorical row's examples in code order, row after row: codes
-        # ascend throughout, and within a code the examples keep example order.
-        ex = orders[n_num:]
-        codes = cols.codes[np.arange(len(ex))[:, None], ex].ravel()
-        ex = ex.ravel()
+        # Every leaf's examples in code order, row after row, leaf after
+        # leaf; leaf j's codes are offset by j * n_codes, so codes ascend
+        # throughout, and within a code the examples keep example order.
         n_codes = len(cols.labels)
-        on = y[ex] > 0
-        wl, counts = _code_sums(codes, w[ex], n_codes)
-        pl, _ = _code_sums(codes[on], w[ex[on]], n_codes)
-        present = counts > 0
-        # Candidates: the categories present, in columns where two or more are.
-        n_present = np.add.reduceat(present, cols.first_code[:-1], dtype=np.intp)
-        at = np.flatnonzero(present & (n_present >= 2)[cols.code_row])
-        wl, pl = wl[at], pl[at]
-        hit = _first_min(wl, pl, w_tot - wl, w_pos - pl)
-        if hit is not None:
-            i, imp = hit
-            cands.append((imp, cols.code_feature[at[i]], "cat", cols.labels[at[i]]))
-    return min(cands, key=lambda c: (c[0], c[1]), default=None)
+        rows = np.arange(cols.codes.shape[0])[:, None]
+        ex = np.concatenate([orders[n_num:].ravel() for orders in parts])
+        codes = np.concatenate([cols.codes[rows, orders[n_num:]].ravel() + j * n_codes
+                                for j, orders in enumerate(parts)])
+        wp_ex = wp[ex]
+        on = wp_ex > 0.0
+        shape = (len(parts), n_codes)
+        wl, counts = _code_sums(codes, w[ex], shape[0] * n_codes)
+        pl, _ = _code_sums(codes[on], wp_ex[on], shape[0] * n_codes)
+        wl, pl, present = wl.reshape(shape), pl.reshape(shape), counts.reshape(shape) > 0
+        wr = np.reshape(w_tot, (-1, 1)) - wl
+        pr = np.reshape(w_pos, (-1, 1)) - pl
+        # Candidates: the categories present, in columns where two or more
+        # are, that leave weight on both sides.
+        n_present = np.add.reduceat(present, cols.first_code[:-1], axis=1, dtype=np.intp)
+        ok = present & (n_present >= 2)[:, cols.code_row] & ~((wl <= 0.0) | (wr <= 0.0))
+        imp = _branch_impurity(pl, wl - pl) + _branch_impurity(pr, wr - pr)
+        # argmin picks the first minimum, or the first NaN, as _first_min
+        # does; it lands on a non-candidate only when every candidate is +inf.
+        pick = np.argmin(np.where(ok, imp, np.inf), axis=1)
+        for found, ok_j, imp_j, i in zip(cands, ok, imp, pick.tolist()):
+            if not ok_j[i]:
+                if not ok_j.any():
+                    continue
+                i = int(np.argmax(ok_j))
+            found.append((imp_j[i], cols.code_feature[i], "cat", cols.labels[i]))
+    return [min(found, key=lambda c: (c[0], c[1]), default=None) for found in cands]
 
 
 def train_tree(S_signed, weights, max_nodes: int, seed: int = 0) -> WeakHypothesis:
@@ -283,8 +310,10 @@ def train_tree(S_signed, weights, max_nodes: int, seed: int = 0) -> WeakHypothes
 
     Growth repeatedly expands the leaf whose best split most decreases the
     weighted Matushita impurity, until max_nodes internal nodes exist, every
-    leaf is pure, or no split decreases the impurity.  `seed` is accepted for
-    interface stability; induction is deterministic.
+    leaf is pure, or no split decreases the impurity.  A split's two children
+    are searched together, in one _best_split call, when the next leaf is
+    chosen; the last split's children are never searched.  `seed` is
+    accepted for interface stability; induction is deterministic.
     """
     del seed
     if max_nodes < 1:
@@ -299,13 +328,12 @@ def train_tree(S_signed, weights, max_nodes: int, seed: int = 0) -> WeakHypothes
     active = np.nonzero(w > 0.0)[0]
     if active.size == 0:
         raise ValueError("all-zero weight vector: nothing to train on")
-    y = np.asarray(S_signed.labels, dtype=np.float64)
+    wp = np.where(np.asarray(S_signed.labels, dtype=np.float64) > 0, w, 0.0)
     cols = _Columns(S_signed)
 
     def make_leaf(idx: np.ndarray, orders: np.ndarray) -> _Leaf:
-        wi = w[idx]
-        w_tot = float(np.sum(wi))
-        w_pos = float(np.sum(np.where(y[idx] > 0, wi, 0.0)))
+        w_tot = float(w[idx].sum())
+        w_pos = float(wp[idx].sum())
         node = TreeNode(value=_leaf_value(w_pos, w_tot, int(idx.size)))
         return _Leaf(idx, node, w_tot, w_pos, _branch_impurity(w_pos, w_tot - w_pos), orders)
 
@@ -313,15 +341,20 @@ def train_tree(S_signed, weights, max_nodes: int, seed: int = 0) -> WeakHypothes
     root = leaves[0].node
     n_internal = 0
     while n_internal < max_nodes:
-        # Refresh candidate splits lazily and expand the leaf whose best
-        # split decreases the impurity the most.  leaves stays in creation
-        # order, so the earliest leaf wins ties.
+        # Search the unsearched leaves (the root, or the last split's two
+        # children, which share their parent's orders) and expand the leaf
+        # whose best split decreases the impurity the most.  leaves stays in
+        # creation order, so the earliest leaf wins ties.
+        fresh = [leaf for leaf in leaves if leaf.best is None]
+        if fresh:
+            parts = cols.cut(fresh[0].orders, [leaf.idx for leaf in fresh])
+            found = _best_split(cols, w, wp, parts, [leaf.w_tot for leaf in fresh],
+                                [leaf.w_pos for leaf in fresh])
+            for leaf, orders, best in zip(fresh, parts, found):
+                leaf.orders, leaf.best = orders, best or ()
         best_leaf = None
         best_gain = 0.0
         for leaf in leaves:
-            if leaf.best is None:
-                leaf.orders = cols.restrict(leaf.orders, leaf.idx)
-                leaf.best = _best_split(cols, y, w, leaf.orders, leaf.w_tot, leaf.w_pos) or ()
             if leaf.best == ():
                 continue
             gain = leaf.impurity - leaf.best[0]

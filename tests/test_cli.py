@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import copy
 import dataclasses
+import itertools
 import json
 import math
 
@@ -882,3 +883,51 @@ class TestGeneratedMalformedJson:
             return CONFIG_KINDS[member[0]], False
 
         assert self._failures(cfg_path, payload, kinds_of, argv, capsys) == []
+
+
+# A valid four-knot loss table, and the strings set into each of its cells.
+TABLE_ROWS = (("-2", "2.13"), ("-0.5", "0.97"), ("0.5", "0.47"), ("2", "0.13"))
+# "", "x" and "0x10" are no number; "nan", "inf" and "1e400" no finite one.
+TABLE_NOT_FINITE = ("", "x", "nan", "inf", "1e400", "0x10")
+TABLE_FINITE = ("1e308", "-0", " 1 ")
+
+
+class TestGeneratedMalformedLossTable:
+    """Each data cell of a valid --loss-table CSV set to each substitute, and
+    each data row deleted, duplicated, cut to one cell or given a third: the
+    CLI returns one of its exit codes, never raises, and prints a one-line
+    message on a failure.  A cell that is no finite number, a duplicated
+    abscissa and a row without exactly two cells return 2."""
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # 1e308 knots overflow weight sums
+    def test_mutated_tables(self, tmp_path, train_csv, capsys):
+        table = tmp_path / "table.csv"
+        argv = ["train", "-T", "2", "--loss-table", str(table), train_csv, str(tmp_path / "out")]
+        cases = []  # (what, rows, the one exit code required or None)
+        for i, j in itertools.product(range(len(TABLE_ROWS)), range(2)):
+            for value in TABLE_NOT_FINITE + TABLE_FINITE:
+                rows = [list(row) for row in TABLE_ROWS]
+                rows[i][j] = value
+                cases.append(((i, j, value), rows, EXIT_CONFIG if value in TABLE_NOT_FINITE else None))
+        for i, row in enumerate(TABLE_ROWS):
+            before, after = list(TABLE_ROWS[:i]), list(TABLE_ROWS[i + 1:])
+            cases += [
+                ((i, "deleted"), before + after, None),
+                ((i, "duplicated"), before + [row, row] + after, EXIT_CONFIG),
+                ((i, "one cell"), before + [row[:1]] + after, EXIT_CONFIG),
+                ((i, "third cell"), before + [row + ("9",)] + after, EXIT_CONFIG),
+            ]
+        failures = []
+        for what, rows, required in cases:
+            table.write_text("z,F\n" + "".join(",".join(row) + "\n" for row in rows))
+            try:
+                code = main(argv)
+            except Exception as exc:  # listed with the other failures
+                code = type(exc).__name__
+            _, err = capsys.readouterr()
+            allowed = (EXIT_OK, EXIT_CONFIG, EXIT_DATA, EXIT_CONSTANT_LOSS, EXIT_DISCONTINUITY)
+            if (code not in allowed or required is not None and code != required
+                    or code != EXIT_OK and err.count("\n") != 1):
+                failures.append((what, code, err))
+        assert failures == []
+

@@ -302,6 +302,13 @@ class TestTableLoss:
         with pytest.raises(ConfigError, match="two columns"):
             load_table_loss(str(path))
 
+    def test_load_rejects_a_third_cell(self, tmp_path):
+        # Read as (0, 0.7) before, the 9 dropped unseen.
+        path = tmp_path / "loss.csv"
+        path.write_text("z,F\n-1,1\n0,0.7,9\n1,0\n")
+        with pytest.raises(ConfigError, match="loss.csv:3: expected two columns, got 3"):
+            load_table_loss(str(path))
+
     def test_load_rejects_non_numeric_row(self, tmp_path):
         path = tmp_path / "loss.csv"
         path.write_text("0.0,1.0\nfoo,bar\n")

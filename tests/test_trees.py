@@ -10,12 +10,14 @@ import numpy as np
 import pytest
 
 from secantboost import (
+    Dataset,
     dataset_from_columns,
     dataset_from_numeric,
     max_confidence,
     nonzero_shift,
     train_tree,
 )
+from secantboost import trees
 from secantboost.trees import (
     TreeNode,
     WeakHypothesis,
@@ -318,22 +320,30 @@ class TestNonzeroShift:
 # be compared for exact equality.
 
 
-def _split(S, y, w, idx: np.ndarray):
-    """_best_split at the leaf idx (ascending), given its per-row orders and
-    its sums as train_tree forms them.
-
-    The orders are built here by sorting the leaf itself, not by
-    _Columns.restrict: numeric features first, then categorical ones, each
-    the stable argsort of the leaf's column (category labels sort as their
-    codes do).
-    """
+def _leaf_orders(S, idx: np.ndarray) -> np.ndarray:
+    """The leaf idx's per-row orders, built by sorting the leaf itself, not
+    by _Columns.cut: numeric features first, then categorical ones, each the
+    stable argsort of the leaf's column (category labels sort as their codes
+    do)."""
     rows = [f for f, kind in enumerate(S.feature_types) if kind == "numeric"]
     rows += [f for f, kind in enumerate(S.feature_types) if kind != "numeric"]
-    orders = np.array([idx[np.argsort(S.columns[f][idx], kind="stable")] for f in rows],
-                      dtype=np.intp).reshape(len(rows), idx.size)
-    wi = w[idx]
-    w_pos = float(np.sum(np.where(y[idx] > 0, wi, 0.0)))
-    return _best_split(_Columns(S), y, w, orders, float(np.sum(wi)), w_pos)
+    return np.array([idx[np.argsort(S.columns[f][idx], kind="stable")] for f in rows],
+                    dtype=np.intp).reshape(len(rows), idx.size)
+
+
+def _splits(S, y, w, parts: list) -> list:
+    """_best_split on the batch of leaves parts (each ascending), given
+    _leaf_orders and the sums as train_tree forms them."""
+    wp = np.where(y > 0, w, 0.0)
+    orders = [_leaf_orders(S, idx) for idx in parts]
+    w_tot = [float(np.sum(w[idx])) for idx in parts]
+    w_pos = [float(np.sum(np.where(y[idx] > 0, w[idx], 0.0))) for idx in parts]
+    return _best_split(_Columns(S), w, wp, orders, w_tot, w_pos)
+
+
+def _split(S, y, w, idx: np.ndarray):
+    """The batch search on the one leaf idx (ascending)."""
+    return _splits(S, y, w, [idx])[0]
 
 
 def _loop_branch_impurity(w_pos: float, w_neg: float) -> float:
@@ -617,3 +627,157 @@ class TestLoopReference:
             assert want.node_count == 20, f"case {seed}"
             assert got.node_count == want.node_count, f"case {seed}"
             assert got.root == want.root, f"case {seed}"
+
+
+def _two_parts(rng, idx: np.ndarray) -> list:
+    """idx (two or more examples) cut in two by a seeded mask, each part
+    ascending and nonempty."""
+    left = rng.random(idx.size) < 0.5
+    left[0], left[-1] = True, False
+    return [idx[left], idx[~left]]
+
+
+def _assert_same_split(got, want, where):
+    # Impurities compare as arrays, so a NaN equals a NaN.
+    assert (got is None) == (want is None), where
+    if want is not None:
+        assert got[1:] == want[1:], where
+        np.testing.assert_array_equal(got[0], want[0], err_msg=where)
+
+
+class TestSiblingBatch:
+    """Searching a split's two children in one call must equal the loop on
+    each child alone, bit for bit."""
+
+    def test_batch_matches_loop_on_each_part(self):
+        n_batches = 0
+        for seed in range(N_REFERENCE_CASES):
+            S, w = _reference_case(seed)
+            active = np.nonzero(w > 0.0)[0]
+            if active.size < 2:
+                continue
+            parts = _two_parts(np.random.default_rng(50_000 + seed), active)
+            want = [_loop_best_split(S, S.labels, w, idx) for idx in parts]
+            assert _splits(S, S.labels, w, parts) == want, f"case {seed}"
+            # cut, from the whole order through the root, builds the same
+            # orders as sorting each part.
+            cols = _Columns(S)
+            for got, idx in zip(cols.cut(cols.cut(cols.order, [active])[0], parts), parts):
+                np.testing.assert_array_equal(got, _leaf_orders(S, idx))
+            n_batches += 1
+        assert n_batches >= 300
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflows themselves
+    def test_batch_matches_loop_when_sums_overflow(self):
+        for seed in range(40):
+            S, w = _reference_case(seed)
+            rng = np.random.default_rng(20_000 + seed)
+            w[rng.random(S.m) < 0.3] = rng.choice([1e308, np.inf])
+            active = np.nonzero(w > 0.0)[0]
+            if active.size < 2:
+                continue
+            parts = _two_parts(rng, active)
+            for got, idx in zip(_splits(S, S.labels, w, parts), parts):
+                _assert_same_split(got, _loop_best_split(S, S.labels, w, idx), f"case {seed}")
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_every_candidate_infinite_picks_the_first(self):
+        # Each category of c holds a positive and a negative example of
+        # weight 1e308, so every candidate's impurity overflows to +inf.  The
+        # first code, column "only"'s one category, is no candidate; the
+        # masked argmin lands on it, and the pick must fall back to the first
+        # candidate, ("c", "a"), as the loop's strict-< scan keeps it.  The
+        # second part has one category of c only: no candidate at all.
+        S = dataset_from_columns(
+            [np.full(6, "only"), np.array(["a", "a", "b", "b", "a", "a"])],
+            np.array([1.0, -1.0, 1.0, -1.0, 1.0, -1.0]),
+            types=("categorical", "categorical"),
+        )
+        w = np.full(6, 1e308)
+        parts = [np.arange(4), np.arange(4, 6)]
+        want = [_loop_best_split(S, S.labels, w, idx) for idx in parts]
+        assert want == [(np.inf, 1, "cat", "a"), None]
+        assert _splits(S, S.labels, w, parts) == want
+
+    def test_batch_matches_loop_with_many_large_categories(self):
+        rng = np.random.default_rng(30_001)
+        m = 6000
+        p = rng.uniform(0.2, 2.0, size=24)
+        code = rng.choice(24, size=m, p=p / p.sum())
+        y = np.where(rng.random(m) < rng.uniform(0.1, 0.9, size=24)[code], 1.0, -1.0)
+        S = dataset_from_columns(
+            [np.char.add("c", code.astype(str)), rng.choice(["u", "v", "w"], size=m),
+             rng.normal(size=m)],
+            y,
+            types=("categorical", "categorical", "numeric"),
+        )
+        w = rng.uniform(0.0, 2.0, size=m) * (rng.random(m) < 0.95)
+        active = np.nonzero(w > 0.0)[0]
+        for k in range(4):
+            size = active.size - k * active.size // 5
+            parts = _two_parts(rng, np.sort(rng.choice(active, size=size, replace=False)))
+            want = [_loop_best_split(S, S.labels, w, idx) for idx in parts]
+            assert [split[2] for split in want] == ["cat", "cat"]
+            assert _splits(S, S.labels, w, parts) == want, f"subset {k}"
+
+    def test_last_split_children_are_never_searched(self, monkeypatch):
+        # The root is searched alone, then each split's two children
+        # together, except the last split's: max_nodes splits, max_nodes calls.
+        batches = []
+        search = trees._best_split
+
+        def counted(cols, w, wp, parts, w_tot, w_pos):
+            batches.append(len(parts))
+            return search(cols, w, wp, parts, w_tot, w_pos)
+
+        monkeypatch.setattr(trees, "_best_split", counted)
+        rng = np.random.default_rng(60_000)
+        X = rng.normal(size=(300, 3))
+        y = np.where(X[:, 0] + rng.normal(scale=0.8, size=300) > 0, 1.0, -1.0)
+        h = train_tree(dataset_from_numeric(X, y), rng.uniform(0.5, 1.5, size=300), 12)
+        assert h.node_count == 12
+        assert batches == [1] + [2] * 11
+
+
+class TestColumnsEncoding:
+    """One stable string sort per categorical column gives the codes,
+    labels, first codes and orders of the np.unique encoding it replaced."""
+
+    @staticmethod
+    def _check(S):
+        cat = [f for f, kind in enumerate(S.feature_types) if kind != "numeric"]
+        codes, labels, first_code = [], [], [0]
+        for f in cat:
+            uniq, inverse = np.unique(S.columns[f].astype(str), return_inverse=True)
+            codes.append(inverse + first_code[-1])
+            labels.extend(uniq)
+            first_code.append(len(labels))
+        cols = _Columns(S)
+        np.testing.assert_array_equal(cols.codes, np.array(codes, dtype=np.intp).reshape(len(cat), S.m))
+        assert cols.labels == labels
+        assert all(type(got) is type(want) for got, want in zip(cols.labels, labels))
+        np.testing.assert_array_equal(cols.first_code, first_code)
+        n_num = len(S.columns) - len(cat)
+        for r, row in enumerate(codes):
+            np.testing.assert_array_equal(cols.order[n_num + r], np.argsort(row, kind="stable"))
+        return cols
+
+    def test_matches_unique_encoding_on_reference_cases(self):
+        n_categorical = 0
+        for seed in range(N_REFERENCE_CASES):
+            S, _ = _reference_case(seed)
+            n_categorical += self._check(S).codes.shape[0] > 0
+        assert n_categorical >= 100
+
+    def test_single_category_and_integer_labels(self):
+        # An integer column typed categorical is encoded by its strings, and
+        # "10" sorts before "9".
+        S = Dataset(
+            (np.full(6, "only"), np.array([10, 9, 2, 10, 9, 100]), np.arange(6.0)),
+            np.array([1.0, -1.0, 1.0, -1.0, 1.0, -1.0]),
+            ("one", "ints", "x"),
+            ("categorical", "categorical", "numeric"),
+        )
+        cols = self._check(S)
+        assert cols.labels == ["only", "10", "100", "2", "9"]
+        assert cols.codes.tolist() == [[0] * 6, [1, 4, 3, 1, 4, 2]]
