@@ -20,7 +20,6 @@ from .bregman import certifies
 from .errors import ConfigError, ConstantLossError, DiscontinuityCollisionError
 from .leverage import (
     _DELTA_INIT,
-    LeveragingResult,
     alpha_from_smoothness,
     epsilon_from,
     find_alpha,
@@ -199,29 +198,38 @@ def nudge_alpha(F, alpha, y, margins_prev, h_values, seed=0) -> float:
     )
 
 
-def _leverage(F, y, hv, margins, loss_prev, eta, M, route, alpha, certify):
+def _leverage(F, row, y, hv, margins, alpha, certify):
     """Step-acceptance guard: halve alpha until the realized decrease meets its bound.
 
     The offset budget certifies the *next* round's secant remainder, so on
     rough losses a route alpha can overshoot.  certify(alpha) gives (w2_bar,
     epsilon), or None when alpha lies outside their admissible interval; a
-    tiny alpha leaves the margins bitwise unchanged, so the loop ends.
-    Returns (LeveragingResult, new margins, their mean loss, decrease bound).
+    tiny alpha leaves the margins bitwise unchanged, so the loop ends.  Reads
+    eta, M, route and the entering train_loss from the iteration's row, writes
+    the accepted step (alpha, w2_bar, epsilon, pi on the smoothness route,
+    train_loss, decrease_bound) into it and returns the new margins.
     """
     for halvings in range(GUARD_CAP):
         cert = certify(alpha)
         if cert is not None:
-            w2_bar, eps = cert
+            row.w2_bar, row.epsilon = cert
             margins_new = margins + alpha * y * hv
             loss = float(np.mean(F(margins_new)))
-            bound = _decrease_bound(eta, alpha, eps, M, w2_bar)
-            if loss_prev - loss >= bound - GUARD_SLACK:
-                pi = max(PI, 1.0 - 0.5**halvings) if route == "smoothness" else None
-                lev = LeveragingResult(alpha, w2_bar, eps, route=route, pi=pi)
-                return lev, margins_new, loss, bound
+            try:
+                bound = guaranteed_decrease_bound(row, alpha)
+            except OverflowError:
+                raise ConfigError(
+                    f"loss {F.name!r} overflows the decrease bound at t={row.t} "
+                    f"(eta={row.eta!r}, M={row.M!r}, w2_bar={row.w2_bar!r})"
+                ) from None
+            if row.train_loss - loss >= bound - GUARD_SLACK:
+                row.alpha, row.train_loss, row.decrease_bound = alpha, loss, bound
+                if row.route == "smoothness":
+                    row.pi = max(PI, 1.0 - 0.5**halvings)
+                return margins_new
         alpha /= 2.0
     raise DiscontinuityCollisionError(
-        f"no {route} step met its decrease bound after {GUARD_CAP} halvings"
+        f"no {row.route} step met its decrease bound after {GUARD_CAP} halvings"
     )
 
 
@@ -319,14 +327,14 @@ def run(F, S, T: int, config: BoostConfig | None = None):
             return ens, rows
 
         if F.smoothness_beta is not None:
-            route = "smoothness"
+            row.route = "smoothness"
             lev0 = alpha_from_smoothness(eta, F.smoothness_beta, M, cfg.epsilon)
             alpha = lev0.alpha
 
             def certify(a):
                 return lev0.w2_bar, lev0.epsilon
         else:
-            route = "findalpha"
+            row.route = "findalpha"
             alpha = find_alpha(
                 F, S, ens, w, h, v_prev, cfg.delta_init, margins_prev=margins, h_values=hv
             )
@@ -339,27 +347,18 @@ def run(F, S, T: int, config: BoostConfig | None = None):
                     return None
                 return w2_bar, epsilon_from(a, w2_bar, eta, M)
         alpha = nudge_alpha(F, alpha, y, margins, hv, seed=_derived_seed(cfg.seed, t, 1))
-        lev, margins_new, loss, bound = _leverage(
-            F, y, hv, margins, loss_prev, eta, M, route, alpha, certify
-        )
+        margins_new = _leverage(F, row, y, hv, margins, alpha, certify)
 
-        ens.terms.append((lev.alpha, h))
-        row.alpha = lev.alpha
-        row.w2_bar = lev.w2_bar
-        row.epsilon = lev.epsilon
-        row.rho = row.w1_bar * row.w1_bar / lev.w2_bar
-        row.pi = lev.pi
-        row.route = lev.route
-        row.train_loss = loss
+        ens.terms.append((row.alpha, h))
+        row.rho = row.w1_bar * row.w1_bar / row.w2_bar
         row.train_err = float(np.mean(margins_new <= 0.0))
-        row.w2_measured = second_order_mean(F, margins, lev.alpha * y * hv, v_prev, hv, M)
-        row.decrease_bound = bound
-        row.z_limit = z_limit = lev.epsilon * lev.alpha**2 * M * M * lev.w2_bar
+        row.w2_measured = second_order_mean(F, margins, row.alpha * y * hv, v_prev, hv, M)
+        row.z_limit = z_limit = row.epsilon * row.alpha**2 * M * M * row.w2_bar
         if not 0.0 < z_limit < np.inf:
-            knob = "epsilon" if lev.route == "smoothness" else "delta_init"
+            knob = "epsilon" if row.route == "smoothness" else "delta_init"
             raise ConfigError(
                 f"offset budget z_limit={z_limit!r} at t={t} is not positive and finite "
-                f"(alpha={lev.alpha!r}, epsilon={lev.epsilon!r}): "
+                f"(alpha={row.alpha!r}, epsilon={row.epsilon!r}): "
                 f"{knob}={getattr(cfg, knob)!r} is out of range"
             )
         if cfg.record_vectors:
@@ -384,27 +383,25 @@ def run(F, S, T: int, config: BoostConfig | None = None):
         if not np.any(w_next != 0.0):
             row.stop_reason = "zero_weights"
             return ens, rows
-        w, v_prev, margins, loss_prev = w_next, v_new, margins_new, loss
+        w, v_prev, margins, loss_prev = w_next, v_new, margins_new, row.train_loss
 
     rows[-1].stop_reason = "completed"
     return ens, rows
 
 
-def _decrease_bound(eta: float, alpha: float, epsilon: float, M: float, w2_bar: float) -> float:
-    if eta == 0.0:
-        return 0.0
-    a = alpha / eta
-    raw = a * eta**2 * (1.0 - a * (1.0 + epsilon) * M**2 * w2_bar)
-    return max(0.0, raw)
-
-
 def guaranteed_decrease_bound(state: BoostIterState, alpha: float) -> float:
     """Certified minimum loss decrease a*eta^2*(1 - a*(1+eps)*M^2*w2_bar), a = alpha/eta.
 
-    Clamped at zero: when alpha saturates its certificate (halving route) the
-    exact value is zero and rounding may land epsilon-negative.
+    The guard records it as a row's decrease_bound.  Clamped at zero: when
+    alpha saturates its certificate (halving route) the exact value is zero
+    and rounding may land epsilon-negative.  A square beyond the float range
+    raises OverflowError (float **).
     """
-    return _decrease_bound(state.eta, alpha, state.epsilon, state.M, state.w2_bar)
+    if state.eta == 0.0:
+        return 0.0
+    a = alpha / state.eta
+    raw = a * state.eta**2 * (1.0 - a * (1.0 + state.epsilon) * state.M**2 * state.w2_bar)
+    return max(0.0, raw)
 
 
 def convergence_certificate(telemetry: Iterable[BoostIterState], f0: float, target: float) -> bool:

@@ -70,19 +70,32 @@ class FoldPlan:
         return np.nonzero(self.assignments != fold)[0]
 
 
-def dataset_from_numeric(X, y) -> Dataset:
-    """Convenience constructor from a 2-d numeric array and ±1 labels."""
-    X = np.asarray(X, dtype=np.float64)
+def _pm_one_labels(y) -> np.ndarray:
+    """y as float64, or ValueError naming the first label outside {-1, +1}."""
     y = np.asarray(y, dtype=np.float64)
+    bad = np.flatnonzero((y != 1.0) & (y != -1.0))
+    if bad.size:
+        i = int(bad[0])
+        raise ValueError(f"label {i} is {float(y.flat[i])!r}; labels must be -1 or +1")
+    return y
+
+
+def dataset_from_numeric(X, y) -> Dataset:
+    """Convenience constructor from a 2-d array of finite numbers and ±1 labels."""
+    X = np.asarray(X, dtype=np.float64)
+    y = _pm_one_labels(y)
     if X.ndim != 2 or X.shape[0] != y.shape[0]:
         raise ValueError("X must be (m, d) with matching label length")
+    if not np.isfinite(X).all():
+        i, j = np.argwhere(~np.isfinite(X))[0].tolist()
+        raise ValueError(f"feature X[{i}, {j}] is {float(X[i, j])!r}; features must be finite")
     cols = tuple(np.ascontiguousarray(X[:, j]) for j in range(X.shape[1]))
     names = tuple(f"f{j}" for j in range(X.shape[1]))
     return Dataset(cols, y, names, ("numeric",) * X.shape[1])
 
 
 def dataset_from_columns(columns, labels, names=None, types=None) -> Dataset:
-    """Convenience constructor from explicit columns (numeric or string)."""
+    """Convenience constructor from explicit columns (numeric or string) and ±1 labels."""
     cols = []
     kinds = []
     for j, col in enumerate(columns):
@@ -94,7 +107,7 @@ def dataset_from_columns(columns, labels, names=None, types=None) -> Dataset:
         arr = arr.astype(np.float64) if kind == "numeric" else arr.astype(str)
         cols.append(arr)
         kinds.append(kind)
-    labels = np.asarray(labels, dtype=np.float64)
+    labels = _pm_one_labels(labels)
     if names is None:
         names = tuple(f"f{j}" for j in range(len(cols)))
     return Dataset(tuple(cols), labels, tuple(names), tuple(kinds))

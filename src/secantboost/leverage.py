@@ -42,14 +42,12 @@ _W_FALLBACK_CAP = 2000
 
 @dataclass(frozen=True)
 class LeveragingResult:
-    """The accepted coefficient and its certificate pair; pi is set only by the
-    driver's step-acceptance guard on the smoothness route."""
+    """A route's coefficient and its certificate pair; the driver's guard
+    records the step it accepts, route and pi included, in the telemetry row."""
 
     alpha: float
     w2_bar: float
     epsilon: float
-    route: str  # "smoothness" | "findalpha"
-    pi: float | None = None
 
 
 def _h_values(S, h, h_values=None) -> np.ndarray:
@@ -210,4 +208,4 @@ def alpha_from_smoothness(eta: float, beta: float, M: float, epsilon: float) -> 
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     w2_bar = 2.0 * beta
     alpha = eta / (2.0 * (1.0 + epsilon) * M * M * w2_bar)
-    return LeveragingResult(alpha=alpha, w2_bar=w2_bar, epsilon=epsilon, route="smoothness")
+    return LeveragingResult(alpha=alpha, w2_bar=w2_bar, epsilon=epsilon)

@@ -260,23 +260,32 @@ def table_loss(name: str, zs: Sequence[float], values: Sequence[float]) -> LossS
 
 
 def load_table_loss(path: str, name: str | None = None) -> LossSpec:
-    """Read a two-column CSV (z, value) into a piecewise-linear loss."""
+    """Read a two-column CSV (z, value) into a piecewise-linear loss.
+
+    Blank lines are skipped, and the first other row is a header unless its
+    first cell is a number.  An error names the file line its row ends on.
+    """
     zs: list[float] = []
     vals: list[float] = []
     try:
         with open(path, newline="", encoding="utf-8") as fh:
-            for lineno, row in enumerate(csv.reader(fh)):
-                if not row or (lineno == 0 and not _is_number(row[0])):
-                    continue  # header or blank line
-                if len(row) != 2:
-                    raise ConfigError(f"{path}:{lineno + 1}: expected two columns, got {len(row)}")
-                try:
-                    zs.append(float(row[0]))
-                    vals.append(float(row[1]))
-                except ValueError as exc:
-                    raise ConfigError(f"{path}:{lineno + 1}: {exc}") from None
+            reader = csv.reader(fh)
+            rows = [(reader.line_num, row) for row in reader if row]
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from None
+    if rows and not _is_number(rows[0][1][0]):
+        del rows[0]  # header
+    for line, row in rows:
+        if len(row) != 2:
+            raise ConfigError(f"{path}:{line}: expected two columns, got {len(row)}")
+        try:
+            z, value = float(row[0]), float(row[1])
+        except ValueError as exc:
+            raise ConfigError(f"{path}:{line}: {exc}") from None
+        if not (math.isfinite(z) and math.isfinite(value)):
+            raise ConfigError(f"{path}:{line}: table loss entries must be finite, got {row}")
+        zs.append(z)
+        vals.append(value)
     return table_loss(name or "table", zs, vals)
 
 

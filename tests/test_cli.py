@@ -931,3 +931,86 @@ class TestGeneratedMalformedLossTable:
                 failures.append((what, code, err))
         assert failures == []
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # tree induction overflows first
+    @pytest.mark.parametrize("knot", [0, 3])
+    def test_overflowing_decrease_bound_exits_2(self, tmp_path, train_csv, knot, capsys):
+        # A 1e308 knot makes the edge about 1e303, whose square overflows the
+        # decrease bound.
+        values = ["1.0"] * 4
+        values[knot] = "1e308"
+        table = tmp_path / "table.csv"
+        table.write_text("z,F\n" + "".join(f"{z},{v}\n" for z, v in zip((-100, -1, 1, 100), values)))
+        argv = ["train", "-T", "2", "--loss-table", str(table), train_csv, str(tmp_path / "out")]
+        assert main(argv) == EXIT_CONFIG
+        _, err = capsys.readouterr()
+        assert err.startswith("config error: loss 'table' overflows the decrease bound at t=1")
+        assert err.count("\n") == 1
+
+
+# A valid 24-row data CSV: numeric a, categorical c, 0/1 labels; and the
+# strings set into each cell of one of its rows.
+DATA_ROWS = tuple(
+    (f"{(i - 11.5) / 4:g}", "xyz"[i % 3], str(int((i - 11.5) / 4 > 0.1 or i % 3 == 0)))
+    for i in range(24)
+)
+DATA_CELLS = ("", "x", "nan", "inf", "1e400", "1e308", "-0", " 1 ", "0x10", "2")
+# The cells that are no finite number: set into a, they make it categorical.
+DATA_NOT_NUMERIC = ("x", "nan", "inf", "1e400", "0x10")
+
+
+class TestGeneratedMalformedDataCsv:
+    """Each cell of one data row set to each substitute; the row deleted,
+    duplicated, cut to one cell, given an extra cell or its a and c swapped;
+    the file cut to its header or its header dropped.  train, and eval of a
+    model trained on the clean file, return 0, 2 or 3 and never raise, with a
+    one-line message on a failure.  Under eval, a mutation that makes column
+    a categorical is a schema mismatch (exit 3)."""
+
+    ROW = 5
+
+    def _cases(self):
+        header, rows = ("a", "c", "label"), [list(row) for row in DATA_ROWS]
+        row = rows[self.ROW]
+        before, after = rows[: self.ROW], rows[self.ROW + 1:]
+        cases = []  # (what, header and rows, True if column a turns categorical)
+        for j, value in itertools.product(range(3), DATA_CELLS):
+            mutated = [list(r) for r in rows]
+            mutated[self.ROW][j] = value
+            cases.append(((header[j], value), [header] + mutated, j == 0 and value in DATA_NOT_NUMERIC))
+        cases += [
+            ("deleted", [header] + before + after, False),
+            ("duplicated", [header] + before + [row, row] + after, False),
+            ("one cell", [header] + before + [row[:1]] + after, False),
+            ("extra cell", [header] + before + [row + ["9"]] + after, False),
+            ("a and c swapped", [header] + before + [[row[1], row[0], row[2]]] + after, True),
+            ("header only", [header], False),
+            ("no header", rows, False),
+        ]
+        return cases
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # 1e308 features overflow thresholds
+    def test_mutated_data(self, tmp_path, capsys):
+        clean = tmp_path / "clean.csv"
+        clean.write_text("".join(",".join(r) + "\n" for r in (("a", "c", "label"),) + DATA_ROWS))
+        assert main(["train", "-T", "2", "--max-nodes", "2", str(clean), str(tmp_path)]) == EXIT_OK
+        model = str(tmp_path / "model.json")
+        data = tmp_path / "data.csv"
+        failures = []
+        for what, rows, retyped in self._cases():
+            data.write_text("".join(",".join(r) + "\n" for r in rows))
+            capsys.readouterr()
+            for argv in (
+                ["train", "-T", "2", "--max-nodes", "2", str(data), str(tmp_path / "out")],
+                ["eval", model, str(data)],
+            ):
+                try:
+                    code = main(argv)
+                except Exception as exc:  # listed with the other failures
+                    code = type(exc).__name__
+                _, err = capsys.readouterr()
+                if (code not in (EXIT_OK, EXIT_CONFIG, EXIT_DATA)
+                        or code != EXIT_OK and err.count("\n") != 1
+                        or argv[0] == "eval" and retyped
+                        and (code != EXIT_DATA or "schema mismatch" not in err)):
+                    failures.append((what, argv[0], code, err))
+        assert failures == []

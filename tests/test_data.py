@@ -172,6 +172,22 @@ class TestDataset:
         assert S.feature_types == ("numeric", "categorical")
         assert S.feature_names == ("f0", "f1")
 
+    @pytest.mark.parametrize("label", [0.0, 2.0, np.nan, -0.5])
+    def test_first_label_outside_signs_is_named(self, label):
+        # A 0 label would keep its example at margin 0 for the whole run.
+        y = np.array([1.0, -1.0, label, label])
+        with pytest.raises(ValueError, match=f"label 2 is {label!r}"):
+            dataset_from_numeric(np.zeros((4, 1)), y)
+        with pytest.raises(ValueError, match=f"label 2 is {label!r}"):
+            dataset_from_columns([np.array(["a", "b", "c", "d"])], y)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_feature_rejected(self, value):
+        X = np.zeros((3, 2))
+        X[1, 1] = X[2, 0] = value
+        with pytest.raises(ValueError, match=rf"feature X\[1, 1\] is {value!r}"):
+            dataset_from_numeric(X, np.array([1.0, -1.0, 1.0]))
+
 
 class TestStratifiedFolds:
     def test_class_balance_within_one(self):

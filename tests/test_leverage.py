@@ -266,7 +266,6 @@ class TestAlphaFromSmoothness:
         assert lev.alpha == pytest.approx(1.0 / 1.1)
         assert lev.w2_bar == 0.5
         assert lev.epsilon == 0.1
-        assert lev.route == "smoothness"
 
     def test_alpha_scales_inverse_with_confidence_cap(self):
         a1 = alpha_from_smoothness(0.4, 0.25, 2.0, 0.1).alpha

@@ -315,6 +315,25 @@ class TestTableLoss:
         with pytest.raises(ConfigError, match="loss.csv:2"):
             load_table_loss(str(path))
 
+    def test_load_names_the_file_line_a_record_ends_on(self, tmp_path):
+        # The quoted "-1\n" spans lines 2-3, so the bad cell is on line 4.
+        path = tmp_path / "loss.csv"
+        path.write_text('z,F\n"-1\n",1\n1,x\n')
+        with pytest.raises(ConfigError, match="loss.csv:4: could not convert string to float: 'x'"):
+            load_table_loss(str(path))
+
+    def test_load_skips_blank_lines_before_the_header(self, tmp_path):
+        path = tmp_path / "loss.csv"
+        path.write_text("\n\nz,F\n-1,1\n\n1,0\n")
+        assert load_table_loss(str(path))(0.0) == 0.5
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "1e400"])
+    def test_load_names_the_line_of_a_non_finite_cell(self, tmp_path, cell):
+        path = tmp_path / "loss.csv"
+        path.write_text(f"z,F\n-1,1\n\n{cell},0\n")
+        with pytest.raises(ConfigError, match="loss.csv:4: table loss entries must be finite"):
+            load_table_loss(str(path))
+
 
 def _tiny_dataset():
     X = np.array([[1.0], [2.0], [3.0], [4.0]])
