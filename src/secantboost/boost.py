@@ -152,6 +152,12 @@ def initialize(F, S):
     there is nothing to fit.  A chord slope that overflows is a ConfigError
     naming the chord (a non-finite loss value raises where F is called).
     """
+    ens, state, _ = _initialize(F, S)
+    return ens, state
+
+
+def _initialize(F, S):
+    """initialize, plus the loss values it read at the first margins."""
     for v0, h0 in itertools.product(V0_GRID, H0_GRID):
         d = v_derivative(F, h0, v0)
         if not np.isfinite(d):
@@ -164,15 +170,16 @@ def initialize(F, S):
         raise ConstantLossError("loss is constant on every probed chord")
     y = np.asarray(S.labels, dtype=np.float64)
     margins0 = y * h0
+    f0 = F(margins0)
     state = BoostIterState(
         t=0,
         weights=np.full(S.m, -d, dtype=np.float64),
         offsets=np.full(S.m, v0, dtype=np.float64),
         edges_tilde=margins0,
-        train_loss=float(np.mean(F(margins0))),
+        train_loss=float(np.mean(f0)),
         train_err=float(np.mean(margins0 <= 0.0)),
     )
-    return Ensemble(h0=h0), state
+    return Ensemble(h0=h0), state, f0
 
 
 def nudge_alpha(F, alpha, y, margins_prev, h_values, seed=0) -> float:
@@ -207,14 +214,16 @@ def _leverage(F, row, y, hv, margins, alpha, certify):
     tiny alpha leaves the margins bitwise unchanged, so the loop ends.  Reads
     eta, M, route and the entering train_loss from the iteration's row, writes
     the accepted step (alpha, w2_bar, epsilon, pi on the smoothness route,
-    train_loss, decrease_bound) into it and returns the new margins.
+    train_loss, decrease_bound) into it and returns the new margins with the
+    loss values it read there.
     """
     for halvings in range(GUARD_CAP):
         cert = certify(alpha)
         if cert is not None:
             row.w2_bar, row.epsilon = cert
             margins_new = margins + alpha * y * hv
-            loss = float(np.mean(F(margins_new)))
+            f_new = F(margins_new)
+            loss = float(np.mean(f_new))
             try:
                 bound = guaranteed_decrease_bound(row, alpha)
             except OverflowError:
@@ -226,26 +235,29 @@ def _leverage(F, row, y, hv, margins, alpha, certify):
                 row.alpha, row.train_loss, row.decrease_bound = alpha, loss, bound
                 if row.route == "smoothness":
                     row.pi = max(PI, 1.0 - 0.5**halvings)
-                return margins_new
+                return margins_new, f_new
         alpha /= 2.0
     raise DiscontinuityCollisionError(
         f"no {row.route} step met its decrease bound after {GUARD_CAP} halvings"
     )
 
 
-def _refresh_offsets(F, margins, margins_new, v_prev, z_limit: float, cfg: BoostConfig, t: int):
+def _refresh_offsets(
+    F, margins, margins_new, v_prev, z_limit: float, cfg: BoostConfig, t: int, *, f_new
+):
     """(offsets, reused mask) for the move margins -> margins_new, or None if infeasible.
 
     An example whose edge did not move at the scan's resolution reuses (a
     sanitized copy of) its previous offset.  For a loss whose chord gaps
-    certify, the moved examples go to find_offset as one array request.
+    certify, the moved examples go to find_offset as one array request, with
+    their loss values f_new = F(margins_new) as the oracle's F(e_t).
     """
     reused = margins_new + (margins - margins_new) / cfg.precision_Z == margins_new
     moved = np.flatnonzero(~reused)
     e_t, e_p = margins_new[moved], margins[moved]
     v_new = np.empty(margins.size, dtype=np.float64)
     if certifies(F):
-        v = find_offset(F, e_t, e_p, z_limit, cfg.precision_Z)
+        v = find_offset(F, e_t, e_p, z_limit, cfg.precision_Z, fa=f_new[moved])
         if v is None:
             return None
         v_new[moved] = v
@@ -279,7 +291,7 @@ def run(F, S, T: int, config: BoostConfig | None = None):
         raise ValueError(f"T must be >= 1, got {T}")
     cfg = config or BoostConfig()
     try:
-        ens, st0 = initialize(F, S)
+        ens, st0, f = _initialize(F, S)
     except ConstantLossError:
         row = BoostIterState(
             t=1,
@@ -297,6 +309,10 @@ def run(F, S, T: int, config: BoostConfig | None = None):
 
     y = np.asarray(S.labels, dtype=np.float64)
     w, v_prev, margins, loss_prev = st0.weights, st0.offsets, st0.edges_tilde, st0.train_loss
+    # f and f_v: the loss at the margins and at the margins plus their
+    # offsets, read once.  After t=1 the guard and the weight refresh read
+    # exactly these points; the second-order term reuses both.
+    f_v = F(margins + v_prev)
     rows: list[BoostIterState] = []
 
     for t in range(1, T + 1):
@@ -341,18 +357,21 @@ def run(F, S, T: int, config: BoostConfig | None = None):
 
             def certify(a):
                 w2_bar = w2_from_alpha(
-                    F, S, ens, h, v_prev, a, M, eta=eta, margins_prev=margins, h_values=hv
+                    F, S, ens, h, v_prev, a, M, eta=eta, margins_prev=margins, h_values=hv,
+                    f_z=f, f_zv=f_v,
                 )
                 if not abs(a) < abs(eta) / (w2_bar * M * M):
                     return None
                 return w2_bar, epsilon_from(a, w2_bar, eta, M)
         alpha = nudge_alpha(F, alpha, y, margins, hv, seed=_derived_seed(cfg.seed, t, 1))
-        margins_new = _leverage(F, row, y, hv, margins, alpha, certify)
+        margins_new, f_new = _leverage(F, row, y, hv, margins, alpha, certify)
 
         ens.terms.append((row.alpha, h))
         row.rho = row.w1_bar * row.w1_bar / row.w2_bar
         row.train_err = float(np.mean(margins_new <= 0.0))
-        row.w2_measured = second_order_mean(F, margins, row.alpha * y * hv, v_prev, hv, M)
+        row.w2_measured = second_order_mean(
+            F, margins, row.alpha * y * hv, v_prev, hv, M, f_z=f, f_zv=f_v, f_ze=f_new
+        )
         row.z_limit = z_limit = row.epsilon * row.alpha**2 * M * M * row.w2_bar
         if not 0.0 < z_limit < np.inf:
             knob = "epsilon" if row.route == "smoothness" else "delta_init"
@@ -364,7 +383,7 @@ def run(F, S, T: int, config: BoostConfig | None = None):
         if cfg.record_vectors:
             row.edges_new = margins_new.copy()
 
-        refreshed = _refresh_offsets(F, margins, margins_new, v_prev, z_limit, cfg, t)
+        refreshed = _refresh_offsets(F, margins, margins_new, v_prev, z_limit, cfg, t, f_new=f_new)
         if refreshed is None:
             row.stop_reason = "offsets_infeasible"
             return ens, rows
@@ -373,7 +392,8 @@ def run(F, S, T: int, config: BoostConfig | None = None):
             row.offsets_new = v_new.copy()
             row.offsets_reused = reused
 
-        w_next = -secant_slopes(F, margins_new, v_new)
+        f_v_new = F(margins_new + v_new)
+        w_next = -secant_slopes(F, margins_new, v_new, f_z=f_new, f_zv=f_v_new)
         if not np.isfinite(w_next).all():
             i = int(np.argmin(np.isfinite(w_next)))
             raise ConfigError(
@@ -384,6 +404,7 @@ def run(F, S, T: int, config: BoostConfig | None = None):
             row.stop_reason = "zero_weights"
             return ens, rows
         w, v_prev, margins, loss_prev = w_next, v_new, margins_new, row.train_loss
+        f, f_v = f_new, f_v_new
 
     rows[-1].stop_reason = "completed"
     return ens, rows

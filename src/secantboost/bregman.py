@@ -212,18 +212,19 @@ def obi(
     where one of the coarse grid's points lands on it, and never between the
     chord's endpoints when the grid is G's.
 
-    fa and fb, float calls only, are F(a) and F(b) when the caller has read
-    them; F is then not asked again.
+    fa and fb are F(a) and F(b) when the caller has read them (floats, or
+    arrays for arrays); F is then not asked again.
 
     Arrays a, b, c (one request per row) give an array, each row equal to the
-    float call's result bit for bit: F is queried once at all a, once at all
-    b and, for the certificate, F or G once on every row's coarse grid, and
-    rows the certificate does not decide take the float call's grid.
+    float call's result bit for bit: F is queried once at all a and once at
+    all b unless given, and, for the certificate, F or G once on every row's
+    coarse grid, and rows the certificate does not decide take the float
+    call's grid.
     """
     if grid_points < 2:
         raise ValueError(f"grid_points must be >= 2, got {grid_points}")
     if isinstance(a, np.ndarray):
-        return _obi_rows(F, a, b, c, grid_points, certify_below)
+        return _obi_rows(F, a, b, c, grid_points, certify_below, fa, fb)
     if a == b:
         return 0.0
     if fa is None:
@@ -239,13 +240,13 @@ def obi(
     return _grid_gap(F, a, c, fa, slope, grid_points)
 
 
-def _obi_rows(F, a, b, c, grid_points: int, certify_below) -> np.ndarray:
+def _obi_rows(F, a, b, c, grid_points: int, certify_below, fa, fb) -> np.ndarray:
     """obi on arrays of requests (see obi)."""
     out = np.zeros(a.shape)
     live = np.flatnonzero(a != b)
     a, b, c = a[live], b[live], c[live]
-    fa = F(a)
-    fb = F(b)
+    fa = F(a) if fa is None else fa[live]
+    fb = F(b) if fb is None else fb[live]
     slope = (fb - fa) / (b - a)
     to_grid = np.ones(live.size, dtype=bool)
     certifier = _certifier(F) if certify_below > -math.inf else None
@@ -274,8 +275,8 @@ def q_star(
     declaring curvature_bound a 64-subinterval grid of [z, zp] plus beta*h**2/8,
     and for a loss declaring a minorant the same from the minorant's grid.
     A loss value that is not finite on the grid raises ConfigError (see obi).
-    fa and fb, float calls only, are F(z) and F(z+v) when the caller has them.
-    Arrays z, zp, v give an array, row by row equal to the float calls.
+    fa and fb are F(z) and F(z+v) when the caller has them.  Arrays z, zp, v
+    (and fa, fb) give an array, row by row equal to the float calls.
     """
     b = z + v
     return obi(F, z, b, b if F.is_convex else zp, grid_points, certify_below, fa, fb)
@@ -290,10 +291,10 @@ def offset_feasible(
     Borderline calls (within REFINE_MARGIN of the budget) are re-decided on a
     REFINE_FACTOR-times finer grid.  A distortion that is not finite although
     every loss value was (the chord arithmetic overflowed) raises ConfigError
-    naming the loss.  fa and fb, float calls only, are F(e_t) and F(e_t+v)
-    when the caller has read them, and serve both decisions.  Arrays e_t,
-    e_prev, v give a boolean array, row by row equal to the float calls: one
-    q_star call on all rows, then one on the borderline rows.
+    naming the loss.  fa and fb are F(e_t) and F(e_t+v) when the caller has
+    read them, and serve both decisions.  Arrays e_t, e_prev, v (and fa, fb)
+    give a boolean array, row by row equal to the float calls: one q_star
+    call on all rows, then one on the borderline rows.
     """
     if not z_limit > 0.0:
         raise ValueError(f"z_limit must be positive, got {z_limit}")
@@ -301,7 +302,10 @@ def offset_feasible(
     if isinstance(q, np.ndarray):
         rows = np.flatnonzero(abs(q - z_limit) < REFINE_MARGIN)
         if rows.size:
-            q[rows] = q_star(F, e_t[rows], e_prev[rows], v[rows], DEFAULT_GRID * REFINE_FACTOR)
+            fa, fb = (None if f is None else f[rows] for f in (fa, fb))
+            q[rows] = q_star(
+                F, e_t[rows], e_prev[rows], v[rows], DEFAULT_GRID * REFINE_FACTOR, fa=fa, fb=fb
+            )
         if not np.isfinite(q).all():
             i = int(np.argmin(np.isfinite(q)))
             raise _overflow(F, float(q[i]), float(v[i]), float(e_t[i]))

@@ -4,7 +4,7 @@ Configuration comes from an optional JSON file plus flag overrides; the seed
 default can also arrive through the SECANTBOOST_SEED environment variable.
 Exit codes: 0 ok, 2 config (also a size too large to allocate), 3 data/I-O,
 4 constant loss, 5 discontinuity collision (a jump point not avoided, or no
-step after 200 halvings).
+step after 200 halvings below the default start).
 """
 
 from __future__ import annotations
@@ -81,8 +81,8 @@ class RunConfig:
             raise ConfigError(f"T must be >= 1, got {self.T}")
         if self.max_nodes < 1:
             raise ConfigError(f"max_nodes must be >= 1, got {self.max_nodes}")
-        if not self.delta_init > 0:
-            raise ConfigError(f"delta_init must be positive, got {self.delta_init}")
+        if not 0 < self.delta_init < math.inf:
+            raise ConfigError(f"delta_init must be positive and finite, got {self.delta_init}")
         if not self.epsilon > 0:
             raise ConfigError(f"epsilon must be positive, got {self.epsilon}")
         if self.precision_Z < 2:

@@ -95,7 +95,11 @@ def dataset_from_numeric(X, y) -> Dataset:
 
 
 def dataset_from_columns(columns, labels, names=None, types=None) -> Dataset:
-    """Convenience constructor from explicit columns (numeric or string) and ±1 labels."""
+    """Convenience constructor from explicit columns (numeric or string) and ±1 labels.
+
+    A numeric column must hold finite numbers; ValueError names the first
+    cell that does not.
+    """
     cols = []
     kinds = []
     for j, col in enumerate(columns):
@@ -105,6 +109,11 @@ def dataset_from_columns(columns, labels, names=None, types=None) -> Dataset:
         else:
             kind = "numeric" if arr.dtype.kind in "fiu" else "categorical"
         arr = arr.astype(np.float64) if kind == "numeric" else arr.astype(str)
+        if kind == "numeric" and not np.isfinite(arr).all():
+            i = int(np.argmin(np.isfinite(arr)))
+            raise ValueError(
+                f"feature column {j}, row {i} is {float(arr[i])!r}; features must be finite"
+            )
         cols.append(arr)
         kinds.append(kind)
     labels = _pm_one_labels(labels)

@@ -19,4 +19,5 @@ class ConstantLossError(Exception):
 
 class DiscontinuityCollisionError(Exception):
     """A declared jump point could not be avoided by nudging the step size, or
-    the step-size search or the step-acceptance guard stalled (200 halvings)."""
+    the step-size search or the step-acceptance guard stalled (200 halvings,
+    for the search counted below its default start)."""

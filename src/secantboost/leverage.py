@@ -11,6 +11,7 @@ Two routes produce the triple (alpha, w2_bar, epsilon):
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,7 +34,8 @@ __all__ = [
 
 # Halving from the default start _DELTA_INIT two hundred times reaches ~1e-60;
 # a loss that is continuous at every edge must accept long before that, so
-# running out is treated as a discontinuity sitting exactly on an edge.
+# running out is treated as a discontinuity sitting exactly on an edge.  A
+# larger start gets the extra halvings down to _DELTA_INIT on top.
 _DELTA_INIT = 1.0
 HALVING_CAP = 200
 
@@ -102,11 +104,14 @@ def find_alpha(
     returns sign(eta)*a.  For losses continuous at every current edge, small
     steps make the partial weights converge back to w, so termination is
     guaranteed; a loss with a jump exactly on an edge can refuse every step,
-    which surfaces as DiscontinuityCollisionError after the cap.  A loss that
-    is not finite at a trial abscissa raises ConfigError.
+    which surfaces as DiscontinuityCollisionError after the cap.  The cap is
+    HALVING_CAP halvings below _DELTA_INIT: a larger delta_init first gets
+    the halvings that bring it down to _DELTA_INIT.  A loss that is not
+    finite at a trial abscissa raises ConfigError.
     """
-    if not delta_init > 0.0:
-        raise ValueError(f"delta_init must be positive, got {delta_init}")
+    if not 0.0 < delta_init < math.inf:
+        raise ValueError(f"delta_init must be positive and finite, got {delta_init}")
+    cap = HALVING_CAP + max(0, math.ceil(math.log2(delta_init / _DELTA_INIT)))
     hv = _h_values(S, h, h_values)
     margins_prev = _margins(S, H_prev, margins_prev)
     eta = edge(w, S, h, h_values=hv)
@@ -114,7 +119,7 @@ def find_alpha(
         raise ValueError("zero edge: weak learning assumption violated")
     sgn = 1.0 if eta > 0 else -1.0
     delta = float(delta_init)
-    for _ in range(HALVING_CAP):
+    for _ in range(cap):
         alpha = sgn * delta
         trial = partial_weights(
             F, S, H_prev, h, v_prev, alpha, margins_prev=margins_prev, h_values=hv
@@ -124,23 +129,33 @@ def find_alpha(
             return alpha
         delta /= 2.0
     raise DiscontinuityCollisionError(
-        f"no step accepted after {HALVING_CAP} halvings from {delta_init}; "
+        f"no step accepted after {cap} halvings from {delta_init}; "
         "the loss appears discontinuous at a current edge"
     )
 
 
-def second_order_mean(F, margins_prev, e, v_prev, h_values, M: float) -> float:
+def second_order_mean(
+    F, margins_prev, e, v_prev, h_values, M: float, *, f_z=None, f_zv=None, f_ze=None
+) -> float:
     """Signed mean of (h(x_i)/M)^2 times the order-2 nested slope.
 
     The nested slope sits at the previous edge with offsets (e_i, v_prev_i);
     e entries below MIN_OFFSET in magnitude (a step that underflowed) are
     replaced by a tiny seeded value so no term degenerates into a derivative.
+    f_z, f_zv and f_ze are F(z), F(z+v_prev) and F(z+e) at z = margins_prev
+    when the caller has read them; F is then asked only at z+e+v_prev, and
+    at z+e on the rows whose e was replaced.
     """
     e = np.array(e, dtype=np.float64)
-    for i in np.flatnonzero(np.abs(e) < MIN_OFFSET).tolist():
+    tiny = np.flatnonzero(np.abs(e) < MIN_OFFSET)
+    for i in tiny.tolist():
         e[i] = sanitize_offset(0.0, 1e-12, seed=i)
     z = np.asarray(margins_prev, dtype=np.float64)
-    second = V_derivative_expansion(F, z, [e, np.asarray(v_prev, dtype=np.float64)])
+    if f_ze is not None and tiny.size:
+        f_ze = np.array(f_ze, dtype=np.float64)
+        f_ze[tiny] = F(z[tiny] + e[tiny])
+    v_prev = np.asarray(v_prev, dtype=np.float64)
+    second = V_derivative_expansion(F, z, [e, v_prev], values=(f_z, f_zv, f_ze, None))
     hv = np.asarray(h_values, dtype=np.float64)
     return float(np.mean((hv / M) ** 2 * second))
 
@@ -157,6 +172,8 @@ def w2_from_alpha(
     eta: float,
     margins_prev=None,
     h_values=None,
+    f_z=None,
+    f_zv=None,
 ) -> float:
     """Second-order certificate |E_i[(h(x_i)/M)^2 * nested slope]| for alpha.
 
@@ -164,6 +181,8 @@ def w2_from_alpha(
     (alpha*y_i*h(x_i), v_prev_i).  When the expectation lands on machine zero
     (affine losses, say), falls back to halving W from 1.0 until
     |alpha| <= |eta|/(W*M^2), which is all the downstream budget needs.
+    f_z and f_zv are F and F(. + v_prev) at the previous edges when the
+    caller has read them (see second_order_mean).
     """
     if alpha == 0.0:
         raise ValueError("alpha must be nonzero")
@@ -172,7 +191,7 @@ def w2_from_alpha(
     y = np.asarray(S.labels, dtype=np.float64)
     hv = _h_values(S, h, h_values)
     z = _margins(S, H_prev, margins_prev)
-    w2 = abs(second_order_mean(F, z, alpha * y * hv, v_prev, hv, M))
+    w2 = abs(second_order_mean(F, z, alpha * y * hv, v_prev, hv, M, f_z=f_z, f_zv=f_zv))
     if w2 > 0.0:
         return w2
     W = 1.0

@@ -28,7 +28,8 @@ MAX_RETRIES = 5
 
 
 def find_offset(
-    F, e_t: float, e_prev: float, z_limit: float, precision_Z: int = DEFAULT_PRECISION_Z
+    F, e_t: float, e_prev: float, z_limit: float, precision_Z: int = DEFAULT_PRECISION_Z,
+    *, fa=None,
 ) -> float | None:
     """Scan for a feasible offset between the edges; None when none is found.
 
@@ -51,7 +52,10 @@ def find_offset(
     its extremal-slope candidate is k=1 in exact arithmetic, and each row
     first tries k=1 where it lies strictly between the edges.  At spans below
     about 1e-5, where rounding decides the float scan's pick, the array call
-    may return k=1, the exact answer and the shortest candidate.
+    may return k=1, the exact answer and the shortest candidate.  F(e_t)
+    is read once, or taken from fa when the caller has read it, and every
+    pass and decision takes it from there.  The float scan reads F(e_t) as
+    point 0 of its one query per pass and takes no fa.
     """
     if not z_limit > 0.0:
         raise ValueError(f"z_limit must be positive, got {z_limit}")
@@ -59,7 +63,7 @@ def find_offset(
         raise ValueError(f"precision_Z must be >= 2, got {precision_Z}")
     Z = int(precision_Z)
     if isinstance(e_t, np.ndarray):
-        return _find_offsets(F, e_t, e_prev, z_limit, Z)
+        return _find_offsets(F, e_t, e_prev, z_limit, Z, fa)
     if e_t == e_prev:
         raise ValueError("equal edges: caller must fall back to the previous offset")
     for _ in range(MAX_RETRIES + 1):
@@ -89,19 +93,21 @@ def find_offset(
     return None
 
 
-def _find_offsets(F, e_t: np.ndarray, e_prev: np.ndarray, z_limit: float, Z: int):
+def _find_offsets(F, e_t: np.ndarray, e_prev: np.ndarray, z_limit: float, Z: int, fa):
     """find_offset on arrays of requests (see find_offset)."""
     if np.any(e_t == e_prev):
         raise ValueError("equal edges: caller must fall back to the previous offset")
+    if fa is None:
+        fa = F(e_t)
     v = np.empty(e_t.shape)
     rows = np.arange(e_t.size)
     rejected = None
     if F.is_convex and F.smoothness_beta is not None:
         z1 = e_t + (e_prev - e_t) / Z
         v = z1 - e_t
-        rows = rows[~_accept(F, e_t, e_prev, v, v * (z1 - e_prev) < 0.0, z_limit)]
+        rows = rows[~_accept(F, e_t, e_prev, v, v * (z1 - e_prev) < 0.0, z_limit, fa)]
         rejected = v[rows]
-    f_et = F(e_t[rows]) if rows.size else None
+    f_et = fa[rows]
     for _ in range(MAX_RETRIES + 1):
         if not rows.size:
             break
@@ -112,18 +118,19 @@ def _find_offsets(F, e_t: np.ndarray, e_prev: np.ndarray, z_limit: float, Z: int
             # rejected again: the decision is deterministic, so go on to 4Z.
             picked &= pick != rejected
             rejected = None
-        done = _accept(F, a, b, pick, picked, z_limit)
+        done = _accept(F, a, b, pick, picked, z_limit, f_et)
         v[rows[done]] = pick[done]
         rows, f_et = rows[~done], f_et[~done]
         Z *= 4
     return None if rows.size else v
 
 
-def _accept(F, e_t, e_prev, v, picked, z_limit: float) -> np.ndarray:
-    """picked, narrowed in place to the rows whose offset v fits the budget."""
+def _accept(F, e_t, e_prev, v, picked, z_limit: float, fa) -> np.ndarray:
+    """picked, narrowed in place to the rows whose offset v fits the budget;
+    fa is F(e_t)."""
     rows = np.flatnonzero(picked)
     if rows.size:
-        picked[rows] = offset_feasible(F, e_t[rows], e_prev[rows], v[rows], z_limit)
+        picked[rows] = offset_feasible(F, e_t[rows], e_prev[rows], v[rows], z_limit, fa=fa[rows])
     return picked
 
 

@@ -78,7 +78,7 @@ def _recursive_v_derivative(F, z, V) -> float:
     ) / vn
 
 
-def V_derivative_expansion(F: Callable, z, V: Sequence):
+def V_derivative_expansion(F: Callable, z, V: Sequence, *, values: Sequence | None = None):
     """The nested slope as a signed 2**n-point sum, elementwise on floats or arrays.
 
     Each subset sigma of the offsets contributes (-1)**(n - |sigma|) times the
@@ -86,26 +86,36 @@ def V_derivative_expansion(F: Callable, z, V: Sequence):
     terms are summed in itertools.product order, starting from the first term,
     and the sum is divided by the product of the offsets.  Order 1 is therefore
     (-F(z) + F(z+v)) / v, which rounds as (F(z+v) - F(z)) / v.
+
+    values, when given, holds the 2**n loss values in the same order, each
+    either F at its point, as the caller already read it, or None: F is read
+    only at the points whose value is None.
     """
     offsets = [_checked_offset(v) for v in V]
     n = len(offsets)
     if n > MAX_ORDER:
         raise ValueError(f"nested slope order {n} exceeds cap {MAX_ORDER}")
+    if values is not None and len(values) != 2**n:
+        raise ValueError(f"{len(values)} loss values given for a nested slope of order {n}")
     total = None
-    for picks in itertools.product((False, True), repeat=n):
-        point = z
-        for v in itertools.compress(offsets, picks):
-            point = point + v
-        term = F(point) if (n - sum(picks)) % 2 == 0 else -F(point)
+    for k, picks in enumerate(itertools.product((False, True), repeat=n)):
+        value = None if values is None else values[k]
+        if value is None:
+            point = z
+            for v in itertools.compress(offsets, picks):
+                point = point + v
+            value = F(point)
+        term = value if (n - sum(picks)) % 2 == 0 else -value
         total = term if total is None else total + term
     return total / math.prod(offsets)
 
 
-def secant_slopes(F, z: np.ndarray, v: np.ndarray) -> np.ndarray:
+def secant_slopes(F, z: np.ndarray, v: np.ndarray, *, f_z=None, f_zv=None) -> np.ndarray:
     """Elementwise secant slopes (F(z+v) - F(z)) / v for array inputs.
 
     Offsets must all be finite and nonzero; each element rounds as
-    v_derivative does on it.
+    v_derivative does on it.  f_z and f_zv are F(z) and F(z+v) when the
+    caller has read them; F is then not asked again.
     """
     z, v = np.asarray(z, dtype=np.float64), np.asarray(v, dtype=np.float64)
-    return np.asarray(V_derivative_expansion(F, z, [v]), dtype=np.float64)
+    return np.asarray(V_derivative_expansion(F, z, [v], values=(f_z, f_zv)), dtype=np.float64)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -125,6 +127,17 @@ def wavy_logistic(amplitude: float = 0.2, frequency: float = 2.0) -> sb.LossSpec
 
     beta = 0.25 + amplitude * frequency * frequency
     return sb.LossSpec("wavy", evaluate, is_convex=False, curvature_bound=beta)
+
+
+def reading(F: sb.LossSpec, log: list) -> sb.LossSpec:
+    """F with every query's points appended to log, as a float64 copy."""
+    evaluate = F.evaluate
+
+    def logged(z):
+        log.append(np.array(z, dtype=np.float64))
+        return evaluate(z)
+
+    return dataclasses.replace(F, evaluate=logged)
 
 
 @pytest.fixture

@@ -8,7 +8,13 @@ import math
 import numpy as np
 import pytest
 
-from conftest import logistic_nan_below, logistic_hole, logistic_then, separable_dataset
+from conftest import (
+    logistic_hole,
+    logistic_nan_below,
+    logistic_then,
+    reading,
+    separable_dataset,
+)
 from secantboost import (
     BoostConfig,
     BoostIterState,
@@ -18,6 +24,7 @@ from secantboost import (
     Ensemble,
     LossSpec,
     TELEMETRY_COLUMNS,
+    alpha_from_smoothness,
     convergence_certificate,
     dataset_from_numeric,
     find_offset,
@@ -263,7 +270,7 @@ class TestStops:
     def test_offsets_infeasible_stops_cleanly(self, monkeypatch):
         import secantboost.boost as boost_module
 
-        monkeypatch.setattr(boost_module, "find_offset", lambda F, *args: None)
+        monkeypatch.setattr(boost_module, "find_offset", lambda F, *args, fa: None)
         ens, rows = run(make_builtin("logistic"), _blobs(12, seed=2), T=4)
         assert len(rows) == 1
         assert rows[0].stop_reason == "offsets_infeasible"
@@ -298,7 +305,9 @@ class TestRefreshOffsets:
         margins_new = np.array([0.5, -1.0, 2.0, 1.0, 0.3, 1.0, -0.7])
         margins = np.array([0.8, -1.4, 2.0, one_ulp, 0.1, 1.0 + 1e-18, -0.2])
         v_prev = np.array([0.01, -0.02, 3e-5, -4e-6, 0.05, 7e-7, -0.1])
-        v, reused = _refresh_offsets(F, margins, margins_new, v_prev, 1e-3, cfg, t=2)
+        v, reused = _refresh_offsets(
+            F, margins, margins_new, v_prev, 1e-3, cfg, t=2, f_new=F(margins_new)
+        )
         assert reused.tolist() == [False, False, True, True, False, True, False]
         assert v[reused].tobytes() == v_prev[reused].tobytes()
         for i in np.flatnonzero(~reused).tolist():
@@ -356,8 +365,8 @@ class TestNonFiniteLoss:
     def test_non_finite_weight_raises(self, monkeypatch):
         import secantboost.boost as boost_module
 
-        def slopes_with_nan(F, margins, offsets):
-            out = secant_slopes(F, margins, offsets)
+        def slopes_with_nan(F, margins, offsets, *, f_z, f_zv):
+            out = secant_slopes(F, margins, offsets, f_z=f_z, f_zv=f_zv)
             out[5] = np.nan
             return out
 
@@ -366,6 +375,53 @@ class TestNonFiniteLoss:
         with pytest.raises(ConfigError, match=r"loss 'logistic' gives weight nan at margin z=\S+ "
                            r"with offset \S+$"):
             run(F, _blobs(12, seed=2), T=4)
+
+
+class TestLossReads:
+    def test_each_value_read_once_per_iteration(self, monkeypatch):
+        """The guard's F(margins_new) serves the oracle's F(e_t), the
+        second-order term's F(z+e) and the slopes' F(z); the slopes' values
+        serve the next iteration.  So an iteration whose guard accepts its
+        first step reads 3*m points outside the oracle: the guard, the
+        second-order term's F(z+e+v_prev) and the slopes' F(z+v)."""
+        import secantboost.boost as boost_module
+
+        log, oracle_log = [], []
+        F = reading(make_builtin("logistic"), log)
+        S = separable_dataset(m=120, seed=5)
+        train_tree, find_offset = boost_module.train_tree, boost_module.find_offset
+
+        def marked_tree(*args, **kwargs):
+            log.append(None)  # one marker per iteration
+            return train_tree(*args, **kwargs)
+
+        def oracle_apart(F, e_t, *args, **kwargs):
+            start = len(log)
+            try:
+                return find_offset(F, e_t, *args, **kwargs)
+            finally:
+                oracle_log.append((e_t, log[start:]))
+                del log[start:]
+
+        monkeypatch.setattr(boost_module, "train_tree", marked_tree)
+        monkeypatch.setattr(boost_module, "find_offset", oracle_apart)
+        cfg = BoostConfig()
+        _, rows = run(F, S, T=12, config=cfg)
+        assert rows[-1].stop_reason == "completed"
+        start, *iterations = np.split(np.array(log, dtype=object), np.flatnonzero(
+            np.array([x is None for x in log])))
+        # Before the first tree: one chord probe, F(margins0), F(margins0 + v0).
+        assert [x.size for x in start] == [1, 1, S.m, S.m]
+        first_try = 0
+        for row, reads in zip(rows, iterations):
+            route = alpha_from_smoothness(row.eta, F.smoothness_beta, row.M, cfg.epsilon)
+            if row.alpha == route.alpha:
+                first_try += 1
+                assert sum(x.size for x in reads[1:]) == 3 * S.m, row.t
+        assert first_try >= 10
+        assert len(oracle_log) == len(rows)
+        for e_t, reads in oracle_log:
+            assert reads and not any(np.isin(x, e_t).any() for x in reads)
 
 
 class TestDecreaseBound:

@@ -207,6 +207,32 @@ class TestTrain:
         assert 0.40 < float(err.split("z=")[1].split(";")[0]) < 0.41
 
 
+class TestLargeDeltaInit:
+    """The halving search's cap counts from the default start, so a large
+    delta_init on a continuous loss is no discontinuity."""
+
+    @pytest.mark.parametrize(
+        "loss, delta_init", [("hinge", "1e200"), ("hinge", "1e308"), ("spring", "1e300")]
+    )
+    def test_continuous_loss_trains(self, tmp_path, train_csv, capsys, loss, delta_init):
+        flags = ["-T", "3", "--loss", loss, "--delta-init", delta_init]
+        assert main(["train", *flags, train_csv, str(tmp_path / "o")]) == EXIT_OK
+        assert '"stop_reason": "completed"' in capsys.readouterr().out
+
+    @pytest.mark.parametrize("delta_init", ["inf", "nan"])
+    def test_non_finite_delta_init_exits_2(self, tmp_path, train_csv, capsys, delta_init):
+        flags = ["-T", "3", "--loss", "zero_one", "--delta-init", delta_init]
+        assert main(["train", *flags, train_csv, str(tmp_path / "o")]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err == f"config error: delta_init must be positive and finite, got {delta_init}\n"
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered in exp:RuntimeWarning")
+    def test_overflowing_loss_exits_2(self, tmp_path, train_csv, capsys):
+        flags = ["-T", "3", "--loss", "exponential", "--delta-init", "1e300"]
+        assert main(["train", *flags, train_csv, str(tmp_path / "o")]) == EXIT_CONFIG
+        assert "loss 'exponential' returned inf at z=" in capsys.readouterr().err
+
+
 class TestOffsetBudget:
     """A knob whose offset budget epsilon*alpha^2*M^2*w2_bar under- or
     overflows exits 2 naming alpha, epsilon and the knob."""

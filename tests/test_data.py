@@ -188,6 +188,17 @@ class TestDataset:
         with pytest.raises(ValueError, match=rf"feature X\[1, 1\] is {value!r}"):
             dataset_from_numeric(X, np.array([1.0, -1.0, 1.0]))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_column_cell_rejected(self, value):
+        y = np.array([1.0, -1.0, 1.0, -1.0])
+        columns = [np.array(["a", "b", "c", "d"]), np.array([0.5, 1.0, value, value])]
+        with pytest.raises(ValueError, match=rf"feature column 1, row 2 is {value!r}"):
+            dataset_from_columns(columns, y)
+        # A column declared numeric is converted, then checked.
+        strings = [np.array(["1", "2", str(value), "3"])]
+        with pytest.raises(ValueError, match=rf"feature column 0, row 2 is {value!r}"):
+            dataset_from_columns(strings, y, types=("numeric",))
+
 
 class TestStratifiedFolds:
     def test_class_balance_within_one(self):

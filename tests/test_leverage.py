@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
+from conftest import reading
 from secantboost import (
     DiscontinuityCollisionError,
     V_derivative,
@@ -144,6 +147,34 @@ class TestFindAlpha:
                 F, S, None, w, None, v_prev, 0.0, margins_prev=margins, h_values=hv
             )
 
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_non_finite_delta_init_rejected(self, bad):
+        F = make_builtin("hinge")
+        S, margins, v_prev, hv = _state()
+        w = -secant_slopes(F, margins, v_prev)
+        with pytest.raises(ValueError, match="delta_init must be positive and finite"):
+            find_alpha(F, S, None, w, None, v_prev, bad, margins_prev=margins, h_values=hv)
+
+    def test_large_delta_init_halves_down_to_the_default_start(self):
+        # 2**600 reaches 1.0 after 600 halvings, well past HALVING_CAP; from
+        # there the search is the default one, and accepts the same step.
+        F = make_builtin("hinge")
+        S, margins, v_prev, hv = _state(seed=8)
+        w = -secant_slopes(F, margins, v_prev)
+        kw = dict(margins_prev=margins, h_values=hv)
+        default = find_alpha(F, S, None, w, None, v_prev, 1.0, **kw)
+        assert find_alpha(F, S, None, w, None, v_prev, 2.0**600, **kw) == default
+        assert find_alpha(F, S, None, w, None, v_prev, 1e300, **kw) != 0.0
+
+    def test_large_delta_init_keeps_the_cap_below_the_default_start(self):
+        F = make_builtin("zero_one")
+        S = dataset_from_numeric(np.zeros((1, 1)), np.array([1.0]))
+        margins, v_prev, hv = np.array([0.0]), np.array([1.0]), np.array([1.0])
+        w = -secant_slopes(F, margins, v_prev)
+        # 1000 needs ceil(log2(1000)) = 10 halvings to get below 1.0.
+        with pytest.raises(DiscontinuityCollisionError, match=f"after {HALVING_CAP + 10} "):
+            find_alpha(F, S, None, w, None, v_prev, 1000.0, margins_prev=margins, h_values=hv)
+
 
 class TestSecondOrderMean:
     def test_matches_per_example_nested_slopes(self):
@@ -183,6 +214,36 @@ class TestSecondOrderMean:
         e[3] = 0.0
         assert got == second_order_mean(F, margins, e, v_prev, hv, 1.0)
 
+    @pytest.mark.parametrize("name", ["logistic", "square", "spring"])
+    def test_given_values_bit_for_bit(self, name):
+        # The driver hands in F(z), F(z+v) and F(z+e) at the unsanitized e;
+        # rows whose e is replaced read F(z+e) again at the replaced offset.
+        log = []
+        F = make_builtin(name)
+        S, z, v, hv = _state(m=64, seed=17)
+        e = 0.3 * S.labels * hv
+        e[5], e[9] = 0.0, 1e-310
+        M = float(np.max(np.abs(hv)))
+        want = second_order_mean(F, z, e, v, hv, M)
+        got = second_order_mean(
+            reading(F, log), z, e, v, hv, M, f_z=F(z), f_zv=F(z + v), f_ze=F(z + e)
+        )
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+        e_used = e.copy()
+        e_used[[5, 9]] = [sanitize_offset(0.0, 1e-12, seed=i) for i in (5, 9)]
+        assert [x.tobytes() for x in log] == [
+            (z + e_used)[[5, 9]].tobytes(), (z + e_used + v).tobytes()
+        ]
+
+    def test_given_values_read_once(self):
+        log = []
+        F = make_builtin("logistic")
+        S, z, v, hv = _state(m=32, seed=4)
+        e = 0.2 * S.labels * hv
+        values = dict(f_z=F(z), f_zv=F(z + v), f_ze=F(z + e))
+        second_order_mean(reading(F, log), z, e, v, hv, 1.0, **values)
+        assert [x.size for x in log] == [S.m]
+
     def test_zero_entries_are_sanitized(self):
         F = make_builtin("logistic")
         S, margins, v_prev, hv = _state(seed=2)
@@ -204,6 +265,17 @@ class TestW2FromAlpha:
             margins_prev=margins, h_values=hv,
         )
         assert w2 > 0.0
+
+    def test_given_values_bit_for_bit(self):
+        log = []
+        F = make_builtin("spring", Q=7.0)
+        S, z, v, hv = _state(m=40, seed=6)
+        kw = dict(eta=0.3, margins_prev=z, h_values=hv)
+        want = w2_from_alpha(F, S, None, None, v, 0.4, 1.0, **kw)
+        values = dict(f_z=F(z), f_zv=F(z + v))
+        got = w2_from_alpha(reading(F, log), S, None, None, v, 0.4, 1.0, **kw, **values)
+        assert got == want
+        assert len(log) == 2  # F(z+e) and F(z+e+v)
 
     def test_flat_loss_falls_back_to_halving(self):
         """Vanishing second slopes trigger the W-halving fallback, which

@@ -187,9 +187,9 @@ class TestArrayFindOffset:
         feasible = offsets.offset_feasible
         decided = []
 
-        def recording(F, e_t, e_prev, v, z_limit):
+        def recording(F, e_t, e_prev, v, z_limit, *, fa):
             decided.extend(zip(e_t.tolist(), e_prev.tolist(), v.tolist()))
-            return feasible(F, e_t, e_prev, v, z_limit)
+            return feasible(F, e_t, e_prev, v, z_limit, fa=fa)
 
         monkeypatch.setattr(offsets, "offset_feasible", recording)
         F, Z = make_builtin("logistic"), 64

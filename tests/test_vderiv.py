@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import reading
 from secantboost import make_builtin
 from secantboost.vderiv import (
     MAX_ORDER,
@@ -240,6 +241,35 @@ class TestSecantSlopes:
         z = rng.uniform(-3, 3, size=500)
         v = rng.uniform(1e-9, 2.0, size=500) * rng.choice([-1.0, 1.0], size=500)
         assert _bits(secant_slopes(F, z, v)) == _bits((F(z + v) - F(z)) / v)
+
+    @pytest.mark.parametrize("name", ["logistic", "square", "spring"])
+    def test_given_values_bit_for_bit_and_no_read(self, name):
+        # Loss values handed in give the same bits as reading them, and F is
+        # not asked again.
+        log = []
+        F = make_builtin(name)
+        rng = np.random.default_rng(9)
+        z = rng.uniform(-3, 3, size=300)
+        v = rng.uniform(1e-9, 2.0, size=300) * rng.choice([-1.0, 1.0], size=300)
+        got = secant_slopes(reading(F, log), z, v, f_z=F(z), f_zv=F(z + v))
+        assert log == []
+        assert _bits(got) == _bits(secant_slopes(F, z, v))
+
+    def test_given_values_keep_the_offset_checks(self):
+        z, v = np.zeros(3), np.array([1.0, 0.0, 1.0])
+        with pytest.raises(ZeroOffsetError):
+            secant_slopes(logistic, z, v, f_z=logistic(z), f_zv=logistic(z + v))
+
+    def test_expansion_reads_only_the_missing_values(self):
+        log = []
+        F = make_builtin("logistic")
+        z, e, v = np.array([0.2, -0.4]), np.array([0.3, 0.1]), np.array([-0.5, 0.25])
+        values = (F(z), None, F(z + e), None)
+        got = V_derivative_expansion(reading(F, log), z, [e, v], values=values)
+        assert [_bits(x) for x in log] == [_bits(z + v), _bits(z + e + v)]
+        assert _bits(got) == _bits(V_derivative_expansion(F, z, [e, v]))
+        with pytest.raises(ValueError, match="3 loss values given for a nested slope of order 2"):
+            V_derivative_expansion(F, z, [e, v], values=values[:3])
 
     def test_rejects_any_zero_offset(self):
         z = np.zeros(3)
