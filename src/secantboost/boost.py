@@ -16,7 +16,6 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .bregman import certifies
 from .errors import ConfigError, ConstantLossError, DiscontinuityCollisionError
 from .leverage import (
     _DELTA_INIT,
@@ -248,24 +247,23 @@ def _refresh_offsets(
     """(offsets, reused mask) for the move margins -> margins_new, or None if infeasible.
 
     An example whose edge did not move at the scan's resolution reuses (a
-    sanitized copy of) its previous offset.  For a loss whose chord gaps
-    certify, the moved examples go to find_offset as one array request, with
-    their loss values f_new = F(margins_new) as the oracle's F(e_t).
+    sanitized copy of) its previous offset.  The moved examples go to
+    find_offset as one array request, with their loss values f_new =
+    F(margins_new) as the oracle's F(e_t), except for a loss that declares a
+    minorant: it gets one float call per moved example.
     """
     reused = margins_new + (margins - margins_new) / cfg.precision_Z == margins_new
     moved = np.flatnonzero(~reused)
     e_t, e_p = margins_new[moved], margins[moved]
     v_new = np.empty(margins.size, dtype=np.float64)
-    if certifies(F):
+    if F.minorant is None:
         v = find_offset(F, e_t, e_p, z_limit, cfg.precision_Z, fa=f_new[moved])
         if v is None:
             return None
         v_new[moved] = v
     else:
-        # One float call per example: the benchmark's oracle counters pin one
-        # find_offset call per moved example of these losses (until ROADMAP
-        # item 2 derives them from a run trace), and the float scan decides a
-        # row in about half the time of a 1-row array request.
+        # The benchmark's derived counters pin one find_offset call per moved
+        # spring example until ROADMAP item 2 derives them from a run trace.
         for i, e_t_i, e_p_i in zip(moved.tolist(), e_t.tolist(), e_p.tolist()):
             v = find_offset(F, e_t_i, e_p_i, z_limit, cfg.precision_Z)
             if v is None:
@@ -284,8 +282,8 @@ def run(F, S, T: int, config: BoostConfig | None = None):
     none after a zero-edge warning).  A constant loss yields a single t=1 row
     with all-zero weights.  A loss value that is not finite at a candidate
     margin, a chord distortion that is not finite, a non-finite refreshed
-    weight, or an offset budget that under- or overflows (an extreme epsilon
-    or delta_init) raises ConfigError.
+    weight or total |w|, or an offset budget that under- or overflows (an
+    extreme epsilon or delta_init) raises ConfigError.
     """
     if T < 1:
         raise ValueError(f"T must be >= 1, got {T}")
@@ -316,13 +314,19 @@ def run(F, S, T: int, config: BoostConfig | None = None):
     rows: list[BoostIterState] = []
 
     for t in range(1, T + 1):
+        with np.errstate(over="ignore"):
+            weight_mass = float(np.sum(np.abs(w)))
+        if not np.isfinite(weight_mass):
+            raise ConfigError(
+                f"loss {F.name!r} gives weights at t={t} whose total sum|w| overflows to "
+                f"{weight_mass!r} (largest |w| = {float(np.max(np.abs(w)))!r})"
+            )
         active = np.nonzero(w != 0.0)[0]
         S_t = S.subset(active).with_labels(y[active] * np.sign(w[active]))
         h = nonzero_shift(train_tree(S_t, np.abs(w[active]), cfg.max_nodes), S)
         hv = h.predict_dataset(S)
         M = float(np.max(np.abs(hv)))
         eta = float(np.mean(w * y * hv))
-        weight_mass = float(np.sum(np.abs(w)))
         row = BoostIterState(
             t=t,
             eta=eta,

@@ -27,7 +27,6 @@ __all__ = [
     "REFINE_FACTOR",
     "REFINE_MARGIN",
     "bregman_secant",
-    "certifies",
     "obi",
     "q_star",
     "offset_feasible",
@@ -80,18 +79,6 @@ def _grid(lo: float, hi: float, grid_points: int) -> np.ndarray:
     xs += lo
     xs[-1] = hi
     return xs
-
-
-def certifies(F) -> bool:
-    """Does F's own declared curvature certify its chord gaps?  Convex and
-    declaring smoothness_beta, or declaring curvature_bound.
-
-    This is the driver's test for deciding offsets as one array request.  A
-    loss certified only through its minorant (spring) answers False and is
-    decided one float call per example, whose certificate reads no value of
-    F between the chord's endpoints: it trusts G <= F there.
-    """
-    return _curvature(F) is not None
 
 
 def _certifier(F):
@@ -200,10 +187,11 @@ def obi(
 
     Always nonnegative: the segment includes a, where the line touches the loss.
     Degenerate chords (a == b) return 0.  For a loss that declares a one-sided
-    curvature bound beta (see certifies), a certificate bounds the gap on the
-    whole continuum: beta*(b-a)**2/8 on the chord's own segment (c == b),
-    else the maximum on a 64-subinterval grid plus beta*h**2/8 for its spacing
-    h, each plus ~32 ulps of rounding.  A loss certified through its minorant
+    curvature bound beta (curvature_bound, or smoothness_beta when convex), a
+    certificate bounds the gap on the whole continuum: beta*(b-a)**2/8 on the
+    chord's own segment (c == b), else the maximum on a 64-subinterval grid
+    plus beta*h**2/8 for its spacing h, each plus ~32 ulps of rounding.  A
+    loss certified through its minorant
     G instead bounds the line minus G: always the 64-subinterval grid of G,
     plus beta*h**2/8 with G's beta, plus the rounding.  The certificate is
     returned without the grid when certify_below - cert >= REFINE_MARGIN (the

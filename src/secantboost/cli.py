@@ -33,6 +33,11 @@ SEED_ENV_VAR = "SECANTBOOST_SEED"
 
 MODEL_VERSION = 1
 
+# Deepest tree save_model writes.  A model nests one JSON object per tree
+# level, and json.load decodes nested objects recursively, so a much deeper
+# tree would not load back under Python's default recursion limit (1000).
+MAX_TREE_DEPTH = 500
+
 
 def _num(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool)
@@ -157,6 +162,16 @@ def _node_from_json(obj: dict, kinds: list) -> TreeNode:
 
 
 def save_model(path: str, ens: boost.Ensemble, cfg: RunConfig, S: data.Dataset) -> None:
+    """Write the ensemble to path as JSON.  The text is built before the file
+    is opened; a tree deeper than MAX_TREE_DEPTH is a ConfigError and
+    writes nothing."""
+    for t, (_, h) in enumerate(ens.terms, start=1):
+        depth = h.depth()
+        if depth > MAX_TREE_DEPTH:
+            raise ConfigError(
+                f"tree {t} has depth {depth}; a saved model holds trees of depth at most "
+                f"{MAX_TREE_DEPTH} (lower --max-nodes)"
+            )
     payload = {
         "version": MODEL_VERSION,
         "h0": ens.h0,
@@ -174,9 +189,9 @@ def save_model(path: str, ens: boost.Ensemble, cfg: RunConfig, S: data.Dataset) 
         "config": dataclasses.asdict(cfg),
         "seed": cfg.seed,
     }
+    text = json.dumps(payload, indent=1) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=1)
-        fh.write("\n")
+        fh.write(text)
 
 
 def _read_json(path: str, what: str, error: type[Exception]):

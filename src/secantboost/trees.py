@@ -65,22 +65,23 @@ class WeakHypothesis:
         return node.value
 
     def predict_dataset(self, S) -> np.ndarray:
-        """Vectorized prediction over a dataset via recursive masking."""
+        """Vectorized prediction over a dataset: each test splits its examples'
+        indices between its children, walked with an explicit stack, so any
+        depth works."""
         out = np.empty(S.m, dtype=np.float64)
-        self._fill(self.root, S, np.arange(S.m), out)
+        stack = [(self.root, np.arange(S.m))]
+        while stack:
+            node, idx = stack.pop()
+            if node.is_leaf:
+                out[idx] = node.value
+                continue
+            col = S.columns[node.feature][idx]
+            if node.threshold is not None:
+                mask = col.astype(np.float64) <= node.threshold
+            else:
+                mask = col.astype(str) == node.category
+            stack += [(node.right, idx[~mask]), (node.left, idx[mask])]
         return out
-
-    def _fill(self, node: TreeNode, S, idx: np.ndarray, out: np.ndarray) -> None:
-        if node.is_leaf:
-            out[idx] = node.value
-            return
-        col = S.columns[node.feature][idx]
-        if node.threshold is not None:
-            mask = col.astype(np.float64) <= node.threshold
-        else:
-            mask = col.astype(str) == node.category
-        self._fill(node.left, S, idx[mask], out)
-        self._fill(node.right, S, idx[~mask], out)
 
     def iter_leaves(self):
         stack = [self.root]
@@ -91,21 +92,31 @@ class WeakHypothesis:
             else:
                 stack.extend((node.right, node.left))
 
+    def depth(self) -> int:
+        """Internal nodes on the longest root-to-leaf path (0 for a lone leaf)."""
+        deepest = 0
+        stack = [(self.root, 0)]
+        while stack:
+            node, depth = stack.pop()
+            if node.is_leaf:
+                deepest = max(deepest, depth)
+            else:
+                stack += [(node.left, depth + 1), (node.right, depth + 1)]
+        return deepest
+
     def shifted(self, delta: float) -> "WeakHypothesis":
         """A copy with delta added to every leaf confidence."""
-
-        def copy(node: TreeNode) -> TreeNode:
+        root = TreeNode()
+        stack = [(self.root, root)]
+        while stack:
+            node, new = stack.pop()
             if node.is_leaf:
-                return TreeNode(value=node.value + delta)
-            return TreeNode(
-                feature=node.feature,
-                threshold=node.threshold,
-                category=node.category,
-                left=copy(node.left),
-                right=copy(node.right),
-            )
-
-        return WeakHypothesis(copy(self.root), self.node_count, self.n_features)
+                new.value = node.value + delta
+            else:
+                new.feature, new.threshold, new.category = node.feature, node.threshold, node.category
+                new.left, new.right = TreeNode(), TreeNode()
+                stack += [(node.left, new.left), (node.right, new.right)]
+        return WeakHypothesis(root, self.node_count, self.n_features)
 
 
 def _leaf_value(w_pos: float, w_tot: float, n_examples: int) -> float:

@@ -39,6 +39,10 @@ from secantboost.boost import nudge_alpha
 from secantboost.vderiv import secant_slopes
 
 
+# The golden suite's piecewise-linear loss.
+TABLE = table_loss("table", [-3.0, -1.0, 0.0, 0.5, 2.0], [3.0, 1.6, 0.9, 0.7, 0.0])
+
+
 def _blobs(m=24, seed=0, flip=0):
     """Two shifted Gaussian blobs: linearly separable-ish numeric data."""
     rng = np.random.default_rng(seed)
@@ -295,11 +299,11 @@ class TestRefreshOffsets:
     """Examples whose edge does not move at the scan's resolution reuse their
     previous offset; the others get find_offset's, batched or per row."""
 
-    @pytest.mark.parametrize("name", ["logistic", "spring"])
+    @pytest.mark.parametrize("name", ["logistic", "spring", "hinge", "zero_one", "table"])
     def test_reused_and_moved_rows(self, name):
         from secantboost.boost import _refresh_offsets
 
-        F = make_builtin(name)
+        F = TABLE if name == "table" else make_builtin(name)
         cfg = BoostConfig(precision_Z=64)
         one_ulp = float(np.nextafter(1.0, 2.0))
         margins_new = np.array([0.5, -1.0, 2.0, 1.0, 0.3, 1.0, -0.7])
@@ -312,6 +316,32 @@ class TestRefreshOffsets:
         assert v[reused].tobytes() == v_prev[reused].tobytes()
         for i in np.flatnonzero(~reused).tolist():
             assert v[i] == find_offset(F, margins_new[i], margins[i], 1e-3, cfg.precision_Z)
+
+    @pytest.mark.parametrize("name", ["hinge", "exponential", "zero_one", "table", "spring"])
+    def test_find_offset_calls(self, monkeypatch, name):
+        """A loss without a minorant asks the oracle once per iteration, with
+        an array of its moved rows; spring, which declares one, once per
+        moved row."""
+        import secantboost.boost as boost_module
+
+        calls = []
+
+        def counting(F, e_t, *args, **kwargs):
+            calls.append(isinstance(e_t, np.ndarray))
+            return find_offset(F, e_t, *args, **kwargs)
+
+        monkeypatch.setattr(boost_module, "find_offset", counting)
+        F = TABLE if name == "table" else make_builtin(name)
+        cfg = BoostConfig(max_nodes=2, record_vectors=True)
+        _, rows = run(F, separable_dataset(m=60, seed=1), T=3, config=cfg)
+        asked = [row for row in rows if row.offsets_reused is not None]
+        assert asked
+        if F.minorant is None:
+            assert calls == [True] * len(asked)
+        else:
+            moved = sum(int(np.count_nonzero(~row.offsets_reused)) for row in asked)
+            assert moved > 0
+            assert calls == [False] * moved
 
 
 class TestNonFiniteLoss:

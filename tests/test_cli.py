@@ -21,6 +21,7 @@ from secantboost.cli import (
     EXIT_DATA,
     EXIT_DISCONTINUITY,
     EXIT_OK,
+    MAX_TREE_DEPTH,
     SEED_ENV_VAR,
     RunConfig,
     _config_from_args,
@@ -971,6 +972,72 @@ class TestGeneratedMalformedLossTable:
         _, err = capsys.readouterr()
         assert err.startswith("config error: loss 'table' overflows the decrease bound at t=1")
         assert err.count("\n") == 1
+
+
+# Loss tables whose t=1 weights are finite (up to 1e308) but whose total
+# sum|w| over the 40 training rows overflows: (knots, the knot set to 1e308).
+OVERFLOW_TABLES = [(TABLE_ROWS, k) for k in (0, 1, 2)] + [
+    ((("-1", "2"), ("0", "1"), ("1", "0"), ("2", "0")), k) for k in (0, 1)
+]
+
+
+class TestWeightTotalOverflow:
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the t=0 mean loss overflows
+    @pytest.mark.parametrize("knots, knot", OVERFLOW_TABLES)
+    def test_exits_2_naming_weight_total(self, tmp_path, train_csv, knots, knot, capsys):
+        rows = [list(row) for row in knots]
+        rows[knot][1] = "1e308"
+        table = tmp_path / "table.csv"
+        table.write_text("z,F\n" + "".join(",".join(row) + "\n" for row in rows))
+        argv = ["train", "-T", "2", "--loss-table", str(table), train_csv, str(tmp_path / "out")]
+        assert main(argv) == EXIT_CONFIG
+        _, err = capsys.readouterr()
+        assert err.startswith(
+            "config error: loss 'table' gives weights at t=1 whose total sum|w| overflows to inf "
+            "(largest |w| = "
+        )
+        assert err.count("\n") == 1
+
+
+@pytest.fixture()
+def chain_csv(tmp_path):
+    """f0 = i with label 1 iff i*i mod 7 < 3: best-first growth on it makes a
+    chain, so a tree's depth equals its number of internal nodes."""
+    lines = ["f0,label"] + [f"{i},{int(i * i % 7 < 3)}" for i in range(2400)]
+    path = tmp_path / "chain.csv"
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
+
+
+class TestDeepTree:
+    @pytest.mark.parametrize("nodes", [MAX_TREE_DEPTH + 1, 1000])
+    def test_train_refuses_deeper_than_bound(self, tmp_path, chain_csv, nodes, capsys):
+        out = tmp_path / "out"
+        assert main(["train", "-T", "1", "--max-nodes", str(nodes), chain_csv, str(out)]) == EXIT_CONFIG
+        _, err = capsys.readouterr()
+        assert err == (
+            f"config error: tree 1 has depth {nodes}; a saved model holds trees of depth at most "
+            f"{MAX_TREE_DEPTH} (lower --max-nodes)\n"
+        )
+        assert not (out / "model.json").exists()
+
+    def test_model_at_bound_round_trips(self, tmp_path, chain_csv, capsys):
+        out = tmp_path / "out"
+        argv = ["train", "-T", "1", "--max-nodes", str(MAX_TREE_DEPTH), chain_csv, str(out)]
+        assert main(argv) == EXIT_OK
+        trained = json.loads(capsys.readouterr()[0])
+        ens, _, _ = load_model(str(out / "model.json"))
+        assert ens.terms[0][1].depth() == MAX_TREE_DEPTH
+        assert main(["eval", str(out / "model.json"), chain_csv]) == EXIT_OK
+        evaluated = json.loads(capsys.readouterr()[0])
+        assert (evaluated["loss"], evaluated["error"]) == (trained["train_loss"], trained["train_err"])
+
+    def test_cv_on_deep_trees(self, tmp_path, chain_csv, capsys):
+        argv = ["cv", "-T", "1", "--max-nodes", "2400", chain_csv, str(tmp_path / "cv")]
+        assert main(argv) == EXIT_OK
+        out, err = capsys.readouterr()
+        assert json.loads(out)["folds"] == 10
+        assert err == ""
 
 
 # A valid 24-row data CSV: numeric a, categorical c, 0/1 labels; and the

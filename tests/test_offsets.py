@@ -28,8 +28,8 @@ from secantboost.bregman import (
     REFINE_FACTOR,
     REFINE_MARGIN,
     _grid,
-    certifies,
 )
+from secantboost.losses import _curvature
 from secantboost.offsets import DEFAULT_PRECISION_Z, MAX_RETRIES
 
 
@@ -588,7 +588,7 @@ def _certified(F, new_log, ref_log, picks=None) -> bool:
       then True is returned, else False.  Refines never certify.
     Any other difference fails.
     """
-    through_minorant = F.minorant is not None and not certifies(F)
+    through_minorant = F.minorant is not None and _curvature(F) is None
     picks = iter(picks) if picks is not None else None
     expected = []
     i = 0

@@ -230,6 +230,24 @@ class TestPredict:
         for i in range(S.m):
             assert vec[i] == h.predict(S.row(i))
 
+    def test_chain_deeper_than_recursion_limit(self):
+        """A chain of 3000 tests x <= k, each sending x = k left to a leaf of
+        value k: prediction, shifting and depth walk it without recursion."""
+        n = 3000
+        root = node = TreeNode()
+        for k in range(n):
+            node.feature, node.threshold = 0, float(k)
+            node.left, node.right = TreeNode(value=float(k)), TreeNode(value=-1.0)
+            node = node.right
+        h = WeakHypothesis(root, n, 1)
+        S = dataset_from_numeric(np.arange(n + 1, dtype=np.float64)[:, None], np.ones(n + 1))
+        expected = np.append(np.arange(n, dtype=np.float64), -1.0)
+        assert h.depth() == n
+        assert h.predict_dataset(S).tolist() == expected.tolist()
+        shifted = h.shifted(0.5)
+        assert shifted.depth() == n and shifted.node_count == n
+        assert shifted.predict_dataset(S).tolist() == (expected + 0.5).tolist()
+
     def test_wrong_arity_rejected(self):
         h = train_tree(_stump_data(), np.ones(4), max_nodes=1)
         with pytest.raises(ValueError, match="expected 1 features"):
