@@ -149,7 +149,8 @@ def initialize(F, S):
 
     If every probed chord is flat the loss is constant on the probe set and
     there is nothing to fit.  A chord slope that overflows is a ConfigError
-    naming the chord (a non-finite loss value raises where F is called).
+    naming the chord, and so is a mean initial loss that overflows (a
+    non-finite loss value raises where F is called).
     """
     ens, state, _ = _initialize(F, S)
     return ens, state
@@ -175,10 +176,23 @@ def _initialize(F, S):
         weights=np.full(S.m, -d, dtype=np.float64),
         offsets=np.full(S.m, v0, dtype=np.float64),
         edges_tilde=margins0,
-        train_loss=float(np.mean(f0)),
+        train_loss=_initial_loss(F, f0, h0),
         train_err=float(np.mean(margins0 <= 0.0)),
     )
     return Ensemble(h0=h0), state, f0
+
+
+def _initial_loss(F, f0, h0: float) -> float:
+    """The mean of the loss values f0 at the margins y*h0; ConfigError naming
+    the loss, h0 and the largest |F| when that mean is not finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        loss = float(np.mean(f0))
+    if not np.isfinite(loss):
+        raise ConfigError(
+            f"loss {F.name!r} gives an initial mean loss that overflows to {loss!r} at h0={h0!r} "
+            f"(largest |F| = {float(np.max(np.abs(f0)))!r})"
+        )
+    return loss
 
 
 def nudge_alpha(F, alpha, y, margins_prev, h_values, seed=0) -> float:
@@ -281,9 +295,11 @@ def run(F, S, T: int, config: BoostConfig | None = None):
     says how the run ended (completed / zero_weights / offsets_infeasible, or
     none after a zero-edge warning).  A constant loss yields a single t=1 row
     with all-zero weights.  A loss value that is not finite at a candidate
-    margin, a chord distortion that is not finite, a non-finite refreshed
-    weight or total |w|, or an offset budget that under- or overflows (an
-    extreme epsilon or delta_init) raises ConfigError.
+    margin, a mean initial loss that overflows, FindAlpha's cap reached
+    after a trial edge that overflowed, a chord distortion that is not
+    finite, a non-finite refreshed weight or total |w|, or an offset budget
+    that under- or overflows (an extreme epsilon or delta_init) raises
+    ConfigError.
     """
     if T < 1:
         raise ValueError(f"T must be >= 1, got {T}")
@@ -297,7 +313,7 @@ def run(F, S, T: int, config: BoostConfig | None = None):
             eta_tilde=0.0,
             weight_mass=0.0,
             w1_bar=0.0,
-            train_loss=float(np.mean(F(np.zeros(S.m)))),
+            train_loss=_initial_loss(F, F(np.zeros(S.m)), 0.0),
             train_err=1.0,
             stop_reason="zero_weights",
             weights=np.zeros(S.m),

@@ -109,7 +109,25 @@ def _grid_rows(lo: np.ndarray, hi: np.ndarray, grid_points: int) -> np.ndarray:
     return xs
 
 
-def _certificate(F, G, beta: float, a, b, c, fa, fb, slope) -> np.ndarray:
+def _chord_gap(xs, a, fa, slope, gx):
+    """fa + slope*(xs - a) - gx in one buffer; rows of grids take a, fa, slope as columns."""
+    gap = xs - a
+    gap *= slope
+    gap += fa
+    gap -= gx
+    return gap
+
+
+def _grid_term(G, beta: float, xs, a, fa, slope):
+    """(chord gap's maximum on the grid xs plus beta*h**2/8 for its largest
+    spacing h, largest of |fa| and |G| there), for one grid or rows of grids."""
+    gx = G(xs)
+    h = (xs[..., 1:] - xs[..., :-1]).max(axis=-1)  # np.diff's subtraction, minus its call overhead
+    bound = _chord_gap(xs, a, fa, slope, gx).max(axis=-1) + beta * (h * h) / 8.0
+    return bound, np.maximum(abs(gx), abs(fa)).max(axis=-1)
+
+
+def _certificate(F, G, beta: float, a, b, c, fa, fb, slope):
     """Per row, a bound on fa + slope*(x - a) - F(x) on the continuum between a and c.
 
     G <= F (G is F itself or its minorant) and G - beta*x**2/2 is concave, so
@@ -122,47 +140,23 @@ def _certificate(F, G, beta: float, a, b, c, fa, fb, slope) -> np.ndarray:
     its rows all do.  About 32 ulps of the terms' scale absorb the rounding
     of both this grid and any grid it is compared with.  The square is h*h,
     not h**2: numpy squares arrays by multiplication, and Python's float pow
-    is not always correctly rounded.  a, b, c, fa, fb, slope are 1-d arrays;
-    _float_certificate is one row of this, bit for bit.
+    is not always correctly rounded.  a, b, c, fa, fb, slope are 1-d arrays,
+    or floats for one row: a float, the array row bit for bit.
     """
     h = b - a
     bound = beta * (h * h) / 8.0
-    f_max = np.maximum(abs(fa), abs(fb))
-    on_grid = np.flatnonzero(c != b) if G is F else np.arange(a.size)
-    for block in _row_blocks(on_grid.size, _CERT_GRID + 1):
-        rows = on_grid[block]
-        a_r, c_r = a[rows], c[rows]
-        xs = _grid_rows(np.minimum(a_r, c_r), np.maximum(a_r, c_r), _CERT_GRID)
-        gx = G(xs)
-        # fa + slope * (xs - a) - G(xs), with _grid_gap's operations.
-        gap = xs - a_r[:, None]
-        gap *= slope[rows, None]
-        gap += fa[rows, None]
-        gap -= gx
-        h = np.diff(xs, axis=1).max(axis=1)
-        bound[rows] = gap.max(axis=1) + beta * (h * h) / 8.0
-        f_max[rows] = np.maximum(abs(fa[rows]), abs(gx).max(axis=1))
-    scale = bound + f_max + abs(fb - fa) + abs(slope) * (abs(a) + abs(c))
-    return bound + 64 * 2.0**-53 * scale
-
-
-def _float_certificate(F, G, beta: float, a, b, c, fa, fb, slope) -> float:
-    """_certificate for one row of floats, with the same operations and bits."""
-    if G is F and c == b:
-        h = b - a
-        bound = beta * (h * h) / 8.0
+    if isinstance(a, np.ndarray):
+        f_max = np.maximum(abs(fa), abs(fb))
+        on_grid = np.flatnonzero(c != b) if G is F else np.arange(a.size)
+        for block in _row_blocks(on_grid.size, _CERT_GRID + 1):
+            r = on_grid[block]
+            xs = _grid_rows(np.minimum(a[r], c[r]), np.maximum(a[r], c[r]), _CERT_GRID)
+            bound[r], f_max[r] = _grid_term(G, beta, xs, a[r, None], fa[r, None], slope[r, None])
+    elif G is F and c == b:
         f_max = max(abs(fa), abs(fb))
     else:
         lo, hi = (a, c) if a <= c else (c, a)
-        xs = _grid(lo, hi, _CERT_GRID)
-        gx = G(xs)
-        gap = xs - a
-        gap *= slope
-        gap += fa
-        gap -= gx
-        h = float(np.diff(xs).max())
-        bound = float(gap.max()) + beta * (h * h) / 8.0
-        f_max = max(abs(fa), float(abs(gx).max()))
+        bound, f_max = map(float, _grid_term(G, beta, _grid(lo, hi, _CERT_GRID), a, fa, slope))
     scale = bound + f_max + abs(fb - fa) + abs(slope) * (abs(a) + abs(c))
     return bound + 64 * 2.0**-53 * scale
 
@@ -171,12 +165,7 @@ def _grid_gap(F, a: float, c: float, fa: float, slope: float, grid_points: int) 
     """Grid maximum of fa + slope*(x - a) - F(x) over [min(a,c), max(a,c)]."""
     lo, hi = (a, c) if a <= c else (c, a)
     xs = _grid(lo, hi, grid_points)
-    # fa + slope * (xs - a) - F(xs), in one buffer.
-    gap = xs - a
-    gap *= slope
-    gap += fa
-    gap -= F(xs)
-    return float(gap.max())
+    return float(_chord_gap(xs, a, fa, slope, F(xs)).max())
 
 
 def obi(
@@ -222,7 +211,7 @@ def obi(
     slope = (fb - fa) / (b - a)
     certifier = _certifier(F) if certify_below > -math.inf else None
     if certifier is not None:
-        cert = _float_certificate(F, *certifier, a, b, c, fa, fb, slope)
+        cert = _certificate(F, *certifier, a, b, c, fa, fb, slope)
         if certify_below - cert >= REFINE_MARGIN:  # no refine follows; NaN: to the grid
             return cert
     return _grid_gap(F, a, c, fa, slope, grid_points)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DiscontinuityCollisionError
+from .errors import ConfigError, DiscontinuityCollisionError
 from .offsets import sanitize_offset
 from .vderiv import MIN_OFFSET, V_derivative_expansion, secant_slopes
 
@@ -107,7 +107,9 @@ def find_alpha(
     which surfaces as DiscontinuityCollisionError after the cap.  The cap is
     HALVING_CAP halvings below _DELTA_INIT: a larger delta_init first gets
     the halvings that bring it down to _DELTA_INIT.  A loss that is not
-    finite at a trial abscissa raises ConfigError.
+    finite at a trial abscissa raises ConfigError, and so does reaching the
+    cap after a trial edge that was not finite (finite loss values whose
+    slopes or their mean overflowed), naming the first such alpha.
     """
     if not 0.0 < delta_init < math.inf:
         raise ValueError(f"delta_init must be positive and finite, got {delta_init}")
@@ -119,15 +121,25 @@ def find_alpha(
         raise ValueError("zero edge: weak learning assumption violated")
     sgn = 1.0 if eta > 0 else -1.0
     delta = float(delta_init)
-    for _ in range(cap):
-        alpha = sgn * delta
-        trial = partial_weights(
-            F, S, H_prev, h, v_prev, alpha, margins_prev=margins_prev, h_values=hv
+    overflow = None  # (alpha, trial edge) for the first trial edge that is not finite
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(cap):
+            alpha = sgn * delta
+            trial = partial_weights(
+                F, S, H_prev, h, v_prev, alpha, margins_prev=margins_prev, h_values=hv
+            )
+            eta_trial = edge(trial, S, h, h_values=hv)
+            if abs(eta - eta_trial) < abs(eta):
+                return alpha
+            if overflow is None and not math.isfinite(eta_trial):
+                overflow = alpha, eta_trial
+            delta /= 2.0
+    if overflow is not None:
+        alpha, eta_trial = overflow
+        raise ConfigError(
+            f"loss {F.name!r} overflows FindAlpha's trial edge to {eta_trial!r} at "
+            f"alpha={alpha!r}; no step accepted after {cap} halvings from {delta_init}"
         )
-        eta_trial = edge(trial, S, h, h_values=hv)
-        if abs(eta - eta_trial) < abs(eta):
-            return alpha
-        delta /= 2.0
     raise DiscontinuityCollisionError(
         f"no step accepted after {cap} halvings from {delta_init}; "
         "the loss appears discontinuous at a current edge"

@@ -83,26 +83,22 @@ class WeakHypothesis:
             stack += [(node.right, idx[~mask]), (node.left, idx[mask])]
         return out
 
-    def iter_leaves(self):
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            if node.is_leaf:
-                yield node
-            else:
-                stack.extend((node.right, node.left))
-
-    def depth(self) -> int:
-        """Internal nodes on the longest root-to-leaf path (0 for a lone leaf)."""
-        deepest = 0
+    def walk(self):
+        """(node, depth) for every node, parents first and left before right,
+        the root at depth 0; an explicit stack, so any depth works."""
         stack = [(self.root, 0)]
         while stack:
             node, depth = stack.pop()
-            if node.is_leaf:
-                deepest = max(deepest, depth)
-            else:
-                stack += [(node.left, depth + 1), (node.right, depth + 1)]
-        return deepest
+            yield node, depth
+            if not node.is_leaf:
+                stack += [(node.right, depth + 1), (node.left, depth + 1)]
+
+    def iter_leaves(self):
+        return (node for node, _ in self.walk() if node.is_leaf)
+
+    def depth(self) -> int:
+        """Internal nodes on the longest root-to-leaf path (0 for a lone leaf)."""
+        return max(depth for _, depth in self.walk())
 
     def shifted(self, delta: float) -> "WeakHypothesis":
         """A copy with delta added to every leaf confidence."""

@@ -118,6 +118,20 @@ class TestInitialize:
         with pytest.raises(ConfigError, match="loss 'holed_square' returned nan at z=-0.1;"):
             initialize(F, _blobs(8))
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_initial_mean_raises(self):
+        # Finite values near 1e308 at h0 = 0: their sum over 8 rows overflows.
+        F = LossSpec("near_max", lambda z: 1e308 - 1e300 * np.asarray(z), is_convex=False)
+        with pytest.raises(ConfigError, match=(
+            r"^loss 'near_max' gives an initial mean loss that overflows to inf at h0=0.0 "
+            r"\(largest \|F\| = 1e\+308\)$"
+        )):
+            initialize(F, _blobs(8))
+        # The constant-loss row's mean, likewise.
+        F = LossSpec("flat_max", lambda z: np.full(np.shape(z), 1e308), is_convex=False)
+        with pytest.raises(ConfigError, match="^loss 'flat_max' gives an initial mean loss"):
+            run(F, _blobs(8), T=1)
+
     def test_initial_loss_and_error(self):
         F = make_builtin("logistic")
         S = _blobs(8)

@@ -974,17 +974,42 @@ class TestGeneratedMalformedLossTable:
         assert err.count("\n") == 1
 
 
-# Loss tables whose t=1 weights are finite (up to 1e308) but whose total
-# sum|w| over the 40 training rows overflows: (knots, the knot set to 1e308).
-OVERFLOW_TABLES = [(TABLE_ROWS, k) for k in (0, 1, 2)] + [
-    ((("-1", "2"), ("0", "1"), ("1", "0"), ("2", "0")), k) for k in (0, 1)
+# Loss tables whose values reach 1e308 over the 40 rows of train_csv:
+# (knots, the knot set to 1e308, the start of the one stderr line).  h0 is
+# 0, so where F(0) is near 1e308 the initial mean loss overflows; where it
+# is not, the t=1 weights are finite (up to 1e308) but their total sum|w|
+# overflows, or, with F(1) = 1e308, every weight is 1 and FindAlpha's trial
+# edges overflow.
+INITIAL_LOSS = (
+    "config error: loss 'table' gives an initial mean loss that overflows to inf at h0=0.0 "
+)
+WEIGHT_TOTAL = (
+    "config error: loss 'table' gives weights at t=1 whose total sum|w| overflows to inf "
+    "(largest |w| = "
+)
+TRIAL_EDGE = "config error: loss 'table' overflows FindAlpha's trial edge to -inf at alpha=1.0; "
+_KNOTS = (("-1", "2"), ("0", "1"), ("1", "0"), ("2", "0"))
+OVERFLOW_TABLES = [
+    (TABLE_ROWS, 0, WEIGHT_TOTAL),
+    (TABLE_ROWS, 1, INITIAL_LOSS),
+    (TABLE_ROWS, 2, INITIAL_LOSS),
+    (_KNOTS, 0, WEIGHT_TOTAL),
+    (_KNOTS, 1, INITIAL_LOSS),
+    (_KNOTS, 2, TRIAL_EDGE),
+    ((("-1", "1e308"), ("1", "9.9e307")), 0, INITIAL_LOSS),
 ]
 
 
 class TestWeightTotalOverflow:
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the t=0 mean loss overflows
-    @pytest.mark.parametrize("knots, knot", OVERFLOW_TABLES)
-    def test_exits_2_naming_weight_total(self, tmp_path, train_csv, knots, knot, capsys):
+    """A 1e308 knot exits 2 with one stderr line naming what overflowed,
+    and no RuntimeWarning."""
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "knots, knot, message", OVERFLOW_TABLES,
+        ids=[f"knots{i}-{knot}" for i, (_, knot, _) in enumerate(OVERFLOW_TABLES)],
+    )
+    def test_exits_2_naming_weight_total(self, tmp_path, train_csv, knots, knot, message, capsys):
         rows = [list(row) for row in knots]
         rows[knot][1] = "1e308"
         table = tmp_path / "table.csv"
@@ -992,10 +1017,7 @@ class TestWeightTotalOverflow:
         argv = ["train", "-T", "2", "--loss-table", str(table), train_csv, str(tmp_path / "out")]
         assert main(argv) == EXIT_CONFIG
         _, err = capsys.readouterr()
-        assert err.startswith(
-            "config error: loss 'table' gives weights at t=1 whose total sum|w| overflows to inf "
-            "(largest |w| = "
-        )
+        assert err.startswith(message), err
         assert err.count("\n") == 1
 
 

@@ -9,6 +9,7 @@ import pytest
 
 from conftest import reading
 from secantboost import (
+    ConfigError,
     DiscontinuityCollisionError,
     V_derivative,
     alpha_from_smoothness,
@@ -127,6 +128,22 @@ class TestFindAlpha:
         hv = np.array([1.0])
         w = -secant_slopes(F, margins, v_prev)  # = +1: the jump is live
         with pytest.raises(DiscontinuityCollisionError, match=str(HALVING_CAP)):
+            find_alpha(F, S, None, w, None, v_prev, 1.0, margins_prev=margins, h_values=hv)
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_trial_edges_exhaust_the_cap(self):
+        # F(1) = 1e308: the current weights are 1, every trial weight near
+        # -alpha*1e308 gives a trial edge far below zero, and at alpha = 1 the
+        # two weights of -1e308 overflow the edge's sum.
+        F = table_loss("t", [-1.0, 0.0, 1.0, 2.0], [2.0, 1.0, 1e308, 0.0])
+        S = dataset_from_numeric(np.zeros((2, 1)), np.ones(2))
+        margins, v_prev, hv = np.zeros(2), np.full(2, -1.0), np.ones(2)
+        w = -secant_slopes(F, margins, v_prev)
+        assert w.tolist() == [1.0, 1.0]
+        with pytest.raises(ConfigError, match=(
+            f"^loss 't' overflows FindAlpha's trial edge to -inf at alpha=1.0; "
+            f"no step accepted after {HALVING_CAP} halvings from 1.0$"
+        )):
             find_alpha(F, S, None, w, None, v_prev, 1.0, margins_prev=margins, h_values=hv)
 
     def test_zero_edge_rejected(self):

@@ -254,6 +254,41 @@ class TestPredict:
             h.predict([1.0, 2.0])
 
 
+def _recursive_walk(node: TreeNode, depth: int = 0):
+    yield node, depth
+    if not node.is_leaf:
+        yield from _recursive_walk(node.left, depth + 1)
+        yield from _recursive_walk(node.right, depth + 1)
+
+
+def _walk_trees():
+    """A stump, a 20-node numeric tree and a 20-node categorical tree."""
+    rng = np.random.default_rng(26)
+    X = rng.normal(size=(200, 3))
+    y = np.where(X[:, 0] + rng.normal(size=200) > 0, 1.0, -1.0)
+    cols = [rng.choice(list("abcdef"), size=200) for _ in range(3)]
+    yc = np.where((cols[0] < "c") ^ (rng.random(200) < 0.3), 1.0, -1.0)
+    S_cat = dataset_from_columns(cols, yc, types=("categorical",) * 3)
+    return (
+        train_tree(_stump_data(), np.ones(4), max_nodes=1),
+        train_tree(dataset_from_numeric(X, y), rng.uniform(0.5, 1.5, 200), max_nodes=20),
+        train_tree(S_cat, rng.uniform(0.5, 1.5, 200), max_nodes=20),
+    )
+
+
+class TestWalk:
+    def test_matches_a_recursive_walk(self):
+        for h, nodes in zip(_walk_trees(), (1, 20, 20)):
+            assert h.node_count == nodes
+            want = [(id(node), depth) for node, depth in _recursive_walk(h.root)]
+            got = [(id(node), depth) for node, depth in h.walk()]
+            assert got == want and len(set(got)) == 2 * nodes + 1
+            leaves = [node for node, _ in _recursive_walk(h.root) if node.is_leaf]
+            assert [id(leaf) for leaf in h.iter_leaves()] == [id(leaf) for leaf in leaves]
+            assert h.depth() == max(depth for _, depth in want)
+        assert _walk_trees()[2].root.category is not None
+
+
 class TestMaxConfidence:
     def test_matches_prediction_maximum(self):
         S = _stump_data()
