@@ -26,7 +26,7 @@ from .leverage import (
     w2_from_alpha,
 )
 from .offsets import DEFAULT_PRECISION_Z, find_offset, sanitize_offset
-from .trees import WeakHypothesis, nonzero_shift, train_tree
+from .trees import nonzero_shift, train_tree
 from .vderiv import secant_slopes, v_derivative
 
 __all__ = [

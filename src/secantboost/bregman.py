@@ -192,17 +192,21 @@ def obi(
     fa and fb are F(a) and F(b) when the caller has read them (floats, or
     arrays for arrays); F is then not asked again.
 
-    Arrays a, b, c (one request per row) give an array, each row equal to the
-    float call's result bit for bit: F is queried once at all a and once at
-    all b unless given, and, for the certificate, F or G once on every row's
-    coarse grid, and rows the certificate does not decide take the float
-    call's grid.
+    One body serves a float request and 1-d arrays a, b, c of requests (one
+    per row), which give an array, each row the float call's result bit for
+    bit: F is queried once at all a and once at all b unless given, and F or
+    G once on every row's coarse grid for the certificate; rows it does not
+    decide take the float call's grid on Python floats.
     """
     if grid_points < 2:
         raise ValueError(f"grid_points must be >= 2, got {grid_points}")
-    if isinstance(a, np.ndarray):
-        return _obi_rows(F, a, b, c, grid_points, certify_below, fa, fb)
-    if a == b:
+    rows = isinstance(a, np.ndarray)
+    if rows:
+        out = np.zeros(a.shape)
+        live = np.flatnonzero(a != b)
+        a, b, c = a[live], b[live], c[live]
+        fa, fb = (None if f is None else f[live] for f in (fa, fb))
+    elif a == b:
         return 0.0
     if fa is None:
         fa = F(a)
@@ -210,28 +214,15 @@ def obi(
         fb = F(b)
     slope = (fb - fa) / (b - a)
     certifier = _certifier(F) if certify_below > -math.inf else None
-    if certifier is not None:
+    if certifier is None:
+        cert = math.nan * slope  # NaN, a float or one per row: every request to the grid
+    else:
         cert = _certificate(F, *certifier, a, b, c, fa, fb, slope)
-        if certify_below - cert >= REFINE_MARGIN:  # no refine follows; NaN: to the grid
-            return cert
-    return _grid_gap(F, a, c, fa, slope, grid_points)
-
-
-def _obi_rows(F, a, b, c, grid_points: int, certify_below, fa, fb) -> np.ndarray:
-    """obi on arrays of requests (see obi)."""
-    out = np.zeros(a.shape)
-    live = np.flatnonzero(a != b)
-    a, b, c = a[live], b[live], c[live]
-    fa = F(a) if fa is None else fa[live]
-    fb = F(b) if fb is None else fb[live]
-    slope = (fb - fa) / (b - a)
-    to_grid = np.ones(live.size, dtype=bool)
-    certifier = _certifier(F) if certify_below > -math.inf else None
-    if certifier is not None:
-        cert = _certificate(F, *certifier, a, b, c, fa, fb, slope)
-        to_grid = ~(certify_below - cert >= REFINE_MARGIN)
-        out[live[~to_grid]] = cert[~to_grid]
-    for i in np.flatnonzero(to_grid).tolist():
+    decided = certify_below - cert >= REFINE_MARGIN  # no refine follows; NaN: to the grid
+    if not rows:
+        return cert if decided else _grid_gap(F, a, c, fa, slope, grid_points)
+    out[live] = cert  # the grid overwrites every undecided row
+    for i in np.flatnonzero(~decided).tolist():
         gap = _grid_gap(F, float(a[i]), float(c[i]), float(fa[i]), float(slope[i]), grid_points)
         out[live[i]] = gap
     return out

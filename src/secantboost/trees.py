@@ -10,10 +10,13 @@ exact zero so the booster can always divide by a prediction.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+
+from .errors import ConfigError
 
 __all__ = [
     "TreeNode",
@@ -320,7 +323,10 @@ def train_tree(S_signed, weights, max_nodes: int, seed: int = 0) -> WeakHypothes
     leaf is pure, or no split decreases the impurity.  A split's two children
     are searched together, in one _best_split call, when the next leaf is
     chosen; the last split's children are never searched.  `seed` is
-    accepted for interface stability; induction is deterministic.
+    accepted for interface stability; induction is deterministic.  Weights
+    large enough for impurity products to overflow build the tree of their
+    scaling by a power of two, which is the same tree; weights spanning too
+    wide a range for that raise ConfigError.
     """
     del seed
     if max_nodes < 1:
@@ -336,6 +342,20 @@ def train_tree(S_signed, weights, max_nodes: int, seed: int = 0) -> WeakHypothes
     if active.size == 0:
         raise ValueError("all-zero weight vector: nothing to train on")
     wp = np.where(np.asarray(S_signed.labels, dtype=np.float64) > 0, w, 0.0)
+    # A branch impurity multiplies two weight totals, so totals are kept
+    # below 2**500: larger weights are scaled by a power of two, which is
+    # exact while each positive weight stays a normal float and so builds
+    # the tree these weights give on unbounded floats.
+    largest = float(w.max())
+    top = math.frexp(largest)[1] + w.size.bit_length()  # every weight total < 2**top
+    if top > 500:
+        scale, smallest = math.ldexp(1.0, 500 - top), float(w[active].min())
+        if smallest * scale < sys.float_info.min:
+            raise ConfigError(
+                f"tree weights from {smallest!r} to {largest!r} span too wide a range: "
+                "no power-of-two scale keeps their products finite and every weight normal"
+            )
+        w, wp = w * scale, wp * scale
     cols = _Columns(S_signed)
 
     def make_leaf(idx: np.ndarray, orders: np.ndarray) -> _Leaf:

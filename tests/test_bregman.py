@@ -19,8 +19,9 @@ from secantboost import (
     obi,
     offset_feasible,
     q_star,
+    table_loss,
 )
-from secantboost.bregman import DEFAULT_GRID, REFINE_MARGIN
+from secantboost.bregman import DEFAULT_GRID, REFINE_MARGIN, _certifier
 from secantboost.losses import LOGISTIC_BETA
 from secantboost.vderiv import v_derivative
 from test_offsets import _certified, _Recorder, _ref_offset_feasible
@@ -448,6 +449,30 @@ class TestArrayRequests:
             "degenerate": int(np.count_nonzero(v == 0.0)),
         }
         assert min(seen.values()) >= 10, seen
+
+    @pytest.mark.parametrize("name", ["exponential", "table"])
+    def test_rows_without_a_certifier_equal_the_float_calls(self, name):
+        """A budget asks for a certificate that a loss with no curvature bound
+        and no minorant cannot give: every row, degenerate ones included,
+        is then the float call's grid maximum."""
+        F = (make_builtin(name) if name == "exponential" else
+             table_loss("table", [-3.0, -1.0, 0.0, 0.5, 2.0], [3.0, 1.6, 0.9, 0.7, 0.0]))
+        assert _certifier(F) is None
+        z_limit = 1e-2
+        e_t, e_prev, v = _array_rows(F, seed=len(name), z_limit=z_limit)
+        e_t[-3:], e_prev[-3:], v[-3:] = 0.5, -1.0, 0.0  # a == b at 0.5, a table knot
+        rows = list(zip(e_t.tolist(), e_prev.tolist(), v.tolist()))
+        b = e_t + v
+        for c in (b, e_prev):
+            want = [obi(F, a_i, a_i + v_i, c_i, certify_below=z_limit)
+                    for (a_i, _, v_i), c_i in zip(rows, c.tolist())]
+            assert want == [obi(F, a_i, a_i + v_i, c_i) for (a_i, _, v_i), c_i in zip(rows, c.tolist())]
+            assert _same_bytes(obi(F, e_t, b, c, certify_below=z_limit), want)
+        want = [q_star(F, *row, certify_below=z_limit) for row in rows]
+        assert _same_bytes(q_star(F, e_t, e_prev, v, certify_below=z_limit), want)
+        assert np.count_nonzero(v == 0.0) >= 40 and sum(q > 0.0 for q in want) >= 50
+        want = [offset_feasible(F, *row, z_limit) for row in rows]
+        assert _same_bytes(offset_feasible(F, e_t, e_prev, v, z_limit), want)
 
     def test_non_convex_segments_equal_the_float_calls(self):
         F = make_builtin("spring", Q=40.0)

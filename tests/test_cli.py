@@ -958,7 +958,7 @@ class TestGeneratedMalformedLossTable:
                 failures.append((what, code, err))
         assert failures == []
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # tree induction overflows first
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("knot", [0, 3])
     def test_overflowing_decrease_bound_exits_2(self, tmp_path, train_csv, knot, capsys):
         # A 1e308 knot makes the edge about 1e303, whose square overflows the

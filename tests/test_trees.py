@@ -9,7 +9,9 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
+from conftest import separable_dataset
 from secantboost import (
+    ConfigError,
     Dataset,
     dataset_from_columns,
     dataset_from_numeric,
@@ -217,6 +219,28 @@ class TestGrowth:
             train_tree(S, np.zeros(4), max_nodes=1)
         with pytest.raises(ValueError, match="length"):
             train_tree(S, np.ones(3), max_nodes=1)
+
+
+class TestWeightScale:
+    """Weights whose impurity products overflow build the tree of their
+    power-of-two scaling, which is the tree the unscaled weights give."""
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("k", [900, 1000])
+    def test_huge_weights_build_the_same_tree(self, k):
+        for seed in range(20):
+            S = separable_dataset(m=60, seed=seed)
+            w = np.random.default_rng(seed).uniform(0.1, 2.0, S.m)
+            want = train_tree(S, w, max_nodes=6)
+            got = train_tree(S, w * 2.0**k, max_nodes=6)
+            assert got.node_count == want.node_count >= 1, f"seed {seed}"
+            assert got.root == want.root, f"seed {seed}"
+
+    @pytest.mark.filterwarnings("error")
+    def test_too_wide_a_range_is_refused(self):
+        # Scaling 1e305 down far enough pushes 1e-200 below the normal floats.
+        with pytest.raises(ConfigError, match="tree weights from 1e-200 to 1e\\+305"):
+            train_tree(_stump_data(), np.array([1e305, 1e-200, 1.0, 1e305]), max_nodes=1)
 
 
 class TestPredict:
