@@ -254,8 +254,19 @@ def _load_dataset(cfg: RunConfig, data_path: str) -> data.Dataset:
     return data.load_csv(data_path, label_column=cfg.label_col, force_categorical=cfg.categorical)
 
 
-def cmd_train(cfg: RunConfig, data_path: str, out_dir: str) -> int:
+def _load_training_data(cfg: RunConfig, data_path: str) -> data.Dataset:
+    """The dataset at data_path; DataError if its labels are all one class,
+    which leaves a tree nothing to separate."""
     S = _load_dataset(cfg, data_path)
+    if np.all(S.labels == S.labels[0]):
+        raise DataError(
+            f"{data_path}: every label is class {S.labels[0]:+.0f}; training needs both classes"
+        )
+    return S
+
+
+def cmd_train(cfg: RunConfig, data_path: str, out_dir: str) -> int:
+    S = _load_training_data(cfg, data_path)
     F = build_loss(cfg)
     os.makedirs(out_dir, exist_ok=True)
     ens, rows = boost.run(F, S, cfg.T, build_boost_config(cfg))
@@ -337,7 +348,7 @@ def run_cross_validation(cfg: RunConfig, S: data.Dataset):
 
 
 def cmd_cv(cfg: RunConfig, data_path: str, out_dir: str) -> int:
-    S = _load_dataset(cfg, data_path)
+    S = _load_training_data(cfg, data_path)
     os.makedirs(out_dir, exist_ok=True)
     fold_rows, curves, mean_curve = run_cross_validation(cfg, S)
     for fold, rows in enumerate(fold_rows):

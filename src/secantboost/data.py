@@ -4,13 +4,22 @@ Datasets are immutable column stores: numeric columns as float64 arrays,
 categorical columns as string arrays, labels always in {-1.0, +1.0}.  CSV
 loading infers per-column types (all-or-nothing), rejects missing values, and
 accepts labels in {-1,+1} or {0,1}.
+
+Each dataset carries a private column index for tree induction and
+prediction: its features encoded and each one sorted once per dataset, the
+first time a tree or a prediction asks for it.  A subset taken with strictly
+increasing indices (what np.nonzero gives for boosting rounds and CV folds)
+filters its parent's index stably instead of sorting again, and a relabelled
+copy shares its parent's.
 """
 
 from __future__ import annotations
 
+import copy
 import csv
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -27,6 +36,94 @@ __all__ = [
 ]
 
 
+class _ColumnIndex:
+    """A dataset's features, encoded and sorted for split search and prediction.
+
+    Numeric columns are float64 values.  Categorical columns become rows of
+    integer codes, sorted by category label within a column and numbered on
+    across columns in feature order, so each (column, category) pair has its
+    own code and code order is scan order.  order holds one stable order of
+    all examples per feature row, numeric rows (by value) first, then
+    categorical rows (by code); ties keep example order.  One stable sort of
+    a categorical column's labels gives both its order row and its codes:
+    each run of equal labels in sorted order is one code, and the run's
+    first label is that code's label.  A tree leaf's examples are these
+    orders restricted to its members (see cut), so split search never sorts.
+    """
+
+    def __init__(self, S):
+        self.kinds = S.feature_types
+        num = [f for f, kind in enumerate(self.kinds) if kind == "numeric"]
+        cat = [f for f, kind in enumerate(self.kinds) if kind != "numeric"]
+        self.row = {f: r for rows in (num, cat) for r, f in enumerate(rows)}
+        self.num_feature = num
+        self.values = [np.asarray(S.columns[f], dtype=np.float64) for f in num]
+        self.order = np.empty((len(self.kinds), S.m), dtype=np.intp)
+        for r, col in enumerate(self.values):
+            self.order[r] = np.argsort(col, kind="stable")
+        self.codes = np.empty((len(cat), S.m), dtype=np.intp)
+        self.labels, first_code = [], [0]
+        for r, f in enumerate(cat):
+            col = S.columns[f].astype(str)
+            order = self.order[len(num) + r]
+            order[:] = np.argsort(col, kind="stable")
+            sv = col[order]
+            head = np.concatenate(([True], sv[1:] != sv[:-1]))
+            self.codes[r, order] = np.cumsum(head) - 1 + first_code[-1]
+            self.labels.extend(sv[head])
+            first_code.append(len(self.labels))
+        self.first_code = np.array(first_code, dtype=np.intp)
+        n_labels = np.diff(first_code)
+        self.code_feature = [f for f, n in zip(cat, n_labels) for _ in range(n)]
+        self.code_row = np.repeat(np.arange(len(cat)), n_labels)  # each code's row of codes
+        self.code_of = {key: c for c, key in enumerate(zip(self.code_feature, self.labels))}
+
+    def take(self, idx: np.ndarray, S) -> "_ColumnIndex":
+        """The index of S, the examples idx (strictly increasing) of this
+        index's dataset.
+
+        A stable filter of a stable sort is the stable sort of the subset:
+        each order row keeps this one's examples that are in idx, renumbered
+        to their place in it.  Codes keep this index's numbering, so a
+        category the subset lacks keeps its code and labels no example.
+        """
+        sub = copy.copy(self)
+        sub.values = [np.asarray(S.columns[f], dtype=np.float64) for f in self.num_feature]
+        if idx.size < self.order.shape[1]:  # else idx is every example: share order and codes
+            place = np.full(self.order.shape[1], -1, dtype=np.intp)
+            place[idx] = np.arange(idx.size)
+            order = place[self.order]
+            sub.order = order[order >= 0].reshape(self.order.shape[0], idx.size)
+            sub.codes = self.codes[:, idx]
+        return sub
+
+    def cut(self, orders: np.ndarray, parts: list) -> list:
+        """orders cut down to each part's examples, stably: one array per part.
+
+        orders holds every part's examples in every row (order itself, or
+        the orders of the leaf the parts split).  A stable filter of a stable
+        sort is the stable sort of the subset, so each row of a part's array
+        lists its examples by value or code with ties in example order, as
+        sorting them would.
+        """
+        if len(parts) == 1 and parts[0].size == orders.shape[1]:
+            return [orders]  # no example to drop
+        side = np.full(self.order.shape[1], -1, dtype=np.int8)
+        for j, idx in enumerate(parts):
+            side[idx] = j
+        side = side[orders]
+        return [orders[side == j].reshape(orders.shape[0], idx.size) for j, idx in enumerate(parts)]
+
+    def goes_left(self, f: int, cut, idx: np.ndarray) -> np.ndarray:
+        """Which examples of idx a test on feature f sends left: value <= cut
+        on a numeric feature, label == cut on a categorical one (no example,
+        for a label the dataset lacks)."""
+        r = self.row[f]
+        if self.kinds[f] == "numeric":
+            return self.values[r][idx] <= cut
+        return self.codes[r][idx] == self.code_of.get((f, cut), -1)
+
+
 @dataclass(frozen=True)
 class Dataset:
     columns: tuple
@@ -38,23 +135,38 @@ class Dataset:
     def m(self) -> int:
         return int(self.labels.shape[0])
 
+    @cached_property
+    def _index(self) -> _ColumnIndex:
+        """The column index, built from the columns on first use unless
+        subset or with_labels gave this dataset its parent's."""
+        return _ColumnIndex(self)
+
     def row(self, i: int) -> tuple:
         return tuple(col[i] for col in self.columns)
 
     def subset(self, indices) -> "Dataset":
         indices = np.asarray(indices)
-        return Dataset(
+        sub = Dataset(
             columns=tuple(col[indices] for col in self.columns),
             labels=self.labels[indices],
             feature_names=self.feature_names,
             feature_types=self.feature_types,
         )
+        # Nonnegative, strictly increasing indices keep this dataset's example
+        # order, so its index filters down to the subset's; other indices
+        # leave the subset to build its own.
+        if (indices.dtype.kind in "iu" and indices.ndim == 1
+                and np.all(np.diff(indices, prepend=-1) > 0)):
+            object.__setattr__(sub, "_index", self._index.take(indices, sub))
+        return sub
 
     def with_labels(self, labels) -> "Dataset":
         labels = np.asarray(labels, dtype=np.float64)
         if labels.shape != self.labels.shape:
             raise ValueError("label vector length mismatch")
-        return replace(self, labels=labels)
+        relabelled = replace(self, labels=labels)
+        object.__setattr__(relabelled, "_index", self._index)  # labels play no part in it
+        return relabelled
 
 
 @dataclass(frozen=True)
@@ -86,6 +198,8 @@ def dataset_from_numeric(X, y) -> Dataset:
     y = _pm_one_labels(y)
     if X.ndim != 2 or X.shape[0] != y.shape[0]:
         raise ValueError("X must be (m, d) with matching label length")
+    if X.shape[0] == 0:
+        raise ValueError("a dataset needs at least one example, got 0 rows")
     if not np.isfinite(X).all():
         i, j = np.argwhere(~np.isfinite(X))[0].tolist()
         raise ValueError(f"feature X[{i}, {j}] is {float(X[i, j])!r}; features must be finite")
@@ -97,13 +211,26 @@ def dataset_from_numeric(X, y) -> Dataset:
 def dataset_from_columns(columns, labels, names=None, types=None) -> Dataset:
     """Convenience constructor from explicit columns (numeric or string) and ±1 labels.
 
+    Every column holds one value per label, and names and types, when
+    given, one entry per column; each type is "numeric" or "categorical".
     A numeric column must hold finite numbers; ValueError names the first
     cell that does not.
     """
+    columns = list(columns)
+    labels = _pm_one_labels(labels)
+    if labels.size == 0:
+        raise ValueError("a dataset needs at least one example, got 0 labels")
+    for what, given in (("names", names), ("types", types)):
+        if given is not None and len(given) != len(columns):
+            raise ValueError(f"{len(given)} {what} for {len(columns)} columns")
+    if types is not None and (bad := sorted(set(types) - {"numeric", "categorical"})):
+        raise ValueError(f"feature types must be 'numeric' or 'categorical', got {bad}")
     cols = []
     kinds = []
     for j, col in enumerate(columns):
         arr = np.asarray(col)
+        if arr.shape != labels.shape:
+            raise ValueError(f"feature column {j} has shape {arr.shape}, the labels {labels.shape}")
         if types is not None:
             kind = types[j]
         else:
@@ -116,7 +243,6 @@ def dataset_from_columns(columns, labels, names=None, types=None) -> Dataset:
             )
         cols.append(arr)
         kinds.append(kind)
-    labels = _pm_one_labels(labels)
     if names is None:
         names = tuple(f"f{j}" for j in range(len(cols)))
     return Dataset(tuple(cols), labels, tuple(names), tuple(kinds))

@@ -9,7 +9,6 @@ asks a loss for a derivative.
 from __future__ import annotations
 
 import csv
-import dataclasses
 import inspect
 import math
 from dataclasses import dataclass, field
@@ -310,4 +309,4 @@ def inject_label_noise(S, eta: float, seed: int):
     rng = np.random.default_rng(seed)
     flips = rng.random(S.m) < eta
     labels = np.where(flips, -S.labels, S.labels)
-    return dataclasses.replace(S, labels=labels)
+    return S.with_labels(labels)

@@ -16,6 +16,7 @@ from typing import Optional
 
 import numpy as np
 
+from .data import _ColumnIndex
 from .errors import ConfigError
 
 __all__ = [
@@ -70,7 +71,8 @@ class WeakHypothesis:
     def predict_dataset(self, S) -> np.ndarray:
         """Vectorized prediction over a dataset: each test splits its examples'
         indices between its children, walked with an explicit stack, so any
-        depth works."""
+        depth works.  Tests read S's column index: numeric values as they
+        are, categories as integer codes."""
         out = np.empty(S.m, dtype=np.float64)
         stack = [(self.root, np.arange(S.m))]
         while stack:
@@ -78,11 +80,13 @@ class WeakHypothesis:
             if node.is_leaf:
                 out[idx] = node.value
                 continue
-            col = S.columns[node.feature][idx]
-            if node.threshold is not None:
-                mask = col.astype(np.float64) <= node.threshold
-            else:
-                mask = col.astype(str) == node.category
+            numeric = S.feature_types[node.feature] == "numeric"
+            if numeric != (node.threshold is not None):
+                raise ValueError(
+                    f"a {'category' if numeric else 'threshold'} test on feature "
+                    f"{node.feature}, which is {S.feature_types[node.feature]}"
+                )
+            mask = S._index.goes_left(node.feature, node.threshold if numeric else node.category, idx)
             stack += [(node.right, idx[~mask]), (node.left, idx[mask])]
         return out
 
@@ -132,7 +136,7 @@ class _Leaf:
     w_tot: float  # the leaf's total weight
     w_pos: float  # and its positive examples' weight
     impurity: float  # of the leaf as it stands, unsplit
-    # Per-row example orders (see _Columns.cut): the parent's, a superset,
+    # Per-row example orders (see _ColumnIndex.cut): the parent's, a superset,
     # until the leaf is searched; its own from then on.  A leaf that is
     # never searched never pays for cutting them down.
     orders: np.ndarray
@@ -145,73 +149,6 @@ def _branch_impurity(w_pos, w_neg):
     # scalars and on arrays of candidate branches alike; fmax, like Python's
     # max(0.0, x), maps the NaN of an overflowed product (0 * inf) to 0.
     return 2.0 * np.sqrt(np.fmax(0.0, w_pos * w_neg))
-
-
-class _Columns:
-    """A dataset's features, encoded once per tree for split search.
-
-    Numeric columns are float64 values.  Categorical columns become rows of
-    integer codes, sorted by category label within a column and numbered on
-    across columns in feature order, so each (column, category) pair has its
-    own code and code order is scan order.  order holds one stable order of
-    all examples per feature row, numeric rows (by value) first, then
-    categorical rows (by code); ties keep example order.  One stable sort of
-    a categorical column's labels gives both its order row and its codes:
-    each run of equal labels in sorted order is one code, and the run's
-    first label is that code's label.  A leaf's examples are these orders
-    restricted to its members (see cut), so split search never sorts again.
-    """
-
-    def __init__(self, S):
-        self.kinds = S.feature_types
-        num = [f for f, kind in enumerate(self.kinds) if kind == "numeric"]
-        cat = [f for f, kind in enumerate(self.kinds) if kind != "numeric"]
-        self.row = {f: r for rows in (num, cat) for r, f in enumerate(rows)}
-        self.num_feature = num
-        self.values = [np.asarray(S.columns[f], dtype=np.float64) for f in num]
-        self.order = np.empty((len(self.kinds), S.m), dtype=np.intp)
-        for r, col in enumerate(self.values):
-            self.order[r] = np.argsort(col, kind="stable")
-        self.codes = np.empty((len(cat), S.m), dtype=np.intp)
-        self.labels, first_code = [], [0]
-        for r, f in enumerate(cat):
-            col = S.columns[f].astype(str)
-            order = self.order[len(num) + r]
-            order[:] = np.argsort(col, kind="stable")
-            sv = col[order]
-            head = np.concatenate(([True], sv[1:] != sv[:-1]))
-            self.codes[r, order] = np.cumsum(head) - 1 + first_code[-1]
-            self.labels.extend(sv[head])
-            first_code.append(len(self.labels))
-        self.first_code = np.array(first_code, dtype=np.intp)
-        n_labels = np.diff(first_code)
-        self.code_feature = [f for f, n in zip(cat, n_labels) for _ in range(n)]
-        self.code_row = np.repeat(np.arange(len(cat)), n_labels)  # each code's row of codes
-
-    def cut(self, orders: np.ndarray, parts: list) -> list:
-        """orders cut down to each part's examples, stably: one array per part.
-
-        orders holds every part's examples in every row (order itself, or
-        the orders of the leaf the parts split).  A stable filter of a stable
-        sort is the stable sort of the subset, so each row of a part's array
-        lists its examples by value or code with ties in example order, as
-        sorting them would.
-        """
-        if len(parts) == 1 and parts[0].size == orders.shape[1]:
-            return [orders]  # no example to drop
-        side = np.full(self.order.shape[1], -1, dtype=np.int8)
-        for j, idx in enumerate(parts):
-            side[idx] = j
-        side = side[orders]
-        return [orders[side == j].reshape(orders.shape[0], idx.size) for j, idx in enumerate(parts)]
-
-    def goes_left(self, f: int, cut, idx: np.ndarray) -> np.ndarray:
-        """Which examples of idx a split on feature f at cut sends left."""
-        r = self.row[f]
-        if self.kinds[f] == "numeric":
-            return self.values[r][idx] <= cut
-        first, end = self.first_code[r], self.first_code[r + 1]
-        return self.codes[r, idx] == first + self.labels[first:end].index(cut)
 
 
 def _code_sums(codes: np.ndarray, wi: np.ndarray, n_codes: int):
@@ -250,7 +187,7 @@ def _first_min(wl, pl, wr, pr):
     return (j if ok is None else int(ok[j])), imp[j]
 
 
-def _best_split(cols: _Columns, w, wp, parts: list, w_tot, w_pos) -> list:
+def _best_split(cols: _ColumnIndex, w, wp, parts: list, w_tot, w_pos) -> list:
     """Each leaf's best (impurity, feature, kind, cut) over its candidate
     splits, or None when no split separates its examples.
 
@@ -356,7 +293,7 @@ def train_tree(S_signed, weights, max_nodes: int, seed: int = 0) -> WeakHypothes
                 "no power-of-two scale keeps their products finite and every weight normal"
             )
         w, wp = w * scale, wp * scale
-    cols = _Columns(S_signed)
+    cols = S_signed._index
 
     def make_leaf(idx: np.ndarray, orders: np.ndarray) -> _Leaf:
         w_tot = float(w[idx].sum())

@@ -63,6 +63,16 @@ def mixed_csv(tmp_path):
 
 
 @pytest.fixture()
+def one_class_csv(tmp_path):
+    """train_csv's shape with every label 1."""
+    rng = np.random.default_rng(14)
+    lines = ["a,b,label"] + [f"{a:.6f},{b:.6f},1" for a, b in rng.normal(size=(12, 2))]
+    path = tmp_path / "one_class.csv"
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
+
+
+@pytest.fixture()
 def flat_loss_csv(tmp_path):
     path = tmp_path / "flat.csv"
     path.write_text("z,F\n-100,1.0\n100,1.0\n")
@@ -111,6 +121,13 @@ class TestTrain:
     def test_missing_data_exits_3(self, tmp_path):
         code = main(["train", str(tmp_path / "nope.csv"), str(tmp_path / "out")])
         assert code == EXIT_DATA
+
+    def test_one_class_exits_3(self, tmp_path, one_class_csv, capsys):
+        # Every label 1 leaves a tree nothing to separate; nothing is written.
+        out = tmp_path / "out"
+        assert main(["train", "-T", "3", one_class_csv, str(out)]) == EXIT_DATA
+        assert "every label is class +1; training needs both classes" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_bad_flag_value_exits_2(self, tmp_path, train_csv):
         assert main(["train", "-T", "0", train_csv, str(tmp_path / "o")]) == EXIT_CONFIG
@@ -389,6 +406,10 @@ class TestEval:
         assert metrics["loss"] == summary["train_loss"]
         assert metrics["m"] == 40
 
+    def test_one_class_data_is_evaluated(self, trained_model, one_class_csv, capsys):
+        assert main(["eval", str(trained_model), one_class_csv]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["m"] == 12
+
     def test_schema_mismatch_exits_3(self, tmp_path, train_csv, capsys):
         out = tmp_path / "run"
         assert main(["train", "-T", "2", train_csv, str(out)]) == EXIT_OK
@@ -479,6 +500,12 @@ class TestCv:
         a = (out1 / "cv_curves.csv").read_bytes()
         assert a == (out2 / "cv_curves.csv").read_bytes()
         assert a != (out3 / "cv_curves.csv").read_bytes()
+
+    def test_one_class_exits_3(self, tmp_path, one_class_csv, capsys):
+        out = tmp_path / "cv"
+        assert main(["cv", "--folds", "4", one_class_csv, str(out)]) == EXIT_DATA
+        assert "every label is class +1; training needs both classes" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_constant_loss_exits_4(self, tmp_path, train_csv, flat_loss_csv, capsys):
         out = tmp_path / "cv"

@@ -200,6 +200,35 @@ class TestDataset:
             dataset_from_columns(strings, y, types=("numeric",))
 
 
+class TestShapeContract:
+    """Each constructor refuses, naming the problem, a dataset whose shapes
+    disagree: every column holds one value per label, names and types have
+    one entry per column, and a dataset has at least one example."""
+
+    def test_column_length_differs_from_labels(self):
+        with pytest.raises(ValueError, match=r"feature column 0 has shape \(3,\), the labels \(2,\)"):
+            dataset_from_columns([[1.0, 2.0, 3.0]], [1, -1])
+
+    def test_names_length_differs_from_columns(self):
+        with pytest.raises(ValueError, match="2 names for 1 columns"):
+            dataset_from_columns([[1.0, 2.0]], [1, -1], names=["a", "b"])
+
+    @pytest.mark.parametrize("types", [(), ("numeric", "numeric")])
+    def test_types_length_differs_from_columns(self, types):
+        with pytest.raises(ValueError, match=f"{len(types)} types for 1 columns"):
+            dataset_from_columns([[1.0, 2.0]], [1, -1], types=types)
+
+    def test_unknown_type(self):
+        with pytest.raises(ValueError, match=r"'numeric' or 'categorical', got \['cat'\]"):
+            dataset_from_columns([[1.0, 2.0], ["a", "b"]], [1, -1], types=["numeric", "cat"])
+
+    def test_zero_rows(self):
+        with pytest.raises(ValueError, match="at least one example, got 0 rows"):
+            dataset_from_numeric(np.zeros((0, 2)), np.zeros(0))
+        with pytest.raises(ValueError, match="at least one example, got 0 labels"):
+            dataset_from_columns([np.zeros(0)], np.zeros(0))
+
+
 class TestStratifiedFolds:
     def test_class_balance_within_one(self):
         """Round-robin dealing keeps each class's per-fold counts within one

@@ -26,7 +26,6 @@ from secantboost.trees import (
     _best_split,
     _branch_impurity,
     _code_sums,
-    _Columns,
     _leaf_value,
 )
 
@@ -399,7 +398,7 @@ class TestNonzeroShift:
 
 def _leaf_orders(S, idx: np.ndarray) -> np.ndarray:
     """The leaf idx's per-row orders, built by sorting the leaf itself, not
-    by _Columns.cut: numeric features first, then categorical ones, each the
+    by the column index's cut: numeric features first, then categorical ones, each the
     stable argsort of the leaf's column (category labels sort as their codes
     do)."""
     rows = [f for f, kind in enumerate(S.feature_types) if kind == "numeric"]
@@ -415,7 +414,7 @@ def _splits(S, y, w, parts: list) -> list:
     orders = [_leaf_orders(S, idx) for idx in parts]
     w_tot = [float(np.sum(w[idx])) for idx in parts]
     w_pos = [float(np.sum(np.where(y[idx] > 0, w[idx], 0.0))) for idx in parts]
-    return _best_split(_Columns(S), w, wp, orders, w_tot, w_pos)
+    return _best_split(S._index, w, wp, orders, w_tot, w_pos)
 
 
 def _split(S, y, w, idx: np.ndarray):
@@ -738,7 +737,7 @@ class TestSiblingBatch:
             assert _splits(S, S.labels, w, parts) == want, f"case {seed}"
             # cut, from the whole order through the root, builds the same
             # orders as sorting each part.
-            cols = _Columns(S)
+            cols = S._index
             for got, idx in zip(cols.cut(cols.cut(cols.order, [active])[0], parts), parts):
                 np.testing.assert_array_equal(got, _leaf_orders(S, idx))
             n_batches += 1
@@ -829,7 +828,7 @@ class TestColumnsEncoding:
             codes.append(inverse + first_code[-1])
             labels.extend(uniq)
             first_code.append(len(labels))
-        cols = _Columns(S)
+        cols = S._index
         np.testing.assert_array_equal(cols.codes, np.array(codes, dtype=np.intp).reshape(len(cat), S.m))
         assert cols.labels == labels
         assert all(type(got) is type(want) for got, want in zip(cols.labels, labels))
@@ -858,3 +857,105 @@ class TestColumnsEncoding:
         cols = self._check(S)
         assert cols.labels == ["only", "10", "100", "2", "9"]
         assert cols.codes.tolist() == [[0] * 6, [1, 4, 3, 1, 4, 2]]
+
+
+def _rows(S, idx: np.ndarray) -> Dataset:
+    """The rows idx of S as a dataset of their own, its index built from
+    its own columns."""
+    return Dataset(tuple(col[idx] for col in S.columns), S.labels[idx], S.feature_names,
+                   S.feature_types)
+
+
+def _decoded(index) -> tuple:
+    """An index's values, orders and each categorical row's labels: all it
+    says about its examples, free of how its codes are numbered."""
+    labels = np.array(index.labels, dtype=object)
+    return [v.tolist() for v in index.values], index.order.tolist(), labels[index.codes].tolist()
+
+
+def _index_subsets(rng, S) -> list:
+    """(kind, subset of S, its rows) for subsets taken in every way: with
+    increasing indices, some of them missing a category; through a
+    relabelled subset; and with permuted and with repeated indices."""
+    inc = np.sort(rng.choice(S.m, size=int(rng.integers(1, S.m + 1)), replace=False))
+    keep = np.ones(S.m, dtype=bool)
+    for col, kind in zip(S.columns, S.feature_types):
+        if kind == "categorical":
+            keep &= col != col[int(rng.integers(S.m))]
+    lacking = np.flatnonzero(keep) if keep.any() else inc
+    inner = np.sort(rng.choice(inc.size, size=max(1, inc.size // 2), replace=False))
+    chained = S.subset(inc).with_labels(-S.labels[inc]).subset(inner)
+    perm, rep = rng.permutation(inc), rng.choice(S.m, size=S.m)
+    return [
+        ("increasing", S.subset(inc), _rows(S, inc)),
+        ("lacking", S.subset(lacking), _rows(S, lacking)),
+        ("chained", chained, _rows(chained, np.arange(chained.m))),
+        ("permuted", S.subset(perm), _rows(S, perm)),
+        ("repeated", S.subset(rep), _rows(S, rep)),
+    ]
+
+
+class TestColumnIndex:
+    """A subset's column index, filtered from its parent's or built from its
+    own columns, says what an index built from those rows says, and trees
+    and predictions read it as they would read that one."""
+
+    def test_subset_index_matches_index_built_from_its_rows(self):
+        n_derived = n_lacking = 0
+        for seed in range(N_REFERENCE_CASES):
+            S, _ = _reference_case(seed)
+            rng = np.random.default_rng(70_000 + seed)
+            for kind, sub, rows in _index_subsets(rng, S):
+                assert _decoded(sub._index) == _decoded(rows._index), f"case {seed}, {kind}"
+                if kind in ("increasing", "lacking", "chained"):
+                    # Filtered from S's index: its codes and labels are S's.
+                    assert sub._index.labels is S._index.labels, f"case {seed}, {kind}"
+                    n_derived += 1
+                    n_lacking += len(sub._index.labels) > len(rows._index.labels)
+        assert n_derived == 3 * N_REFERENCE_CASES
+        assert n_lacking >= 200
+
+    def test_subset_trees_match_trees_on_their_rows(self):
+        n_cat_trees = 0
+        for seed in range(N_REFERENCE_CASES):
+            S, w = _reference_case(seed)
+            rng = np.random.default_rng(80_000 + seed)
+            for kind, sub, rows in _index_subsets(rng, S):
+                w_sub = rng.integers(0, 4, size=sub.m).astype(np.float64)
+                w_sub[0] = 1.0
+                for max_nodes in (1, 6):
+                    got = train_tree(sub, w_sub, max_nodes)
+                    want = train_tree(rows, w_sub, max_nodes)
+                    assert got.node_count == want.node_count, f"case {seed}, {kind}"
+                    assert got.root == want.root, f"case {seed}, {kind}"
+                    n_cat_trees += any(n.category is not None for n, _ in got.walk())
+        assert n_cat_trees >= 400
+
+    def test_predictions_match_row_by_row(self):
+        # Trees trained on a subset lacking a category predict S, which
+        # has it; trees trained on S predict rows lacking one of its
+        # categories, a test whose category the index does not know.
+        n_unknown = 0
+        for seed in range(N_REFERENCE_CASES):
+            S, w = _reference_case(seed)
+            rng = np.random.default_rng(90_000 + seed)
+            _, lacking, rows = _index_subsets(rng, S)[1]
+            pairs = [(train_tree(S, w, 6), rows),
+                     (train_tree(lacking, np.ones(lacking.m), 6), S)]
+            for h, data in pairs:
+                want = [h.predict(data.row(i)) for i in range(data.m)]
+                assert h.predict_dataset(data).tolist() == want, f"case {seed}"
+                n_unknown += any(
+                    n.category is not None and n.category not in data.columns[n.feature]
+                    for n, _ in h.walk()
+                )
+        assert n_unknown >= 40
+
+    def test_category_test_on_numeric_feature_is_refused(self):
+        h = WeakHypothesis(
+            TreeNode(feature=0, category="a", left=TreeNode(value=1.0), right=TreeNode(value=-1.0)),
+            node_count=1,
+            n_features=1,
+        )
+        with pytest.raises(ValueError, match="a category test on feature 0, which is numeric"):
+            h.predict_dataset(_stump_data())
