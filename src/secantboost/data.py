@@ -6,11 +6,12 @@ loading infers per-column types (all-or-nothing), rejects missing values, and
 accepts labels in {-1,+1} or {0,1}.
 
 Each dataset carries a private column index for tree induction and
-prediction: its features encoded and each one sorted once per dataset, the
-first time a tree or a prediction asks for it.  A subset taken with strictly
-increasing indices (what np.nonzero gives for boosting rounds and CV folds)
-filters its parent's index stably instead of sorting again, and a relabelled
-copy shares its parent's.
+prediction: its features encoded once per dataset, the first time a tree or
+a prediction asks for it, and its numeric features sorted the first time a
+tree or a subset needs their order; prediction never sorts.  A subset taken
+with strictly increasing indices (what np.nonzero gives for boosting rounds
+and CV folds) filters its parent's index stably instead of sorting again,
+and a relabelled copy shares its parent's.
 """
 
 from __future__ import annotations
@@ -49,6 +50,8 @@ class _ColumnIndex:
     each run of equal labels in sorted order is one code, and the run's
     first label is that code's label.  A tree leaf's examples are these
     orders restricted to its members (see cut), so split search never sorts.
+    Prediction reads only values and codes, so the numeric rows of order are
+    sorted on first use, by train_tree or take.
     """
 
     def __init__(self, S):
@@ -58,15 +61,13 @@ class _ColumnIndex:
         self.row = {f: r for rows in (num, cat) for r, f in enumerate(rows)}
         self.num_feature = num
         self.values = [np.asarray(S.columns[f], dtype=np.float64) for f in num]
-        self.order = np.empty((len(self.kinds), S.m), dtype=np.intp)
-        for r, col in enumerate(self.values):
-            self.order[r] = np.argsort(col, kind="stable")
+        self._cat_order = np.empty((len(cat), S.m), dtype=np.intp)
         self.codes = np.empty((len(cat), S.m), dtype=np.intp)
         self.labels, first_code = [], [0]
         for r, f in enumerate(cat):
             col = S.columns[f].astype(str)
-            order = self.order[len(num) + r]
-            order[:] = np.argsort(col, kind="stable")
+            order = np.argsort(col, kind="stable")
+            self._cat_order[r] = order
             sv = col[order]
             head = np.concatenate(([True], sv[1:] != sv[:-1]))
             self.codes[r, order] = np.cumsum(head) - 1 + first_code[-1]
@@ -77,6 +78,15 @@ class _ColumnIndex:
         self.code_feature = [f for f, n in zip(cat, n_labels) for _ in range(n)]
         self.code_row = np.repeat(np.arange(len(cat)), n_labels)  # each code's row of codes
         self.code_of = {key: c for c, key in enumerate(zip(self.code_feature, self.labels))}
+
+    @cached_property
+    def order(self) -> np.ndarray:
+        """The numeric rows' stable sorts on top of the categorical rows'."""
+        order = np.empty((len(self.kinds), self.codes.shape[1]), dtype=np.intp)
+        for r, col in enumerate(self.values):
+            order[r] = np.argsort(col, kind="stable")
+        order[len(self.values):] = self._cat_order
+        return order
 
     def take(self, idx: np.ndarray, S) -> "_ColumnIndex":
         """The index of S, the examples idx (strictly increasing) of this
@@ -89,12 +99,14 @@ class _ColumnIndex:
         """
         sub = copy.copy(self)
         sub.values = [np.asarray(S.columns[f], dtype=np.float64) for f in self.num_feature]
-        if idx.size < self.order.shape[1]:  # else idx is every example: share order and codes
-            place = np.full(self.order.shape[1], -1, dtype=np.intp)
+        order = self.order  # sorted here on first use
+        if idx.size < order.shape[1]:  # else idx is every example: share order and codes
+            place = np.full(order.shape[1], -1, dtype=np.intp)
             place[idx] = np.arange(idx.size)
-            order = place[self.order]
-            sub.order = order[order >= 0].reshape(self.order.shape[0], idx.size)
+            kept = place[order]
+            order = kept[kept >= 0].reshape(order.shape[0], idx.size)
             sub.codes = self.codes[:, idx]
+        sub.order = order
         return sub
 
     def cut(self, orders: np.ndarray, parts: list) -> list:
@@ -108,11 +120,14 @@ class _ColumnIndex:
         """
         if len(parts) == 1 and parts[0].size == orders.shape[1]:
             return [orders]  # no example to drop
-        side = np.full(self.order.shape[1], -1, dtype=np.int8)
-        for j, idx in enumerate(parts):
+        side = np.zeros(self.order.shape[1], dtype=np.int8)  # 0: in no part
+        for j, idx in enumerate(parts, 1):
             side[idx] = j
-        side = side[orders]
-        return [orders[side == j].reshape(orders.shape[0], idx.size) for j, idx in enumerate(parts)]
+        # Positions from nonzero, then one gather: a boolean mask index costs
+        # about twice as much on a few thousand mixed entries.
+        side, flat = side[orders].ravel(), orders.ravel()
+        return [flat[(side == j).nonzero()[0]].reshape(orders.shape[0], idx.size)
+                for j, idx in enumerate(parts, 1)]
 
     def goes_left(self, f: int, cut, idx: np.ndarray) -> np.ndarray:
         """Which examples of idx a test on feature f sends left: value <= cut

@@ -72,7 +72,10 @@ class WeakHypothesis:
         """Vectorized prediction over a dataset: each test splits its examples'
         indices between its children, walked with an explicit stack, so any
         depth works.  Tests read S's column index: numeric values as they
-        are, categories as integer codes."""
+        are, categories as integer codes.  S must have the tree's feature
+        count, as predict's rows must."""
+        if len(S.columns) != self.n_features:
+            raise ValueError(f"expected {self.n_features} features, got {len(S.columns)}")
         out = np.empty(S.m, dtype=np.float64)
         stack = [(self.root, np.arange(S.m))]
         while stack:
@@ -87,7 +90,7 @@ class WeakHypothesis:
                     f"{node.feature}, which is {S.feature_types[node.feature]}"
                 )
             mask = S._index.goes_left(node.feature, node.threshold if numeric else node.category, idx)
-            stack += [(node.right, idx[~mask]), (node.left, idx[mask])]
+            stack += [(node.right, idx[(~mask).nonzero()[0]]), (node.left, idx[mask.nonzero()[0]])]
         return out
 
     def walk(self):
@@ -141,6 +144,7 @@ class _Leaf:
     # never searched never pays for cutting them down.
     orders: np.ndarray
     best: tuple | None = None  # (impurity, feature, kind, cut) for its best split
+    gain: float = 0.0  # impurity - best[0] once searched; 0.0 when nothing splits it
 
 
 def _branch_impurity(w_pos, w_neg):
@@ -166,25 +170,30 @@ def _code_sums(codes: np.ndarray, wi: np.ndarray, n_codes: int):
     counts = np.bincount(codes, minlength=n_codes)
     padded = np.zeros(codes.size + n_codes)
     padded[np.arange(1, codes.size + 1) + codes] = wi
-    return np.add.reduceat(padded, np.cumsum(counts) - counts + np.arange(n_codes)), counts
+    return np.add.reduceat(padded, counts.cumsum() - counts + np.arange(n_codes)), counts
 
 
 def _first_min(wl, pl, wr, pr):
     """(index, impurity) of the best candidate split, or None if none splits.
 
     The arrays hold each candidate's left/right total and positive weight, in
-    scan order; the first minimum wins, as a strict-< scan would pick it.
+    scan order; the first minimum wins, as a strict-< scan would pick it.  A
+    candidate splits when both sides carry weight.  wl is a running sum of
+    positive weights, so it is positive and wr = total - wl nonincreasing:
+    wr stays positive (or inf, then NaN, once the sums overflow) on a prefix
+    and is <= 0 after it, so the candidates that split are that prefix, and
+    all of them unless the last candidate's wr is <= 0.
     """
-    one_sided = (wl <= 0.0) | (wr <= 0.0)
-    ok = None
-    if one_sided.all():
+    n = wr.size
+    if n and wr[-1] <= 0.0:
+        n -= np.count_nonzero(wr <= 0.0)  # the one-sided suffix
+    if n == 0:
         return None  # no candidate, or none that splits
-    if one_sided.any():
-        ok = np.flatnonzero(~one_sided)
-        wl, pl, wr, pr = wl[ok], pl[ok], wr[ok], pr[ok]
+    if n < wr.size:
+        wl, pl, wr, pr = wl[:n], pl[:n], wr[:n], pr[:n]
     imp = _branch_impurity(pl, wl - pl) + _branch_impurity(pr, wr - pr)
     j = int(imp.argmin())
-    return (j if ok is None else int(ok[j])), imp[j]
+    return j, imp[j]
 
 
 def _best_split(cols: _ColumnIndex, w, wp, parts: list, w_tot, w_pos) -> list:
@@ -200,9 +209,14 @@ def _best_split(cols: _ColumnIndex, w, wp, parts: list, w_tot, w_pos) -> list:
     the leaves' total and positive weights.  kind is "num" (threshold
     midpoint) or "cat" (one-vs-rest category); ties resolve to the lowest
     feature index, then the lowest threshold / lexicographically first
-    category, as a scan over the candidates in that order would pick.  Each
-    numeric column scores all its thresholds at once per leaf, and all
-    categorical columns of all the leaves score their categories together.
+    category, as a scan over the candidates in that order would pick.
+
+    Each numeric column scores all its thresholds at once per leaf; because
+    the leaf's weights are positive, the thresholds that split are a prefix
+    of them (see _first_min).  All categorical columns of all the leaves
+    score their categories together, from one _code_sums call that gives
+    every (leaf, category) its total and positive weight; a category is
+    present in a leaf when its total is positive.
     """
     n_num = len(cols.values)
     cands = [[] for _ in parts]  # per leaf: each numeric column's best, then the categorical best
@@ -212,8 +226,10 @@ def _best_split(cols: _ColumnIndex, w, wp, parts: list, w_tot, w_pos) -> list:
             cum_w = w[order].cumsum()
             cum_p = wp[order].cumsum()
             k = (sv[1:] > sv[:-1]).nonzero()[0]  # split after sorted position k
-            wl = cum_w[k]
-            pl = cum_p[k]
+            if k.size == sv.size - 1:  # no ties: k is every position but the last
+                wl, pl = cum_w[:-1], cum_p[:-1]
+            else:
+                wl, pl = cum_w[k], cum_p[k]
             hit = _first_min(wl, pl, cum_w[-1] - wl, cum_p[-1] - pl)
             if hit is not None:
                 i, imp = hit
@@ -227,22 +243,25 @@ def _best_split(cols: _ColumnIndex, w, wp, parts: list, w_tot, w_pos) -> list:
         ex = np.concatenate([orders[n_num:].ravel() for orders in parts])
         codes = np.concatenate([cols.codes[rows, orders[n_num:]].ravel() + j * n_codes
                                 for j, orders in enumerate(parts)])
+        # The positive examples' codes follow, offset by n, so one call sums
+        # both, each (leaf, code) with its own 0.0 pad; an absent code sums to 0.0.
+        n = len(parts) * n_codes
         wp_ex = wp[ex]
-        on = wp_ex > 0.0
-        shape = (len(parts), n_codes)
-        wl, counts = _code_sums(codes, w[ex], shape[0] * n_codes)
-        pl, _ = _code_sums(codes[on], wp_ex[on], shape[0] * n_codes)
-        wl, pl, present = wl.reshape(shape), pl.reshape(shape), counts.reshape(shape) > 0
-        wr = np.reshape(w_tot, (-1, 1)) - wl
-        pr = np.reshape(w_pos, (-1, 1)) - pl
+        on = (wp_ex > 0.0).nonzero()[0]  # as cut gathers, not a boolean mask
+        sums, _ = _code_sums(np.concatenate((codes, codes[on] + n)),
+                             np.concatenate((w[ex], wp_ex[on])), 2 * n)
+        wl, pl = sums[:n].reshape(len(parts), n_codes), sums[n:].reshape(len(parts), n_codes)
+        present = wl > 0.0
+        wr = np.array(w_tot)[:, None] - wl
+        pr = np.array(w_pos)[:, None] - pl
         # Candidates: the categories present, in columns where two or more
         # are, that leave weight on both sides.
         n_present = np.add.reduceat(present, cols.first_code[:-1], axis=1, dtype=np.intp)
-        ok = present & (n_present >= 2)[:, cols.code_row] & ~((wl <= 0.0) | (wr <= 0.0))
+        ok = present & (n_present >= 2)[:, cols.code_row] & ~(wr <= 0.0)
         imp = _branch_impurity(pl, wl - pl) + _branch_impurity(pr, wr - pr)
         # argmin picks the first minimum, or the first NaN, as _first_min
         # does; it lands on a non-candidate only when every candidate is +inf.
-        pick = np.argmin(np.where(ok, imp, np.inf), axis=1)
+        pick = np.where(ok, imp, np.inf).argmin(axis=1)
         for found, ok_j, imp_j, i in zip(cands, ok, imp, pick.tolist()):
             if not ok_j[i]:
                 if not ok_j.any():
@@ -296,10 +315,13 @@ def train_tree(S_signed, weights, max_nodes: int, seed: int = 0) -> WeakHypothes
     cols = S_signed._index
 
     def make_leaf(idx: np.ndarray, orders: np.ndarray) -> _Leaf:
-        w_tot = float(w[idx].sum())
-        w_pos = float(wp[idx].sum())
-        node = TreeNode(value=_leaf_value(w_pos, w_tot, int(idx.size)))
-        return _Leaf(idx, node, w_tot, w_pos, _branch_impurity(w_pos, w_tot - w_pos), orders)
+        w_tot = float(np.add.reduce(w[idx]))  # ndarray.sum's own reduction, without its wrapper
+        w_pos = float(np.add.reduce(wp[idx]))
+        node = TreeNode(value=_leaf_value(w_pos, w_tot, idx.size))
+        # _branch_impurity on floats: sqrt is correctly rounded, and max maps
+        # the NaN of an overflowed product to 0.0 as fmax does.
+        impurity = 2.0 * math.sqrt(max(0.0, w_pos * (w_tot - w_pos)))
+        return _Leaf(idx, node, w_tot, w_pos, impurity, orders)
 
     leaves = [make_leaf(active, cols.order)]
     root = leaves[0].node
@@ -316,21 +338,19 @@ def train_tree(S_signed, weights, max_nodes: int, seed: int = 0) -> WeakHypothes
                                 [leaf.w_pos for leaf in fresh])
             for leaf, orders, best in zip(fresh, parts, found):
                 leaf.orders, leaf.best = orders, best or ()
+                leaf.gain = float(leaf.impurity - best[0]) if best else 0.0
         best_leaf = None
         best_gain = 0.0
         for leaf in leaves:
-            if leaf.best == ():
-                continue
-            gain = leaf.impurity - leaf.best[0]
-            if gain > best_gain:
+            if leaf.gain > best_gain:  # a NaN gain never wins
                 best_leaf = leaf
-                best_gain = gain
+                best_gain = leaf.gain
         if best_leaf is None:
             break
         _, f, kind, cut = best_leaf.best
-        mask = cols.goes_left(f, cut, best_leaf.idx)
-        left = make_leaf(best_leaf.idx[mask], best_leaf.orders)
-        right = make_leaf(best_leaf.idx[~mask], best_leaf.orders)
+        mask = cols.goes_left(f, cut, best_leaf.idx)  # gathered by position, as cut does
+        left = make_leaf(best_leaf.idx[mask.nonzero()[0]], best_leaf.orders)
+        right = make_leaf(best_leaf.idx[(~mask).nonzero()[0]], best_leaf.orders)
         node = best_leaf.node
         node.feature = f
         node.threshold = cut if kind == "num" else None

@@ -13,6 +13,7 @@ from conftest import separable_dataset
 from secantboost import (
     ConfigError,
     Dataset,
+    Ensemble,
     dataset_from_columns,
     dataset_from_numeric,
     max_confidence,
@@ -275,6 +276,38 @@ class TestPredict:
         h = train_tree(_stump_data(), np.ones(4), max_nodes=1)
         with pytest.raises(ValueError, match="expected 1 features"):
             h.predict([1.0, 2.0])
+
+    @staticmethod
+    def _three_feature_tree():
+        """A 3-node tree on 3 numeric features, and data sets of 2 and 4
+        features built from its training rows."""
+        rng = np.random.default_rng(29)
+        X = rng.normal(size=(40, 4))
+        y = np.where(X[:, 0] + X[:, 2] > 0, 1.0, -1.0)
+        h = train_tree(dataset_from_numeric(X[:, :3], y), np.ones(40), max_nodes=3)
+        assert h.n_features == 3 and h.node_count == 3
+        return h, dataset_from_numeric(X[:, :2], y), dataset_from_numeric(X, y)
+
+    def test_dataset_with_fewer_features_rejected(self):
+        h, fewer, _ = self._three_feature_tree()
+        with pytest.raises(ValueError, match="^expected 3 features, got 2$"):
+            h.predict_dataset(fewer)
+
+    def test_dataset_with_more_features_rejected(self):
+        # As predict refuses a row of 4 features, predict_dataset refuses a
+        # data set of 4, although every test the tree makes could be read.
+        h, _, more = self._three_feature_tree()
+        with pytest.raises(ValueError, match="^expected 3 features, got 4$"):
+            h.predict(more.row(0))
+        with pytest.raises(ValueError, match="^expected 3 features, got 4$"):
+            h.predict_dataset(more)
+
+    def test_ensemble_rejects_a_wrong_feature_count(self):
+        h, fewer, more = self._three_feature_tree()
+        ens = Ensemble(0.25, [(0.5, h), (1.5, h)])
+        for S, got in ((fewer, 2), (more, 4)):
+            with pytest.raises(ValueError, match=f"^expected 3 features, got {got}$"):
+                ens.predict_dataset(S)
 
 
 def _recursive_walk(node: TreeNode, depth: int = 0):
@@ -705,6 +738,88 @@ class TestLoopReference:
             assert got.root == want.root, f"case {seed}"
 
 
+class TestCandidatePremises:
+    """The rules the vectorized search rests on, each on the case that tests
+    it, against the loop: a candidate splits only while its right side keeps
+    weight, which is a prefix of a numeric column's thresholds; a category
+    present in a leaf has a positive weight sum; and a column with one
+    category present has no candidate, even when its sums overflow."""
+
+    def test_tiny_trailing_weights_truncate_the_numeric_prefix(self):
+        # Past the heavy examples, wr = total - wl rounds to 0.0: the
+        # thresholds after them are one-sided, and a column whose every
+        # threshold is has no candidate.  Reversed, the tiny weights lead
+        # and every threshold splits.
+        S = dataset_from_numeric(np.arange(8.0)[:, None], np.array([1, -1, 1, -1, 1, 1, -1, 1.0]))
+        idx = np.arange(8)
+        heavy = np.array([1.0, 1.0, 1.0, 1.0, 1e-20, 1e-20, 1e-20, 1e-20])
+        lone = np.array([1.0] + [1e-20] * 7)
+        for w, n_split in ((heavy, 3), (lone, 0), (heavy[::-1].copy(), 7)):
+            cum = np.cumsum(w)
+            assert np.count_nonzero(cum[-1] - cum[:-1] > 0.0) == n_split
+            want = _loop_best_split(S, S.labels, w, idx)
+            assert _split(S, S.labels, w, idx) == want
+            assert (want is None) == (n_split == 0)
+            if n_split == 3:
+                assert want[3] < 3.0  # a threshold of the prefix
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflows themselves
+    def test_overflowed_right_side_stays_in_the_prefix(self):
+        # The sums overflow past the second example: the clean cut at 1.5
+        # reads wr = inf - inf = NaN, which is not <= 0.0, so it stays a
+        # candidate, as in the loop, and wins with impurity 0.
+        S = dataset_from_numeric(np.arange(3.0)[:, None], np.array([-1.0, -1.0, 1.0]))
+        w = np.array([1e308, 1e308, 1.0])
+        want = _loop_best_split(S, S.labels, w, np.arange(3))
+        assert want == (0.0, 0, "num", 1.5)
+        assert _split(S, S.labels, w, np.arange(3)) == want
+
+    def test_tiny_trailing_weights_in_a_batch(self):
+        # The same truncation in each child of a split searched together,
+        # on a coarse column whose ties leave fewer thresholds than examples.
+        rng = np.random.default_rng(29_000)
+        for case in range(40):
+            m = 30
+            x = np.round(rng.normal(size=m), 1)
+            y = rng.choice([-1.0, 1.0], size=m)
+            w = np.where(rng.random(m) < 0.5, 1e-20, rng.uniform(0.5, 2.0, size=m))
+            S = dataset_from_numeric(np.column_stack((x, -x)), y)
+            parts = _two_parts(rng, np.arange(m))
+            want = [_loop_best_split(S, y, w, idx) for idx in parts]
+            assert _splits(S, y, w, parts) == want, f"case {case}"
+
+    def test_category_with_all_but_negligible_weight(self):
+        # "a" holds all the weight but 1e-20: its right side rounds to 0.0,
+        # so it is no candidate although it would tie "b", which comes after.
+        S = dataset_from_columns([np.array(["a", "a", "b", "a"])], np.array([1.0, -1.0, 1.0, 1.0]),
+                                 types=("categorical",))
+        w = np.array([1.0, 1.0, 1e-20, 1.0])
+        idx = np.arange(4)
+        want = _loop_best_split(S, S.labels, w, idx)
+        assert want[1:] == (0, "cat", "b")
+        assert _split(S, S.labels, w, idx) == want
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflows themselves
+    def test_one_category_present_in_the_leaf(self):
+        # Column 0 holds "a" and "b" in the dataset, but the leaves hold
+        # only "a".  Weights of 1e308 overflow its sum, so wr = inf - inf is
+        # NaN, which the wr <= 0.0 rule keeps; only the count of categories
+        # present refuses it.  Without overflow the loop agrees too.
+        col = np.array(["a", "a", "a", "a", "b", "a", "a", "a"])
+        other = np.array(["p", "q", "p", "q", "p", "p", "q", "q"])
+        S = dataset_from_columns([col, other], np.ones(8), types=("categorical", "categorical"))
+        for weight in (1.0, 1e308):
+            w = np.full(8, weight)
+            leaves = [np.array([0, 1, 2, 3]), np.array([5, 6, 7])]
+            want = [_loop_best_split(S, S.labels, w, idx) for idx in leaves]
+            assert [c[1] for c in want] == [1, 1]
+            got = _splits(S, S.labels, w, leaves)
+            for g, c in zip(got, want):
+                _assert_same_split(g, c, f"weight {weight}")
+            for idx, c in zip(leaves, want):
+                _assert_same_split(_split(S, S.labels, w, idx), c, f"weight {weight}")
+
+
 def _two_parts(rng, idx: np.ndarray) -> list:
     """idx (two or more examples) cut in two by a seeded mask, each part
     ascending and nonempty."""
@@ -950,6 +1065,22 @@ class TestColumnIndex:
                     for n, _ in h.walk()
                 )
         assert n_unknown >= 40
+
+    def test_prediction_leaves_orders_unbuilt(self):
+        # Prediction reads values and codes only; the orders are sorted
+        # when a tree is trained, and give the tree they give unpredicted.
+        n_numeric = 0
+        for seed in range(N_REFERENCE_CASES):
+            S, w = _reference_case(seed)
+            h = train_tree(S, w, 6)
+            fresh = _rows(S, np.arange(S.m))
+            assert h.predict_dataset(fresh).tolist() == h.predict_dataset(S).tolist(), f"case {seed}"
+            assert "order" not in vars(fresh._index), f"case {seed}"
+            got = train_tree(fresh, w, 6)
+            assert "order" in vars(fresh._index), f"case {seed}"
+            assert got.node_count == h.node_count and got.root == h.root, f"case {seed}"
+            n_numeric += "numeric" in S.feature_types
+        assert n_numeric >= 200
 
     def test_category_test_on_numeric_feature_is_refused(self):
         h = WeakHypothesis(
