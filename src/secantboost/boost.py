@@ -84,8 +84,13 @@ class Ensemble:
 
     h0: float
     terms: list = field(default_factory=list)  # [(alpha, WeakHypothesis), ...]
+    n_features: int | None = None  # the feature count it was fitted on, when known
 
     def predict_dataset(self, S) -> np.ndarray:
+        """H on every example of S; S must have n_features features when
+        that is set, whether or not the ensemble has a term to check them."""
+        if self.n_features is not None and len(S.columns) != self.n_features:
+            raise ValueError(f"expected {self.n_features} features, got {len(S.columns)}")
         out = np.full(S.m, self.h0, dtype=np.float64)
         for alpha, h in self.terms:
             out += alpha * h.predict_dataset(S)
@@ -177,16 +182,16 @@ def _initialize(F, S):
         offsets=np.full(S.m, v0, dtype=np.float64),
         edges_tilde=margins0,
         train_loss=_initial_loss(F, f0, h0),
-        train_err=float(np.mean(margins0 <= 0.0)),
+        train_err=float(np.count_nonzero(margins0 <= 0.0) / margins0.size),
     )
-    return Ensemble(h0=h0), state, f0
+    return Ensemble(h0=h0, n_features=len(S.columns)), state, f0
 
 
 def _initial_loss(F, f0, h0: float) -> float:
     """The mean of the loss values f0 at the margins y*h0; ConfigError naming
     the loss, h0 and the largest |F| when that mean is not finite."""
     with np.errstate(over="ignore", invalid="ignore"):
-        loss = float(np.mean(f0))
+        loss = float(np.add.reduce(f0) / f0.size)  # np.mean's own reduction, without its wrapper
     if not np.isfinite(loss):
         raise ConfigError(
             f"loss {F.name!r} gives an initial mean loss that overflows to {loss!r} at h0={h0!r} "
@@ -236,7 +241,7 @@ def _leverage(F, row, y, hv, margins, alpha, certify):
             row.w2_bar, row.epsilon = cert
             margins_new = margins + alpha * y * hv
             f_new = F(margins_new)
-            loss = float(np.mean(f_new))
+            loss = float(np.add.reduce(f_new) / f_new.size)
             try:
                 bound = guaranteed_decrease_bound(row, alpha)
             except OverflowError:
@@ -267,7 +272,7 @@ def _refresh_offsets(
     minorant: it gets one float call per moved example.
     """
     reused = margins_new + (margins - margins_new) / cfg.precision_Z == margins_new
-    moved = np.flatnonzero(~reused)
+    moved = (~reused).nonzero()[0]
     e_t, e_p = margins_new[moved], margins[moved]
     v_new = np.empty(margins.size, dtype=np.float64)
     if F.minorant is None:
@@ -283,7 +288,7 @@ def _refresh_offsets(
             if v is None:
                 return None
             v_new[i] = v
-    for i in np.flatnonzero(reused).tolist():
+    for i in reused.nonzero()[0].tolist():
         v_new[i] = sanitize_offset(v_prev[i], 1e-9, seed=_derived_seed(cfg.seed, t, i))
     return v_new, reused
 
@@ -319,7 +324,7 @@ def run(F, S, T: int, config: BoostConfig | None = None):
             weights=np.zeros(S.m),
             constant_loss=True,
         )
-        return Ensemble(h0=0.0), [row]
+        return Ensemble(h0=0.0, n_features=len(S.columns)), [row]
 
     y = np.asarray(S.labels, dtype=np.float64)
     w, v_prev, margins, loss_prev = st0.weights, st0.offsets, st0.edges_tilde, st0.train_loss
@@ -331,27 +336,27 @@ def run(F, S, T: int, config: BoostConfig | None = None):
 
     for t in range(1, T + 1):
         with np.errstate(over="ignore"):
-            weight_mass = float(np.sum(np.abs(w)))
+            weight_mass = float(np.add.reduce(np.abs(w)))
         if not np.isfinite(weight_mass):
             raise ConfigError(
                 f"loss {F.name!r} gives weights at t={t} whose total sum|w| overflows to "
                 f"{weight_mass!r} (largest |w| = {float(np.max(np.abs(w)))!r})"
             )
-        active = np.nonzero(w != 0.0)[0]
+        active = (w != 0.0).nonzero()[0]
         S_t = S.subset(active).with_labels(y[active] * np.sign(w[active]))
         h = nonzero_shift(train_tree(S_t, np.abs(w[active]), cfg.max_nodes), S)
         hv = h.predict_dataset(S)
-        M = float(np.max(np.abs(hv)))
-        eta = float(np.mean(w * y * hv))
+        M = float(np.maximum.reduce(np.abs(hv)))
+        eta = float(np.add.reduce(w * y * hv) / w.size)
         row = BoostIterState(
             t=t,
             eta=eta,
-            eta_tilde=float(np.sum((np.abs(w) / weight_mass) * np.sign(w) * y * hv / M)),
+            eta_tilde=float(np.add.reduce((np.abs(w) / weight_mass) * np.sign(w) * y * hv / M)),
             weight_mass=weight_mass,
-            w1_bar=abs(float(np.mean(w))),
+            w1_bar=abs(float(np.add.reduce(w) / w.size)),
             M=M,
             train_loss=loss_prev,
-            train_err=float(np.mean(margins <= 0.0)),
+            train_err=float(np.count_nonzero(margins <= 0.0) / margins.size),
         )
         rows.append(row)
         if cfg.record_vectors:
@@ -388,7 +393,7 @@ def run(F, S, T: int, config: BoostConfig | None = None):
 
         ens.terms.append((row.alpha, h))
         row.rho = row.w1_bar * row.w1_bar / row.w2_bar
-        row.train_err = float(np.mean(margins_new <= 0.0))
+        row.train_err = float(np.count_nonzero(margins_new <= 0.0) / margins_new.size)
         row.w2_measured = second_order_mean(
             F, margins, row.alpha * y * hv, v_prev, hv, M, f_z=f, f_zv=f_v, f_ze=f_new
         )
@@ -420,7 +425,7 @@ def run(F, S, T: int, config: BoostConfig | None = None):
                 f"loss {F.name!r} gives weight {float(w_next[i])!r} at margin "
                 f"z={float(margins_new[i])!r} with offset {float(v_new[i])!r}"
             )
-        if not np.any(w_next != 0.0):
+        if not np.count_nonzero(w_next):
             row.stop_reason = "zero_weights"
             return ens, rows
         w, v_prev, margins, loss_prev = w_next, v_new, margins_new, row.train_loss

@@ -147,7 +147,7 @@ def _certificate(F, G, beta: float, a, b, c, fa, fb, slope):
     bound = beta * (h * h) / 8.0
     if isinstance(a, np.ndarray):
         f_max = np.maximum(abs(fa), abs(fb))
-        on_grid = np.flatnonzero(c != b) if G is F else np.arange(a.size)
+        on_grid = (c != b).nonzero()[0] if G is F else np.arange(a.size)
         for block in _row_blocks(on_grid.size, _CERT_GRID + 1):
             r = on_grid[block]
             xs = _grid_rows(np.minimum(a[r], c[r]), np.maximum(a[r], c[r]), _CERT_GRID)
@@ -203,7 +203,7 @@ def obi(
     rows = isinstance(a, np.ndarray)
     if rows:
         out = np.zeros(a.shape)
-        live = np.flatnonzero(a != b)
+        live = (a != b).nonzero()[0]
         a, b, c = a[live], b[live], c[live]
         fa, fb = (None if f is None else f[live] for f in (fa, fb))
     elif a == b:
@@ -222,7 +222,7 @@ def obi(
     if not rows:
         return cert if decided else _grid_gap(F, a, c, fa, slope, grid_points)
     out[live] = cert  # the grid overwrites every undecided row
-    for i in np.flatnonzero(~decided).tolist():
+    for i in (~decided).nonzero()[0].tolist():
         gap = _grid_gap(F, float(a[i]), float(c[i]), float(fa[i]), float(slope[i]), grid_points)
         out[live[i]] = gap
     return out
@@ -268,7 +268,7 @@ def offset_feasible(
         raise ValueError(f"z_limit must be positive, got {z_limit}")
     q = q_star(F, e_t, e_prev, v, DEFAULT_GRID, certify_below=z_limit, fa=fa, fb=fb)
     if isinstance(q, np.ndarray):
-        rows = np.flatnonzero(abs(q - z_limit) < REFINE_MARGIN)
+        rows = (abs(q - z_limit) < REFINE_MARGIN).nonzero()[0]
         if rows.size:
             fa, fb = (None if f is None else f[rows] for f in (fa, fb))
             q[rows] = q_star(

@@ -227,7 +227,7 @@ def load_model(path: str):
         kinds = [kind for _, kind in schema]
         if not set(kinds) <= {"numeric", "categorical"}:
             raise ValueError(f"feature types must be numeric or categorical, got {kinds}")
-        ens = boost.Ensemble(h0=_finite(payload["h0"], "h0"))
+        ens = boost.Ensemble(h0=_finite(payload["h0"], "h0"), n_features=len(kinds))
         for term in payload["terms"]:
             tree = _node_from_json(term["tree"], kinds)
             node_count = _finite(term["node_count"], "node_count", integer=True)
@@ -314,9 +314,9 @@ def _test_error_curve(ens: boost.Ensemble, S_test: data.Dataset, T: int) -> list
     curve = []
     for alpha, h in ens.terms:
         margins = margins + alpha * y * h.predict_dataset(S_test)
-        curve.append(float(np.mean(margins <= 0.0)))
+        curve.append(float(np.count_nonzero(margins <= 0.0) / margins.size))
     if not curve:
-        curve = [float(np.mean(margins <= 0.0))]
+        curve = [float(np.count_nonzero(margins <= 0.0) / margins.size)]
     while len(curve) < T:
         curve.append(curve[-1])
     return curve

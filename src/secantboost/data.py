@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import copy
 import csv
-import math
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Sequence
@@ -169,9 +168,11 @@ class Dataset:
         )
         # Nonnegative, strictly increasing indices keep this dataset's example
         # order, so its index filters down to the subset's; other indices
-        # leave the subset to build its own.
-        if (indices.dtype.kind in "iu" and indices.ndim == 1
-                and np.all(np.diff(indices, prepend=-1) > 0)):
+        # leave the subset to build its own.  The test is np.diff(indices,
+        # prepend=-1) > 0 everywhere, without np.diff's wrapper.
+        if (indices.dtype.kind in "iu" and indices.ndim == 1 and (
+                not indices.size
+                or indices[0] >= 0 and not np.count_nonzero(indices[1:] <= indices[:-1]))):
             object.__setattr__(sub, "_index", self._index.take(indices, sub))
         return sub
 
@@ -263,13 +264,13 @@ def dataset_from_columns(columns, labels, names=None, types=None) -> Dataset:
     return Dataset(tuple(cols), labels, tuple(names), tuple(kinds))
 
 
-def _numbers(cells) -> list[float] | None:
-    """cells as floats if every one parses as a finite number, else None."""
+def _numbers(cells) -> np.ndarray | None:
+    """cells as float64 if every one parses as a finite number, else None."""
     try:
-        values = list(map(float, cells))
+        values = np.fromiter(map(float, cells), np.float64, len(cells))
     except ValueError:
         return None
-    return values if all(map(math.isfinite, values)) else None
+    return values if np.isfinite(values).all() else None
 
 
 def load_csv(path, label_column="label", force_categorical: Sequence[str] = ()) -> Dataset:
@@ -309,45 +310,58 @@ def load_csv(path, label_column="label", force_categorical: Sequence[str] = ()) 
         if label_column not in header:
             raise DataError(f"label column {label_column!r} not in header {header}")
         label_idx = header.index(label_column)
+    forced = {str(name) for name in force_categorical}
 
     # The first bad row in file order is reported: the rows before the first
     # one of the wrong width are checked for empty cells first (zip would
-    # silently cut a short row).
+    # silently cut a short row).  A column's raw cells are parsed first:
+    # float strips a subset of what str.strip does (not U+001C-U+001F), so
+    # raw cells that all parse hold no empty cell and give the values of
+    # their stripped cells.  Other columns are stripped, and parsed again
+    # when no cell is empty.
     n_ok = next((i for i, row in enumerate(rows) if len(row) != width), len(rows))
-    raw_cols = [list(map(str.strip, col)) for col in zip(*rows[1:n_ok])]
-    empty = min(((col.index(""), j) for j, col in enumerate(raw_cols) if "" in col), default=None)
+    values, cells = [], []  # per column: its floats or None, and its cells
+    for j, col in enumerate(zip(*rows[1:n_ok])):
+        text = j != label_idx and (header[j] in forced or str(j) in forced)
+        parsed = None if text else _numbers(col)
+        if parsed is None:
+            col = list(map(str.strip, col))
+            if not text and "" not in col:
+                parsed = _numbers(col)
+        values.append(parsed)
+        cells.append(col)
+    empty = min(((col.index(""), j) for j, col in enumerate(cells)
+                 if values[j] is None and "" in col), default=None)
     if empty is not None:
         i, j = empty
         raise DataError(f"{path}:{lines[i + 1]}: missing value in column {header[j]!r}")
     if n_ok < len(rows):
         raise DataError(f"{path}:{lines[n_ok]}: expected {width} cells, got {len(rows[n_ok])}")
 
-    label_values = _numbers(raw_cols[label_idx])
+    label_values = values[label_idx]
     if label_values is None:
         raise DataError(f"{path}: labels must be numeric (-1/+1 or 0/1)")
-    distinct = set(label_values)
+    distinct = set(label_values.tolist())
     if distinct <= {-1.0, 1.0}:
-        labels = np.asarray(label_values, dtype=np.float64)
+        labels = label_values
     elif distinct <= {0.0, 1.0}:
-        labels = np.where(np.asarray(label_values) > 0, 1.0, -1.0)
+        labels = np.where(label_values > 0, 1.0, -1.0)
     else:
         raise DataError(f"{path}: label values {sorted(distinct)} not in {{-1,+1}} or {{0,1}}")
 
     columns = []
     names = []
     kinds = []
-    forced = {str(name) for name in force_categorical}
     if unknown := sorted(forced - set(header) - {str(j) for j in range(width)}):
         raise DataError(f"categorical columns {unknown} not in header {header}")
     for j in range(width):
         if j == label_idx:
             continue
-        parsed = None if header[j] in forced or str(j) in forced else _numbers(raw_cols[j])
-        if parsed is not None:
-            columns.append(np.asarray(parsed, dtype=np.float64))
+        if values[j] is not None:
+            columns.append(values[j])
             kinds.append("numeric")
         else:
-            columns.append(np.asarray(raw_cols[j], dtype=str))
+            columns.append(np.asarray(cells[j], dtype=str))
             kinds.append("categorical")
         names.append(header[j])
     return Dataset(tuple(columns), labels, tuple(names), tuple(kinds))

@@ -68,7 +68,8 @@ def edge(w, S, h, *, h_values=None) -> float:
     """Unnormalized edge (1/m) * sum_i w_i y_i h(x_i)."""
     w = np.asarray(w, dtype=np.float64)
     hv = _h_values(S, h, h_values)
-    return float(np.mean(w * np.asarray(S.labels, dtype=np.float64) * hv))
+    terms = w * np.asarray(S.labels, dtype=np.float64) * hv
+    return float(np.add.reduce(terms) / terms.size)  # np.mean's own reduction, without its wrapper
 
 
 def partial_weights(
@@ -159,7 +160,7 @@ def second_order_mean(
     at z+e on the rows whose e was replaced.
     """
     e = np.array(e, dtype=np.float64)
-    tiny = np.flatnonzero(np.abs(e) < MIN_OFFSET)
+    tiny = (np.abs(e) < MIN_OFFSET).nonzero()[0]
     for i in tiny.tolist():
         e[i] = sanitize_offset(0.0, 1e-12, seed=i)
     z = np.asarray(margins_prev, dtype=np.float64)
@@ -169,7 +170,8 @@ def second_order_mean(
     v_prev = np.asarray(v_prev, dtype=np.float64)
     second = V_derivative_expansion(F, z, [e, v_prev], values=(f_z, f_zv, f_ze, None))
     hv = np.asarray(h_values, dtype=np.float64)
-    return float(np.mean((hv / M) ** 2 * second))
+    terms = (hv / M) ** 2 * second
+    return float(np.add.reduce(terms) / terms.size)
 
 
 def w2_from_alpha(

@@ -95,7 +95,7 @@ def find_offset(
 
 def _find_offsets(F, e_t: np.ndarray, e_prev: np.ndarray, z_limit: float, Z: int, fa):
     """find_offset on arrays of requests (see find_offset)."""
-    if np.any(e_t == e_prev):
+    if np.count_nonzero(e_t == e_prev):
         raise ValueError("equal edges: caller must fall back to the previous offset")
     if fa is None:
         fa = F(e_t)
@@ -128,7 +128,7 @@ def _find_offsets(F, e_t: np.ndarray, e_prev: np.ndarray, z_limit: float, Z: int
 def _accept(F, e_t, e_prev, v, picked, z_limit: float, fa) -> np.ndarray:
     """picked, narrowed in place to the rows whose offset v fits the budget;
     fa is F(e_t)."""
-    rows = np.flatnonzero(picked)
+    rows = picked.nonzero()[0]
     if rows.size:
         picked[rows] = offset_feasible(F, e_t[rows], e_prev[rows], v[rows], z_limit, fa=fa[rows])
     return picked

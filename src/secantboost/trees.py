@@ -292,9 +292,9 @@ def train_tree(S_signed, weights, max_nodes: int, seed: int = 0) -> WeakHypothes
         raise ValueError("weights must match the dataset length")
     if not np.isfinite(w).all():
         raise ValueError("weights must be finite")
-    if np.any(w < 0.0):
+    if np.count_nonzero(w < 0.0):
         raise ValueError("weights must be nonnegative")
-    active = np.nonzero(w > 0.0)[0]
+    active = (w > 0.0).nonzero()[0]
     if active.size == 0:
         raise ValueError("all-zero weight vector: nothing to train on")
     wp = np.where(np.asarray(S_signed.labels, dtype=np.float64) > 0, w, 0.0)

@@ -268,6 +268,13 @@ class TestStops:
         assert row.train_loss == 1.0
         assert row.weight_mass == 0.0
         assert ens.h0 == 0.0 and ens.terms == []
+        # With no term to check it, the ensemble still knows its feature
+        # count; one built by hand does not.
+        S = _blobs(8)
+        wider = dataset_from_numeric(np.column_stack(S.columns + S.columns[:1]), S.labels)
+        with pytest.raises(ValueError, match="^expected 2 features, got 3$"):
+            ens.predict_dataset(wider)
+        assert Ensemble(h0=0.5).predict_dataset(wider).tolist() == [0.5] * 8
 
     def test_zero_edge_warns_and_stops(self):
         # Balanced XOR data: the tree refuses every zero-gain split, the
@@ -283,7 +290,10 @@ class TestStops:
         assert len(rows) == 1
         assert rows[0].eta == 0.0
         assert rows[0].stop_reason == "none"
-        assert ens.terms == []
+        assert ens.terms == [] and ens.n_features == 2
+        assert ens.predict_dataset(S).tolist() == [ens.h0] * S.m
+        with pytest.raises(ValueError, match="^expected 2 features, got 3$"):
+            ens.predict_dataset(dataset_from_numeric(np.hstack([X, X[:, :1]]), y))
 
     def test_offsets_infeasible_stops_cleanly(self, monkeypatch):
         import secantboost.boost as boost_module

@@ -32,7 +32,7 @@ from secantboost.cli import (
     main,
     save_model,
 )
-from secantboost.data import load_csv
+from secantboost.data import dataset_from_columns, load_csv
 from secantboost.errors import ConfigError
 
 
@@ -456,6 +456,24 @@ class TestLoadModel:
             assert alpha == term["alpha"]
             assert h.node_count == term["node_count"]
             assert h.n_features == 2
+
+    def test_loaded_model_checks_the_feature_count(self, tmp_path, train_csv, capsys):
+        # With its trees or without, a loaded model refuses a data set whose
+        # feature count is not the model's.
+        out = tmp_path / "run"
+        assert main(["train", "-T", "2", train_csv, str(out)]) == EXIT_OK
+        capsys.readouterr()
+        payload = json.loads((out / "model.json").read_text())
+        payload["terms"] = []
+        (tmp_path / "empty.json").write_text(json.dumps(payload))
+        S = load_csv(train_csv)
+        wider = dataset_from_columns(S.columns + S.columns[:1], S.labels)
+        for path, n_terms in ((out / "model.json", 2), (tmp_path / "empty.json", 0)):
+            ens, _, _ = load_model(str(path))
+            assert len(ens.terms) == n_terms and ens.n_features == 2
+            assert ens.predict_dataset(S).shape == (S.m,)
+            with pytest.raises(ValueError, match="^expected 2 features, got 3$"):
+                ens.predict_dataset(wider)
 
     def test_save_load_save_is_byte_identical(self, tmp_path, mixed_csv, capsys):
         out = tmp_path / "run"

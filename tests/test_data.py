@@ -12,6 +12,7 @@ from secantboost import (
     load_csv,
     stratified_folds,
 )
+from secantboost.data import _ColumnIndex
 
 
 def _write(tmp_path, text, name="data.csv"):
@@ -147,6 +148,44 @@ class TestLoadCsv:
         S = load_csv(path)
         assert S.feature_types == ("categorical",)
 
+    def test_padded_cells_read_as_stripped(self, tmp_path):
+        # float strips what str.strip does except U+001C-U+001F, so cells
+        # padded with those parse only once stripped, and stay numeric.
+        path = _write(
+            tmp_path,
+            "a,b,c,d,label\n 1.5 ,\x1f2.5,\t3\x1c, x ,\x1f1\n-4 ,5\x1e, 6e1 ,\x1fy\t, 0\n",
+        )
+        S = load_csv(path)
+        assert S.feature_types == ("numeric", "numeric", "numeric", "categorical")
+        for col, want in zip(S.columns, ([1.5, -4.0], [2.5, 5.0], [3.0, 60.0])):
+            assert col.dtype == np.float64 and col.tolist() == want
+        assert S.columns[3].tolist() == ["x", "y"]
+        assert S.labels.dtype == np.float64 and S.labels.tolist() == [1.0, -1.0]
+
+    @pytest.mark.parametrize("blank", ["", "  ", "\x1f", "\t\x1c "])
+    def test_blank_cell_deep_in_a_numeric_column(self, tmp_path, blank):
+        lines = ["a,b,label"] + [f"{i}.5,{i},{2 * (i % 2) - 1}" for i in range(300)]
+        lines[251] = f"250.5,{blank},1"  # file line 252
+        path = _write(tmp_path, "\n".join(lines) + "\n")
+        with pytest.raises(DataError) as info:
+            load_csv(path)
+        assert str(info.value) == f"{path}:252: missing value in column 'b'"
+
+    def test_earliest_blank_across_numeric_and_text_columns(self, tmp_path):
+        # The first row with a blank cell is reported, its first such column
+        # on that row, whichever columns parse as numbers.
+        lines = ["a,b,c,label"] + [f"{i},t{i},{i}.5,1" for i in range(300)]
+        lines[201] = "200,t200,,1"  # file line 202: numeric column c
+        lines[151] = "150, ,150.5,1"  # file line 152: text column b
+        lines[251] = ",t250,,1"
+        path = _write(tmp_path, "\n".join(lines) + "\n")
+        with pytest.raises(DataError, match=":152: missing value in column 'b'$"):
+            load_csv(path)
+        lines[151] = ",,150.5,1"
+        path = _write(tmp_path, "\n".join(lines) + "\n")
+        with pytest.raises(DataError, match=":152: missing value in column 'a'$"):
+            load_csv(path)
+
 
 class TestDataset:
     def test_row_and_subset(self):
@@ -159,6 +198,46 @@ class TestDataset:
         assert sub.m == 2
         assert sub.row(0) == (3.0, "c")
         np.testing.assert_array_equal(sub.labels, [1.0, 1.0])
+
+    @pytest.mark.parametrize(
+        "indices",
+        [
+            np.array([], dtype=np.intp),
+            [2],
+            [0],
+            [0, 2, 4],
+            [1, 1, 3],
+            [3, 1],
+            [-1, 2],
+            [-5, 0],
+            np.array([0, 2, 4], dtype=np.uint8),
+            np.array([1, 3, 4], dtype=np.uint64),
+            np.array([4, 1], dtype=np.uint64),
+            np.arange(5, dtype=np.int32),
+            np.array([2, 2], dtype=np.int32),
+            np.array([[0, 1]]),
+            np.array([True, False, True, False, True]),
+        ],
+        ids=["empty", "single", "first", "increasing", "duplicate",
+             "decreasing", "negative_first", "negative_increasing", "uint8", "uint64",
+             "uint64_decreasing", "int32_every_row", "int32_duplicate", "two_dim", "mask"],
+    )
+    def test_subset_shares_its_index_by_the_diff_rule(self, indices):
+        # A subset takes its parent's column index exactly when np.diff with
+        # prepend=-1 finds the integer indices strictly increasing from 0 up;
+        # a shared index orders the examples as one built afresh.
+        S = dataset_from_columns(
+            [np.array([3.0, 1.0, 2.0, 1.0, 5.0]), np.array(list("abcab"))],
+            np.array([1.0, -1.0, 1.0, 1.0, -1.0]),
+        )
+        S._index.order  # the parent's index, built and sorted
+        sub = S.subset(indices)
+        idx = np.asarray(indices)
+        shares = (idx.dtype.kind in "iu" and idx.ndim == 1
+                  and bool(np.all(np.diff(idx, prepend=-1) > 0)))
+        assert ("_index" in vars(sub)) == shares
+        if shares and sub.m:
+            assert sub._index.order.tolist() == _ColumnIndex(sub).order.tolist()
 
     def test_with_labels_checks_length(self):
         S = dataset_from_numeric(np.zeros((3, 1)), np.array([1.0, -1.0, 1.0]))
